@@ -90,6 +90,12 @@ def count_perms_by_weight(
     return q_eulerian(n, max_n=max_n, workers=workers).coefficient(d, w)
 
 
+def _check_descents(n: int, d: int) -> None:
+    """Reject d outside 1..n-1, where no permutation is counted."""
+    if not 1 <= d <= n - 1:
+        raise ValueError(f"d={d} outside 1..{n - 1}")
+
+
 def enumerate_stems(n: int, d: int) -> list[Stem]:
     """
     All admissible stems for (n, d), lexicographically.
@@ -170,8 +176,7 @@ def verify_bijection(
     >>> verify_bijection(5, 2)
     True
     """
-    if not 1 <= d <= n - 1:
-        raise ValueError(f"d={d} outside 1..{n - 1}")
+    _check_descents(n, d)
     brute = count_perms_by_weight(
         n, d, target_weight(n, d), max_n=max_n, workers=workers
     )
@@ -183,6 +188,7 @@ def verify_stem_totals(n: int, d: int) -> bool:
     True when the stem counts add up to T(n-1, d) and stem_to_partition is
     injective into the partitions of n-1 with at least d parts.
     """
+    _check_descents(n, d)
     stems = enumerate_stems(n, d)
     total = 0
     images = set()
@@ -202,6 +208,7 @@ def bijection_report(
     Per-(n, d) verification record: brute count, stem total, T(n-1, d),
     and pass/fail, plus the region predicates.
     """
+    _check_descents(n, d)
     w = target_weight(n, d)
     brute = count_perms_by_weight(n, d, w, max_n=max_n, workers=workers)
     stems = enumerate_stems(n, d)

@@ -174,7 +174,10 @@ def _cmd_wd(args) -> int:
 
 def _cmd_tnk(args) -> int:
     if args.crosscheck is not None:
-        report = crosscheck_triangle(args.crosscheck, fmt=args.file_format)
+        try:
+            report = crosscheck_triangle(args.crosscheck, fmt=args.file_format)
+        except OSError as exc:
+            raise ValueError(f"cannot read {args.crosscheck}: {exc.strerror}") from None
         lines = [f"checked {len(report.cells)} cells"]
         for c in report.mismatches():
             lines.append(
@@ -242,6 +245,7 @@ def _cmd_verify(args) -> int:
     if args.what == "stems":
         if args.n is None or args.d is None:
             raise ValueError("verify stems needs --n and --d")
+        ok = verify_stem_totals(args.n, args.d)
         stems = enumerate_stems(args.n, args.d)
         records = [
             {
@@ -253,7 +257,6 @@ def _cmd_verify(args) -> int:
         ]
         total = sum(r["count"] for r in records)
         t_value = t_nk(args.n - 1, args.d)
-        ok = verify_stem_totals(args.n, args.d)
         lines = [
             f"{' '.join(map(str, r['stem']))}: {r['count']}  "
             f"(partition {''.join(map(str, r['partition']))})"
@@ -424,6 +427,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args._t0 = time.perf_counter()
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

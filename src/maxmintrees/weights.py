@@ -15,14 +15,12 @@ where
 The appended maximum n+1 always counts as a descent; the back sentinel 0
 makes that fall out of the plain comparison ext[k] > ext[k+1].
 
-Two implementations are provided.  ``weight_via_ranges`` computes j, m, M
-and L by direct scanning per non-descent (quadratic worst case, fast in
-practice).  ``weight_accelerated`` precomputes nearest-smaller /
-nearest-greater indices with monotonic stacks and answers the max-position
-queries from a sparse table, costing O(n log n) per call; large inputs are
-handed to a numpy backend.  Both return identical values by contract, and
-the tests enforce that against each other and against the tree-based
-computations.
+Two routes find these ranges.  ``weight_via_ranges`` and ``subtree_range``
+scan for j, m, M and L from each non-descent (quadratic worst case, fast in
+practice); they are the oracle.  ``weight_accelerated`` and
+``range_details`` take every range from one left-to-right monotonic-stack
+pass, O(n) per word.  The tests hold the two routes equal to each other and
+to the tree-based computations.
 """
 
 from __future__ import annotations
@@ -31,8 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .perms import ExtendedPermutation, Permutation, extend
-
-_NUMPY_CUTOFF = 2048
 
 
 @dataclass(frozen=True)
@@ -124,150 +120,85 @@ def weight_via_ranges(p: Permutation) -> int:
     return descents_and_weight(p)[1]
 
 
+def _subtree_ranges(ext: Sequence[int]) -> list[tuple[int, int, int]]:
+    """
+    (i, lo, m) for every non-descent position i of the extended word, in
+    ascending order of i: its subtree range is lo+1..m, so it holds
+    P[m] - P[lo] descents for the prefix counts P of _descent_prefix.
+
+    One left-to-right pass keeps two monotonic stacks.  The rising stack
+    holds positions of increasing values; a position i is popped by its
+    next smaller value j, and each entry carries the argmax of the positions
+    between it and the entry above it, so m is known when i is popped and
+    L is the entry left beneath it.  The falling stack gives every position
+    its nearest greater value on the left; m lies left of j, so M is known
+    by the time i is popped.
+    """
+    # -1 indexes the back sentinel, whose value 0 lies below every other
+    # value; as a position it lies left of the front sentinel, so it loses
+    # every max(M, L)
+    none = -1
+    above = [0] * len(ext)  # above[k]: nearest position left of k with a greater value
+    rising = [none]
+    inner = [none]  # inner[s]: argmax strictly between rising[s] and rising[s + 1]
+    falling = [0]
+    lo_of = [0] * len(ext)
+    m_of = [0] * len(ext)  # stays 0 at descents
+    for t in range(1, len(ext)):
+        v = ext[t]
+        seen = none  # argmax of the positions popped so far at t
+        while ext[rising[-1]] > v:
+            i = rising.pop()
+            m = inner.pop()
+            if ext[seen] > ext[m]:
+                m = seen
+            if m == none:  # nothing between i and t: i is a descent
+                seen = i
+            else:
+                M = above[m]
+                L = rising[-1]
+                lo_of[i] = M if M > L else L
+                m_of[i] = m
+                seen = m
+        if ext[seen] > ext[inner[-1]]:
+            inner[-1] = seen
+        rising.append(t)
+        inner.append(none)
+        while ext[falling[-1]] < v:
+            falling.pop()
+        above[t] = falling[-1]
+        falling.append(t)
+    return [(i, lo_of[i], m) for i, m in enumerate(m_of) if m]
+
+
 def range_details(p: Permutation) -> list[dict]:
     """
     Per-non-descent breakdown of the range computation: position, value,
-    subtree range and the number of descents inside it.
+    subtree range and the number of descents inside it.  Linear time.
     """
-    n = len(p)
     ext = extend(p)
     P = _descent_prefix(ext)
-    out = []
-    for i in range(1, n + 1):
-        if ext[i] > ext[i + 1]:
-            continue
-        lo, m = _scan_range(ext, i)
-        out.append(
-            {
-                "position": i,
-                "value": ext[i],
-                "range": [lo, m],
-                "descents": P[m] - P[lo - 1],
-            }
-        )
-    return out
-
-
-def _stack_indices(ext: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
-    """
-    Monotonic-stack precomputes over the extended word:
-
-      nsr[k] = first position > k with a smaller value,
-      psl[k] = nearest position < k with a smaller value (0 when none),
-      pgl[k] = nearest position < k with a greater value (0 when none).
-    """
-    size = len(ext)
-    nsr = [0] * size
-    stack: list[int] = []
-    push = stack.append
-    pop = stack.pop
-    for t in range(size):
-        v = ext[t]
-        while stack and ext[stack[-1]] > v:
-            nsr[pop()] = t
-        push(t)
-    stack.clear()
-    psl = [0] * size
-    for t in range(size):
-        v = ext[t]
-        while stack and ext[stack[-1]] > v:
-            pop()
-        if stack:
-            psl[t] = stack[-1]
-        push(t)
-    stack.clear()
-    pgl = [0] * size
-    for t in range(size):
-        v = ext[t]
-        while stack and ext[stack[-1]] < v:
-            pop()
-        if stack:
-            pgl[t] = stack[-1]
-        push(t)
-    return nsr, psl, pgl
+    return [
+        {
+            "position": i,
+            "value": ext[i],
+            "range": [lo + 1, m],
+            "descents": P[m] - P[lo],
+        }
+        for i, lo, m in _subtree_ranges(ext)
+    ]
 
 
 def weight_accelerated(p: Permutation) -> int:
     """
-    Weight of p using precomputed index structures, O(n log n) per call.
+    Weight of p from one monotonic-stack pass over the word, O(n) per call.
 
     Output is identical to weight_via_ranges for every input.
 
     >>> weight_accelerated((1, 3, 2))
     1
     """
-    if len(p) >= _NUMPY_CUTOFF:
-        return _accelerated_numpy(p)
-    return _accelerated_python(p)
-
-
-def _accelerated_python(p: Permutation) -> int:
     n = len(p)
     ext = [n + 2, *p, n + 1, 0]
-    size = n + 3
-    nsr, psl, pgl = _stack_indices(ext)
     P = _descent_prefix(ext)
-    # sparse table of range-max positions: table[k][i] = argmax over
-    # positions [i, i + 2^k - 1]
-    table = [list(range(size))]
-    k = 1
-    while (1 << k) <= size:
-        half = 1 << (k - 1)
-        prev = table[-1]
-        row = []
-        append = row.append
-        for idx in range(size - (1 << k) + 1):
-            a = prev[idx]
-            b = prev[idx + half]
-            append(a if ext[a] >= ext[b] else b)
-        table.append(row)
-        k += 1
-    total = 0
-    for i in range(1, n + 1):
-        if ext[i] > ext[i + 1]:
-            continue
-        j = nsr[i]
-        l, r = i + 1, j - 1
-        k = (r - l + 1).bit_length() - 1
-        row = table[k]
-        a = row[l]
-        b = row[r - (1 << k) + 1]
-        m = a if ext[a] >= ext[b] else b
-        M = pgl[m]
-        L = psl[i]
-        lo = M if M > L else L
-        total += P[m] - P[lo]
-    return total - n
-
-
-def _accelerated_numpy(p: Permutation) -> int:
-    import numpy as np
-
-    n = len(p)
-    ext = [n + 2, *p, n + 1, 0]
-    size = n + 3
-    nsr, psl, pgl = _stack_indices(ext)
-    vals = np.array(ext, dtype=np.int64)
-    desc = vals[1 : n + 2] > vals[2 : n + 3]
-    P = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(desc, out=P[1:])
-    levels = size.bit_length()
-    table = np.empty((levels, size), dtype=np.int64)
-    table[0] = np.arange(size)
-    pos = np.arange(size)
-    for k in range(1, levels):
-        half = 1 << (k - 1)
-        prev = table[k - 1]
-        cand = prev[np.minimum(pos + half, size - 1)]
-        table[k] = np.where(vals[prev] >= vals[cand], prev, cand)
-    idx = np.flatnonzero(~desc[:n]) + 1  # non-descent positions 1..n
-    jj = np.asarray(nsr, dtype=np.int64)[idx]
-    l = idx + 1
-    r = jj - 1
-    span = r - l + 1
-    k = np.frexp(span)[1] - 1  # floor(log2(span)), exact for integers
-    a = table[k, l]
-    b = table[k, r - (1 << k.astype(np.int64)) + 1]
-    m = np.where(vals[a] >= vals[b], a, b)
-    lo = np.maximum(np.asarray(pgl, dtype=np.int64)[m], np.asarray(psl, dtype=np.int64)[idx])
-    return int((P[m] - P[lo]).sum()) - n
+    return sum(P[m] - P[lo] for _, lo, m in _subtree_ranges(ext)) - n

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +54,33 @@ class TestWeight:
         assert env["result"]["weight"] == 1
         assert env["command"] == "weight"
         assert "elapsed_s" in env and "version" in env
+
+    def test_long_word_needs_only_the_standard_library(self):
+        # a fresh interpreter, so that modules other tests import do not count;
+        # multiprocessing aliases the main module as __mp_main__
+        script = (
+            "import random, sys\n"
+            "before = set(sys.modules)\n"
+            "from maxmintrees import cli\n"
+            "word = list(range(1, 3001))\n"
+            "random.Random(0).shuffle(word)\n"
+            "perm = ' '.join(map(str, word))\n"
+            "assert cli.main(['weight', perm]) == 0\n"
+            "assert cli.main(['weight', perm, '--explain']) == 0\n"
+            "new = set(sys.modules) - before\n"
+            "loaded = {m.partition('.')[0] for m in new if not m.startswith('__')}\n"
+            "print(sorted(loaded - set(sys.stdlib_module_names) - {'maxmintrees'}))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestTree:
@@ -160,6 +191,14 @@ class TestTnk:
         code, _, err = run(capsys, "tnk", "--crosscheck", str(f))
         assert code == 2 and "line 2" in err
 
+    @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
+    def test_crosscheck_unreadable_exit_2(self, capsys, tmp_path, name):
+        path = tmp_path / name
+        code, out, err = run(capsys, "tnk", "--crosscheck", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestVerify:
     def test_bijection_pair(self, capsys):
@@ -170,6 +209,12 @@ class TestVerify:
     def test_bijection_failure_exit_1(self, capsys):
         code, out, _ = run(capsys, "verify", "bijection", "--n", "4", "--d", "1")
         assert code == 1 and "FAIL" in out
+
+    @pytest.mark.parametrize("what", ["bijection", "stems"])
+    def test_d_outside_domain_exit_2(self, capsys, what):
+        code, out, err = run(capsys, "verify", what, "--n", "3", "--d", "0")
+        assert code == 2 and out == ""
+        assert err == "error: d=0 outside 1..2\n"
 
     def test_bijection_sweep(self, capsys):
         code, out, _ = run(
@@ -226,3 +271,9 @@ class TestThreads:
             capsys, "eulerian", "7", "--q", "--output", "json", "--threads", "2"
         )
         assert json.loads(out1)["result"] == json.loads(out2)["result"]
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, capsys, threads):
+        code, out, err = run(capsys, "eulerian", "4", "--threads", threads)
+        assert code == 2 and out == ""
+        assert err == f"error: --threads must be at least 1, got {threads}\n"

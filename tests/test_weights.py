@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from maxmintrees.perms import extend
 from maxmintrees.trees import build_max_weight_tree, subtree, weight_recursive
 from maxmintrees.weights import (
-    _accelerated_numpy,
-    _accelerated_python,
     descents_and_weight,
     range_details,
     subtree_range,
@@ -118,15 +116,11 @@ class TestAgreement:
             p = shuffled(200, seed)
             assert weight_via_ranges(p) == weight_accelerated(p)
 
-    def test_backends_agree_around_cutoff(self):
-        # the accelerated path switches array backends on size; both must
-        # give the scanning algorithm's answer either side of the switch
+    def test_large_words_match_scanning(self):
         for n in (1500, 2047, 2048, 2049, 3000):
             for seed in range(3):
                 p = shuffled(n, seed)
-                expected = weight_via_ranges(p)
-                assert _accelerated_python(p) == expected
-                assert _accelerated_numpy(p) == expected
+                assert weight_accelerated(p) == weight_via_ranges(p)
 
     @settings(max_examples=60, deadline=None)
     @given(st.permutations(list(range(1, 26))))
@@ -147,3 +141,29 @@ class TestRangeDetails:
             p = shuffled(40, seed)
             details = range_details(p)
             assert sum(r["descents"] for r in details) - 40 == weight_via_ranges(p)
+
+    def test_rows_match_the_scanning_oracle(self):
+        n = 2000
+        zigzag = []
+        for run_no, start in enumerate(range(1, n + 1, 45)):
+            run = list(range(start, min(n + 1, start + 45)))
+            zigzag += run[::-1] if run_no % 2 else run
+        rng = random.Random(2)
+        words = [p for k in range(1, 8) for p in all_perms(k)]
+        words += [shuffled(rng.randint(1, 400), seed) for seed in range(300)]
+        # the increasing word is the one on which scanning every range is
+        # quadratic
+        words += [tuple(range(1, n + 1)), tuple(range(n, 0, -1)), tuple(zigzag)]
+        for p in words:
+            ext = extend(p)
+            rows = iter(range_details(p))
+            for i in range(1, len(p) + 1):
+                if ext[i] > ext[i + 1]:
+                    continue
+                row = next(rows)
+                r = subtree_range(ext, i)
+                assert row["position"] == i and row["value"] == ext[i], (p, i)
+                assert row["range"] == [r.left, r.right], (p, i)
+                direct = sum(ext[k] > ext[k + 1] for k in range(r.left, r.right + 1))
+                assert row["descents"] == direct, (p, i)
+            assert next(rows, None) is None, p
