@@ -217,6 +217,8 @@ def _cmd_verify(args) -> int:
             pairs = [(args.n, args.d)]
         elif args.n_max is None:
             raise ValueError("verify bijection needs --n and --d, or --n-max for a sweep")
+        elif args.n_max < 2:
+            raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
         else:
             region = stable_region if args.region == "stable" else wide_region
             pairs = [
@@ -308,6 +310,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    for flag, n in (("--fast-n", args.fast_n), ("--range-n", args.range_n)):
+        if n < 1:
+            raise ValueError(f"{flag} must be at least 1, got {n}")
     rng = random.Random(args.seed)
 
     def sample(n):

@@ -1,6 +1,10 @@
 """
-Eulerian and q-Eulerian polynomials by exhaustive enumeration, and the
-stabilized coefficient series they converge to.
+Eulerian and q-Eulerian polynomials, and the stabilized coefficient series
+the q-Eulerian ones converge to.
+
+The Eulerian numbers come from the classical recurrence
+A(m, k) = (k+1) A(m-1, k) + (m-k) A(m-1, k-1).  The q-Eulerian polynomials
+come from exhaustive enumeration of S_n.
 
 The q-Eulerian polynomial of order n counts the symmetric group S_n by
 (descents, weight): the coefficient of x^d q^w is the number of
@@ -12,15 +16,17 @@ on n once n reaches d + k + 1.  Collecting those stabilized values gives a
 power series per d whose k-th coefficient is read off at the threshold
 order; ``wd_series`` assembles them.
 
-Enumeration walks S_n in lexicographic blocks keyed by the first element.
-Blocks are independent work units merged by coefficient-wise addition, so
-the result is identical for any worker count; ``workers`` > 1 fans the
-blocks out over OS processes.
+Enumeration walks S_n in lexicographic blocks keyed by the first element,
+calling the weights kernel once per permutation and counting its
+(descents, weight) results at C speed.  Blocks are independent work units
+merged by coefficient-wise addition, so the result is identical for any
+worker count; ``workers`` > 1 fans the blocks out over OS processes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations as _permutations
@@ -131,23 +137,23 @@ def eulerian_polynomial(n: int, max_n: int = DEFAULT_MAX_N) -> list[int]:
     [1, 11, 11, 1]
     """
     _check_limit(n, max_n)
-    counts = [0] * n
-    r = range(n - 1)
-    for p in _permutations(range(1, n + 1)):
-        counts[sum(p[i] > p[i + 1] for i in r)] += 1
-    return counts
+    row = [1]
+    for m in range(2, n + 1):
+        # A(m, k) = (k+1) A(m-1, k) + (m-k) A(m-1, k-1)
+        row = [
+            (k + 1) * a + (m - k) * b
+            for k, (a, b) in enumerate(zip(row + [0], [0] + row))
+        ]
+    return row
 
 
-def _block_counts(task: tuple[int, int]) -> dict[tuple[int, int], int]:
+def _block_counts(task: tuple[int, int]) -> Counter[tuple[int, int]]:
     """(descents, weight) histogram over the S_n block with a fixed first element."""
     n, first = task
     rest = [v for v in range(1, n + 1) if v != first]
-    counts: dict[tuple[int, int], int] = {}
-    get = counts.get
-    for tail in _permutations(rest):
-        key = descents_and_weight((first, *tail))
-        counts[key] = get(key, 0) + 1
-    return counts
+    return Counter(
+        map(descents_and_weight, map((first,).__add__, _permutations(rest)))
+    )
 
 
 _Q_CACHE: dict[int, BivariatePolynomial] = {}
@@ -172,16 +178,15 @@ def q_eulerian(
     if cached is not None:
         return cached
     tasks = [(n, first) for first in range(1, n + 1)]
-    merged: dict[tuple[int, int], int] = {}
     if workers > 1 and n >= _POOL_MIN_N:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_block_counts, tasks))
     else:
         blocks = [_block_counts(t) for t in tasks]
+    merged: Counter[tuple[int, int]] = Counter()
     for block in blocks:
-        for key, c in block.items():
-            merged[key] = merged.get(key, 0) + c
-    poly = BivariatePolynomial(n, merged)
+        merged.update(block)
+    poly = BivariatePolynomial(n, dict(merged))
     assert poly.coefficient_sum() == math.factorial(n)
     _Q_CACHE[n] = poly
     return poly

@@ -37,6 +37,16 @@ def validate_permutation(values: Iterable[int]) -> Permutation:
     n = len(word)
     if n == 0:
         raise ValueError("empty permutation")
+    # fast path: type and range checks at C speed, then one duplicate pass;
+    # any failure falls through to the loop below, which names the position
+    if set(map(type, word)) == {int} and 1 <= min(word) and max(word) <= n:
+        marked = bytearray(n + 1)
+        for v in word:
+            if marked[v]:
+                break
+            marked[v] = 1
+        else:
+            return word
     seen = [False] * (n + 1)
     for pos, v in enumerate(word, start=1):
         if not isinstance(v, int) or isinstance(v, bool):
@@ -61,12 +71,15 @@ def parse_permutation(text: str) -> Permutation:
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ValueError("empty permutation text")
-    values = []
-    for pos, tok in enumerate(tokens, start=1):
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise ValueError(f"non-integer token {tok!r} at position {pos}") from None
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        for pos, tok in enumerate(tokens, start=1):
+            try:
+                int(tok)
+            except ValueError:
+                raise ValueError(f"non-integer token {tok!r} at position {pos}") from None
+        raise
     return validate_permutation(values)
 
 

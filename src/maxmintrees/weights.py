@@ -15,12 +15,15 @@ where
 The appended maximum n+1 always counts as a descent; the back sentinel 0
 makes that fall out of the plain comparison ext[k] > ext[k+1].
 
-Two routes find these ranges.  ``weight_via_ranges`` and ``subtree_range``
-scan for j, m, M and L from each non-descent (quadratic worst case, fast in
-practice); they are the oracle.  ``weight_accelerated`` and
-``range_details`` take every range from one left-to-right monotonic-stack
-pass, O(n) per word.  The tests hold the two routes equal to each other and
-to the tree-based computations.
+Two routes find these ranges.  The scanning route looks for j, m, M and L
+from each non-descent (quadratic worst case, fast in practice) and is the
+oracle: ``descents_and_weight``, the per-permutation kernel of the S_n
+enumeration behind ``weight_via_ranges``, carries these scans inline in one
+flat function, and ``_scan_range`` runs the same scans for
+``subtree_range``.  ``weight_accelerated`` and ``range_details`` take every
+range from one left-to-right monotonic-stack pass, O(n) per word.  The
+tests hold the two routes equal to each other and to the tree-based
+computations.
 """
 
 from __future__ import annotations
@@ -96,17 +99,42 @@ def descents_and_weight(p: Permutation) -> tuple[int, int]:
 
     This is the scanning range algorithm fused with the descent count; it
     is the kernel behind weight_via_ranges and the symmetric-group
-    enumeration.
+    enumeration, so the scans of _scan_range run inline here rather than
+    as one call per non-descent.
+
+    >>> descents_and_weight((2, 1, 3))
+    (1, 0)
     """
     n = len(p)
-    ext = [n + 2, *p, n + 1, 0]
-    P = _descent_prefix(ext)
+    ext = (n + 2, *p, n + 1, 0)
+    P = [0] * (n + 2)  # P[k]: descent positions in 1..k
+    c = 0
+    for k in range(1, n + 2):
+        if ext[k] > ext[k + 1]:
+            c += 1
+        P[k] = c
     total = 0
-    for i in range(1, n + 1):
-        if ext[i] > ext[i + 1]:
+    for i, v in enumerate(p, 1):
+        m = i + 1
+        best = ext[m]
+        if v > best:
             continue
-        lo, m = _scan_range(ext, i)
-        total += P[m] - P[lo - 1]
+        # j and m: scan right while values exceed v, keeping the argmax
+        k = m + 1
+        w = ext[k]
+        while w > v:
+            if w > best:
+                best = w
+                m = k
+            k += 1
+            w = ext[k]
+        M = m - 1
+        while ext[M] < best:
+            M -= 1
+        L = i - 1
+        while L and ext[L] > v:
+            L -= 1
+        total += P[m] - P[M if M > L else L]
     return P[n], total - n
 
 

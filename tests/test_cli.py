@@ -1,12 +1,15 @@
+import argparse
 import json
 import os
+import random
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import pytest
 
-from maxmintrees.cli import main
+from maxmintrees.cli import build_parser, main
 from maxmintrees.partitions import t_triangle
 
 EXAMPLE_15_TEXT = "1 12 15 9 10 5 7 11 6 4 13 3 8 2 14"
@@ -227,6 +230,11 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "bijection")
         assert code == 2
 
+    def test_bijection_sweep_below_two_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "bijection", "--n-max", "1")
+        assert code == 2 and out == ""
+        assert err == "error: --n-max must be at least 2, got 1\n"
+
     def test_stems(self, capsys):
         code, out, _ = run(capsys, "verify", "stems", "--n", "9", "--d", "5")
         assert code == 0
@@ -259,6 +267,14 @@ class TestBench:
         assert code == 0
         assert "agreement at n=300: yes" in out
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--fast-n", "0"), ("--fast-n", "-3"), ("--range-n", "0")]
+    )
+    def test_size_below_one_exit_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "bench", flag, value)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} must be at least 1, got {value}\n"
+
 
 class TestThreads:
     def test_threads_flag_does_not_change_payload(self, capsys):
@@ -277,3 +293,68 @@ class TestThreads:
         code, out, err = run(capsys, "eulerian", "4", "--threads", threads)
         assert code == 2 and out == ""
         assert err == f"error: --threads must be at least 1, got {threads}\n"
+
+
+# sizes whose defaults would enumerate S_11 or time 1e5-letter words; the
+# fuzz cases always give them, bounded
+FUZZ_BOUNDED = {"--max-n": 8, "--fast-n": 7, "--range-n": 7}
+
+
+def fuzz_value(rng, action, flag, files):
+    if action.choices is not None:
+        return rng.choice(list(action.choices))
+    if action.type is int:
+        low = 1 if rng.random() < 0.8 else -2
+        return str(rng.randint(low, FUZZ_BOUNDED.get(flag, 7)))
+    if flag is not None:  # --crosscheck FILE
+        return rng.choice(files)
+    if rng.random() < 0.8:  # a permutation
+        k = rng.randint(1, 7)
+        return " ".join(map(str, rng.sample(range(1, k + 1), k)))
+    return rng.choice(["", "1 1", "0 1", "a b", "2,1,3", "1 2 x", "1.5", "-1 2"])
+
+
+def fuzz_argv(rng, subparsers, files):
+    command = rng.choice(sorted(subparsers))
+    argv = [command]
+    for action in subparsers[command]._actions:
+        if isinstance(action, (argparse._HelpAction, argparse._VersionAction)):
+            continue
+        flag = action.option_strings[-1] if action.option_strings else None
+        if flag == "--threads":
+            argv += [flag, "1"]
+            continue
+        given = flag in FUZZ_BOUNDED or rng.random() < (0.9 if flag is None else 0.6)
+        if not given:
+            continue
+        if isinstance(action, argparse._StoreTrueAction):
+            argv.append(flag)
+        elif flag is None:
+            argv.append(fuzz_value(rng, action, flag, files))
+        else:
+            argv += [flag, fuzz_value(rng, action, flag, files)]
+    if rng.random() < 0.05:
+        argv.insert(rng.randint(1, len(argv)), rng.choice(["--bogus", "x", "-1"]))
+    return argv
+
+
+def test_fuzzed_argv_keep_the_exit_contract(capsys, tmp_path):
+    good = tmp_path / "triangle.csv"
+    good.write_text(t_triangle(6).csv_text())
+    files = [str(good), str(tmp_path / "missing.csv"), str(tmp_path)]
+    subparsers = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    rng = random.Random(7)
+    for _ in range(300):
+        argv = fuzz_argv(rng, subparsers, files)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejecting the argv
+            code = exc.code
+        except Exception:
+            pytest.fail(f"{argv}: {traceback.format_exc()}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv

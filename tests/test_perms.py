@@ -54,6 +54,28 @@ class TestParse:
         with pytest.raises(ValueError, match="out of range"):
             validate_permutation([0, 1])
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([True, 2], "non-integer label True at position 1"),
+            ([1, 2.0], "non-integer label 2.0 at position 2"),
+            ([1, "2"], "non-integer label '2' at position 2"),
+            ([2, 2, 7], "duplicate label 2 at position 2"),
+            ([7, 2, 2], "label 7 out of range [1, 3] at position 1"),
+            ([1, 3, 3, -1], "duplicate label 3 at position 3"),
+            ([1, 2, 4, 4], "duplicate label 4 at position 4"),
+        ],
+    )
+    def test_first_fault_in_word_order_is_reported(self, values, message):
+        with pytest.raises(ValueError) as exc:
+            validate_permutation(values)
+        assert str(exc.value) == message
+
+    def test_first_non_integer_token_is_reported(self):
+        with pytest.raises(ValueError) as exc:
+            parse_permutation("1,2 3.5 y 9")
+        assert str(exc.value) == "non-integer token '3.5' at position 3"
+
 
 class TestDescents:
     def test_identity_has_none(self):

@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxmintrees.perms import extend
+from maxmintrees.eulerian import _block_counts
+from maxmintrees.perms import descent_count, extend
 from maxmintrees.trees import build_max_weight_tree, subtree, weight_recursive
 from maxmintrees.weights import (
     descents_and_weight,
@@ -103,6 +105,59 @@ class TestWeightValues:
         assert descents_and_weight((3, 2, 1)) == (2, 0)
 
 
+def zigzag(n, run=45):
+    """1..n in runs of ``run`` letters, every second run reversed."""
+    word = []
+    for run_no, start in enumerate(range(1, n + 1, run)):
+        part = list(range(start, min(n + 1, start + run)))
+        word += part[::-1] if run_no % 2 else part
+    return tuple(word)
+
+
+def scanned_descents_and_weight(p):
+    """(descents, weight) from subtree_range and a direct descent count."""
+    n = len(p)
+    ext = extend(p)
+    # D[k]: descent positions of the extended word in 1..k
+    D = list(itertools.accumulate(
+        (ext[k] > ext[k + 1] for k in range(1, n + 2)), initial=0
+    ))
+    total = 0
+    for i in range(1, n + 1):
+        if ext[i] < ext[i + 1]:
+            r = subtree_range(ext, i)
+            total += D[r.right] - D[r.left - 1]
+    return descent_count(p), total - n
+
+
+class TestKernel:
+    def test_exhaustive_against_subtree_ranges(self):
+        for n in range(1, 9):
+            for p in all_perms(n):
+                assert descents_and_weight(p) == scanned_descents_and_weight(p), p
+
+    def test_long_scans_against_subtree_ranges(self):
+        # the increasing, decreasing and zigzag words make the inline j, m,
+        # M and L scans run long
+        rng = random.Random(3)
+        words = [shuffled(rng.randint(1, 400), seed) for seed in range(300)]
+        words += [tuple(range(1, 2001)), tuple(range(2000, 0, -1)), zigzag(2000)]
+        for p in words:
+            assert descents_and_weight(p) == scanned_descents_and_weight(p), p[:20]
+
+    def test_block_histogram_matches_a_plain_loop(self):
+        for n in range(1, 8):
+            for first in range(1, n + 1):
+                expected = {}
+                for p in all_perms(n):
+                    if p[0] == first:
+                        key = descents_and_weight(p)
+                        expected[key] = expected.get(key, 0) + 1
+                counts = _block_counts((n, first))
+                assert counts == expected, (n, first)
+                assert sum(counts.values()) == math.factorial(n - 1), (n, first)
+
+
 class TestAgreement:
     def test_exhaustive_small(self):
         for n in range(1, 8):
@@ -144,16 +199,12 @@ class TestRangeDetails:
 
     def test_rows_match_the_scanning_oracle(self):
         n = 2000
-        zigzag = []
-        for run_no, start in enumerate(range(1, n + 1, 45)):
-            run = list(range(start, min(n + 1, start + 45)))
-            zigzag += run[::-1] if run_no % 2 else run
         rng = random.Random(2)
         words = [p for k in range(1, 8) for p in all_perms(k)]
         words += [shuffled(rng.randint(1, 400), seed) for seed in range(300)]
         # the increasing word is the one on which scanning every range is
         # quadratic
-        words += [tuple(range(1, n + 1)), tuple(range(n, 0, -1)), tuple(zigzag)]
+        words += [tuple(range(1, n + 1)), tuple(range(n, 0, -1)), zigzag(n)]
         for p in words:
             ext = extend(p)
             rows = iter(range_details(p))
