@@ -183,22 +183,47 @@ def verify_bijection(
     return brute == t_nk(n - 1, d)
 
 
+def stem_report(n: int, d: int) -> dict:
+    """
+    Per-stem record for (n, d): every admissible stem with its tree count
+    and partition, the stem total, T(n-1, d), and whether the totals agree
+    with stem_to_partition injective into the partitions of n-1 with at
+    least d parts.
+
+    >>> r = stem_report(4, 2)
+    >>> r["stems"][0], r["total"], r["t_value"], r["ok"]
+    ({'stem': [1, 2], 'count': 3, 'partition': [1, 1, 1]}, 4, 4, True)
+    """
+    _check_descents(n, d)
+    stems = [
+        {
+            "stem": list(s.labels),
+            "count": stem_count(s),
+            "partition": list(stem_to_partition(s)),
+        }
+        for s in enumerate_stems(n, d)
+    ]
+    images = {tuple(r["partition"]) for r in stems}
+    total = sum(r["count"] for r in stems)
+    t_value = t_nk(n - 1, d)
+    return {
+        "n": n,
+        "d": d,
+        "stems": stems,
+        "total": total,
+        "t_value": t_value,
+        "ok": len(images) == len(stems)
+        and all(len(lam) >= d for lam in images)
+        and total == t_value,
+    }
+
+
 def verify_stem_totals(n: int, d: int) -> bool:
     """
     True when the stem counts add up to T(n-1, d) and stem_to_partition is
     injective into the partitions of n-1 with at least d parts.
     """
-    _check_descents(n, d)
-    stems = enumerate_stems(n, d)
-    total = 0
-    images = set()
-    for s in stems:
-        total += stem_count(s)
-        lam = stem_to_partition(s)
-        if len(lam) < d or lam in images:
-            return False
-        images.add(lam)
-    return total == t_nk(n - 1, d)
+    return stem_report(n, d)["ok"]
 
 
 def bijection_report(

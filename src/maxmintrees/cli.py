@@ -32,11 +32,8 @@ import time
 from . import __version__
 from .bijection import (
     bijection_report,
-    enumerate_stems,
     stable_region,
-    stem_count,
-    stem_to_partition,
-    verify_stem_totals,
+    stem_report,
     wide_region,
 )
 from .eulerian import (
@@ -247,35 +244,18 @@ def _cmd_verify(args) -> int:
     if args.what == "stems":
         if args.n is None or args.d is None:
             raise ValueError("verify stems needs --n and --d")
-        ok = verify_stem_totals(args.n, args.d)
-        stems = enumerate_stems(args.n, args.d)
-        records = [
-            {
-                "stem": list(s.labels),
-                "count": stem_count(s),
-                "partition": list(stem_to_partition(s)),
-            }
-            for s in stems
-        ]
-        total = sum(r["count"] for r in records)
-        t_value = t_nk(args.n - 1, args.d)
+        report = stem_report(args.n, args.d)
         lines = [
             f"{' '.join(map(str, r['stem']))}: {r['count']}  "
             f"(partition {''.join(map(str, r['partition']))})"
-            for r in records
+            for r in report["stems"]
         ]
-        lines.append(f"total {total}, T({args.n - 1},{args.d}) = {t_value}")
-        lines.append("OK" if ok else "FAILED")
-        payload = {
-            "n": args.n,
-            "d": args.d,
-            "stems": records,
-            "total": total,
-            "t_value": t_value,
-            "ok": ok,
-        }
-        _emit(args, "\n".join(lines), payload)
-        return EXIT_OK if ok else EXIT_VERIFY_FAILED
+        lines.append(
+            f"total {report['total']}, T({args.n - 1},{args.d}) = {report['t_value']}"
+        )
+        lines.append("OK" if report["ok"] else "FAILED")
+        _emit(args, "\n".join(lines), report)
+        return EXIT_OK if report["ok"] else EXIT_VERIFY_FAILED
 
     # stabilization; the default sweep stops at order 9 so a bare
     # invocation stays interactive

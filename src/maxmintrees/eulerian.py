@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations as _permutations
 
@@ -179,6 +178,9 @@ def q_eulerian(
         return cached
     tasks = [(n, first) for first in range(1, n + 1)]
     if workers > 1 and n >= _POOL_MIN_N:
+        # imported here: it loads multiprocessing, which no other path needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_block_counts, tasks))
     else:

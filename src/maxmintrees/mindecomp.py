@@ -1,11 +1,11 @@
 """
 Minimum decomposition trees.
 
-The minimum decomposition of a permutation uses the same recursive block
-splitting as the max-weight tree, but connects each segment minimum to the
-minimum of every block instead of the maximum.  The result is naturally
-rooted at the global minimum 1, and every node's label is smaller than all
-labels below it.
+The minimum decomposition of a permutation is read off the same block walk
+as the max-weight tree (``trees.block_walk``), but connects each segment
+minimum to the minimum of every block instead of the maximum.  The result
+is naturally rooted at the global minimum 1, and every node's label is
+smaller than all labels below it.
 
 Leaves (childless nodes) are exactly the descent values of the permutation
 plus the appended n+1; the remaining nodes form the stem.  The weight of
@@ -20,7 +20,7 @@ from itertools import permutations as _permutations
 from typing import Sequence
 
 from .perms import Permutation, extend
-from .trees import decompose_blocks
+from .trees import block_walk
 
 EXHAUSTIVE_LIMIT = 11
 
@@ -75,9 +75,7 @@ class MinDecompTree:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Directed parent -> child pairs, sorted."""
-        return tuple(
-            (self.parent[v], v) for v in sorted(range(2, self.node_count + 1))
-        )
+        return tuple((self.parent[v], v) for v in range(2, self.node_count + 1))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MinDecompTree):
@@ -106,22 +104,9 @@ def build_min_decomp(p: Permutation) -> MinDecompTree:
     >>> build_min_decomp((1, 3, 2)).edges()
     ((1, 2), (2, 3), (2, 4))
     """
-    n = len(p)
-    ext = extend(p)
-    parent = [0] * (n + 2)
-    stack: list[tuple[int, int]] = [(1, n + 1)]
-    while stack:
-        lo, hi = stack.pop()
-        if lo == hi:
-            continue
-        dec = decompose_blocks(ext, (lo, hi))
-        blocks = list(dec.left_blocks)
-        if dec.right_block is not None:
-            blocks.append(dec.right_block)
-        for a, b in blocks:
-            bm = min(range(a, b + 1), key=ext.__getitem__)
-            parent[ext[bm]] = ext[dec.min_position]
-            stack.append((a, b))
+    parent = [0] * (len(p) + 2)
+    for seg_min, low, _ in block_walk(extend(p)):
+        parent[low] = seg_min
     return MinDecompTree(parent)
 
 

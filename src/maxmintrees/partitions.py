@@ -215,7 +215,8 @@ def read_bfile(text: str) -> list[tuple[int, int, int]]:
 
 def crosscheck_triangle(file: str | Path, fmt: str = "auto") -> CrosscheckReport:
     """
-    Compare a triangle file against computed T(n, k) values cell by cell.
+    Compare a triangle file cell by cell against one computed triangle,
+    t_triangle up to the largest n in the file.
 
     ``fmt`` is "csv", "bfile", or "auto" (sniffed: comma-bearing or
     single-entry lines mean CSV, two whitespace-separated fields mean
@@ -237,7 +238,8 @@ def crosscheck_triangle(file: str | Path, fmt: str = "auto") -> CrosscheckReport
         cells = read_bfile(text)
     else:
         raise ValueError(f"unknown triangle format {fmt!r}")
+    rows = t_triangle(max(n for n, _, _ in cells)).rows if cells else ()
     checks = tuple(
-        CellCheck(n, k, expected=t_nk(n, k), found=value) for n, k, value in cells
+        CellCheck(n, k, expected=rows[n][k], found=value) for n, k, value in cells
     )
     return CrosscheckReport(checks)

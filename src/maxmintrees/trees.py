@@ -16,17 +16,18 @@ built by recursive block decomposition of the extended word:
   4. connect m to the maximum of each block, then recurse inside each
      block.
 
-Connecting each block at its maximum makes the resulting tree the heaviest
-one the construction can produce; the weight functions in this module are
-the slow, trusted reference implementations that the faster algorithms in
-:mod:`maxmintrees.weights` and :mod:`maxmintrees.mindecomp` are checked
+``block_walk`` runs this split once and both trees are read off it: joining
+each block at its maximum gives the heaviest tree the construction can
+produce, joining it at its minimum the minimum decomposition.  The weight
+functions here are the slow, trusted references that the faster algorithms
+in :mod:`maxmintrees.weights` and :mod:`maxmintrees.mindecomp` are checked
 against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .perms import ExtendedPermutation, Permutation, extend
 
@@ -115,21 +116,49 @@ def decompose_blocks(
 ) -> BlockDecomposition:
     """
     Split ``segment`` (inclusive positions into ``ext``) at its minimum and
-    cut the left part into max-terminated blocks.
+    cut the left part, in one right-to-left pass, into blocks that end at
+    its right-to-left maxima.
     """
     lo, hi = segment
     n1 = len(ext) - 2  # last usable position: n+1
     if not (1 <= lo <= hi <= n1):
         raise ValueError(f"segment ({lo}, {hi}) outside positions 1..{n1}")
-    mpos = min(range(lo, hi + 1), key=ext.__getitem__)
-    left_blocks = []
-    a = lo
-    while a < mpos:
-        b = max(range(a, mpos), key=ext.__getitem__)
-        left_blocks.append((a, b))
-        a = b + 1
+    mpos = ext.index(min(ext[lo : hi + 1]), lo)
+    ends, top = [], 0
+    for b in range(mpos - 1, lo - 1, -1):
+        if ext[b] > top:
+            ends.append(b)
+            top = ext[b]
+    ends.reverse()
+    left_blocks = tuple(zip([lo] + [b + 1 for b in ends], ends))
     right_block = (mpos + 1, hi) if mpos < hi else None
-    return BlockDecomposition(mpos, tuple(left_blocks), right_block)
+    return BlockDecomposition(mpos, left_blocks, right_block)
+
+
+def block_walk(ext: ExtendedPermutation) -> Iterator[tuple[int, int, int]]:
+    """
+    One (segment minimum, block minimum, block maximum) letter triple per
+    block of the recursive split of positions 1..n+1, in no set order.  A
+    block's minimum is that of its own ``decompose_blocks`` call, or its
+    only letter.
+
+    >>> sorted(block_walk(extend((2, 1, 3))))
+    [(1, 2, 2), (1, 3, 4), (3, 4, 4)]
+    """
+    stack = [(1, len(ext) - 2, 0)]  # the whole word has no segment minimum
+    while stack:
+        a, b, seg_min = stack.pop()
+        low = ext[a]
+        if a < b:
+            dec = decompose_blocks(ext, (a, b))
+            low = ext[dec.min_position]
+            stack += [(c, d, low) for c, d in dec.left_blocks]
+            if dec.right_block is not None:
+                stack.append((*dec.right_block, low))
+        if seg_min:
+            # every block carries its maximum at its right end
+            assert ext[b] == max(ext[a : b + 1]), (ext, (a, b))
+            yield seg_min, low, ext[b]
 
 
 def build_max_weight_tree(p: Permutation) -> MaxminTree:
@@ -139,24 +168,8 @@ def build_max_weight_tree(p: Permutation) -> MaxminTree:
     >>> build_max_weight_tree((2, 1, 3)).edges
     ((1, 2), (1, 4), (3, 4))
     """
-    n = len(p)
-    ext = extend(p)
-    edges: list[tuple[int, int]] = []
-    stack: list[tuple[int, int]] = [(1, n + 1)]
-    while stack:
-        lo, hi = stack.pop()
-        if lo == hi:
-            continue
-        dec = decompose_blocks(ext, (lo, hi))
-        blocks = list(dec.left_blocks)
-        if dec.right_block is not None:
-            blocks.append(dec.right_block)
-        for a, b in blocks:
-            # every block carries its maximum at its right end
-            assert ext[b] == max(ext[a : b + 1]), (p, (a, b))
-            edges.append((ext[dec.min_position], ext[b]))
-            stack.append((a, b))
-    return MaxminTree(n + 1, edges)
+    edges = ((seg_min, top) for seg_min, _, top in block_walk(extend(p)))
+    return MaxminTree(len(p) + 1, edges)
 
 
 def is_maxmin(t: MaxminTree) -> bool:

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from maxmintrees.mindecomp import build_min_decomp
 from maxmintrees.perms import descent_count, extend
 from maxmintrees.trees import (
     MaxminTree,
@@ -13,6 +15,7 @@ from maxmintrees.trees import (
     weight_recursive,
     weight_via_descent_sums,
 )
+from test_weights import zigzag
 
 EXAMPLE_15 = (1, 12, 15, 9, 10, 5, 7, 11, 6, 4, 13, 3, 8, 2, 14)
 
@@ -69,6 +72,50 @@ def oracle_all_construction_trees(p):
         yield MaxminTree(n + 1, edges)
 
 
+def reference_blocks(seg):
+    """The left part of seg cut by repeated maxima, then the right part."""
+    i = seg.index(min(seg))
+    left, blocks = seg[:i], []
+    while left:
+        j = left.index(max(left)) + 1
+        blocks.append(left[:j])
+        left = left[j:]
+    if seg[i + 1 :]:
+        blocks.append(seg[i + 1 :])
+    return blocks
+
+
+def reference_trees(p):
+    """
+    (max-weight edges, min-decomposition parents) by recursion on letter
+    slices: each segment minimum joins the max and the min of every block.
+    """
+    edges, parent = set(), [0] * (len(p) + 2)
+    stack = [p + (len(p) + 1,)]  # an explicit stack: words nest 2000 deep
+    while stack:
+        seg = stack.pop()
+        m = min(seg)
+        for block in reference_blocks(seg):
+            edges.add((m, max(block)))
+            parent[min(block)] = m
+            if len(block) > 1:
+                stack.append(block)
+    return tuple(sorted(edges)), tuple(parent)
+
+
+def walk_words():
+    for n in range(1, 9):
+        yield from all_perms(n)
+    rng = random.Random(11)
+    for _ in range(300):
+        word = list(range(1, rng.randint(1, 400) + 1))
+        rng.shuffle(word)
+        yield tuple(word)
+    yield tuple(range(1, 2001))
+    yield tuple(range(2000, 0, -1))
+    yield zigzag(2000)
+
+
 # ---------------------------------------------------------- decomposition
 
 class TestDecompose:
@@ -122,6 +169,21 @@ class TestDecompose:
                         assert ext[b] == max(ext[a : b + 1])
                         stack.append((a, b))
 
+    def test_every_segment_matches_repeated_max(self):
+        for n in range(1, 8):
+            for p in all_perms(n):
+                ext = extend(p)
+                for lo in range(1, n + 2):
+                    for hi in range(lo, n + 2):
+                        dec = decompose_blocks(ext, (lo, hi))
+                        blocks = list(dec.left_blocks)
+                        if dec.right_block:
+                            blocks.append(dec.right_block)
+                        seg = ext[lo : hi + 1]
+                        cut = [ext[a : b + 1] for a, b in blocks]
+                        assert ext[dec.min_position] == min(seg)
+                        assert cut == reference_blocks(seg), (p, lo, hi)
+
     def test_segment_bounds_checked(self):
         with pytest.raises(ValueError, match="outside"):
             decompose_blocks(extend((2, 1, 3)), (0, 3))
@@ -162,6 +224,12 @@ class TestBuild:
                     if is_maxmin(t)
                 ]
                 assert w == max(alternatives), p
+
+    def test_both_trees_match_the_slice_recursion(self):
+        for p in walk_words():
+            edges, parent = reference_trees(p)
+            assert build_max_weight_tree(p).edges == edges, p[:20]
+            assert build_min_decomp(p).parent == parent, p[:20]
 
     def test_rejects_non_tree(self):
         with pytest.raises(ValueError, match="edges"):
