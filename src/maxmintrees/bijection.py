@@ -77,9 +77,7 @@ def target_weight(n: int, d: int) -> int:
     return (n - d - 1) * (d - 1)
 
 
-def count_perms_by_weight(
-    n: int, d: int, w: int, max_n: int = DEFAULT_MAX_N, workers: int = 1
-) -> int:
+def count_perms_by_weight(n: int, d: int, w: int, max_n: int = DEFAULT_MAX_N) -> int:
     """
     Number of permutations of length n with d descents and weight w, by
     exhaustive enumeration.
@@ -87,7 +85,7 @@ def count_perms_by_weight(
     >>> count_perms_by_weight(5, 2, 2)
     11
     """
-    return q_eulerian(n, max_n=max_n, workers=workers).coefficient(d, w)
+    return q_eulerian(n, max_n=max_n).coefficient(d, w)
 
 
 def _check_descents(n: int, d: int) -> None:
@@ -166,21 +164,16 @@ def stem_to_partition(s: Stem) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def verify_bijection(
-    n: int, d: int, max_n: int = DEFAULT_MAX_N, workers: int = 1
-) -> bool:
+def verify_bijection(n: int, d: int, max_n: int = DEFAULT_MAX_N) -> bool:
     """
     True when the number of permutations of length n with d descents and
-    weight (n-d-1)(d-1) equals T(n-1, d).
+    weight (n-d-1)(d-1), the stem total and T(n-1, d) all agree: the pass
+    rule of ``bijection_report``.
 
     >>> verify_bijection(5, 2)
     True
     """
-    _check_descents(n, d)
-    brute = count_perms_by_weight(
-        n, d, target_weight(n, d), max_n=max_n, workers=workers
-    )
-    return brute == t_nk(n - 1, d)
+    return bijection_report(n, d, max_n)["pass"]
 
 
 def stem_report(n: int, d: int) -> dict:
@@ -195,6 +188,8 @@ def stem_report(n: int, d: int) -> dict:
     ({'stem': [1, 2], 'count': 3, 'partition': [1, 1, 1]}, 4, 4, True)
     """
     _check_descents(n, d)
+    # T(n-1, d) first: its partition guard refuses n before any stem is built
+    t_value = t_nk(n - 1, d)
     stems = [
         {
             "stem": list(s.labels),
@@ -205,7 +200,6 @@ def stem_report(n: int, d: int) -> dict:
     ]
     images = {tuple(r["partition"]) for r in stems}
     total = sum(r["count"] for r in stems)
-    t_value = t_nk(n - 1, d)
     return {
         "n": n,
         "d": d,
@@ -226,16 +220,14 @@ def verify_stem_totals(n: int, d: int) -> bool:
     return stem_report(n, d)["ok"]
 
 
-def bijection_report(
-    n: int, d: int, max_n: int = DEFAULT_MAX_N, workers: int = 1
-) -> dict:
+def bijection_report(n: int, d: int, max_n: int = DEFAULT_MAX_N) -> dict:
     """
     Per-(n, d) verification record: brute count, stem total, T(n-1, d),
     and pass/fail, plus the region predicates.
     """
     _check_descents(n, d)
     w = target_weight(n, d)
-    brute = count_perms_by_weight(n, d, w, max_n=max_n, workers=workers)
+    brute = count_perms_by_weight(n, d, w, max_n=max_n)
     stems = enumerate_stems(n, d)
     stem_total = sum(stem_count(s) for s in stems)
     t_value = t_nk(n - 1, d)

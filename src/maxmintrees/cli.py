@@ -9,13 +9,13 @@ Subcommands:
     wd D [--terms K]
     tnk [N K | --triangle N | --crosscheck FILE [--file-format FMT]]
     verify {bijection,stems,stabilization} ...
-    bench [--fast-n N] [--range-n N] [--seed S]
 
-Every subcommand accepts --output text|json|csv (where meaningful),
---threads for the enumeration fan-out and --max-n to move the exhaustive
-guard.  JSON output wraps the payload in an envelope carrying the command
-echo, parameters, elapsed time and tool version; payloads are
-deterministic for fixed inputs and any thread count.
+Every subcommand accepts --output text|json|csv (where meaningful) and
+--max-n to move the exhaustive guard.  --threads is still accepted and
+checked to be at least 1, but it is ignored: the S_n enumeration picks its
+own process count.  JSON output wraps the payload in an envelope carrying
+the command echo, parameters, elapsed time and tool version; payloads are
+deterministic for fixed inputs.
 
 Exit codes: 0 success, 1 verification failed, 2 input error, 3 resource
 limit exceeded.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 
@@ -142,7 +141,7 @@ def _cmd_tree(args) -> int:
 
 def _cmd_eulerian(args) -> int:
     if args.q:
-        poly = q_eulerian(args.n, max_n=args.max_n, workers=args.threads)
+        poly = q_eulerian(args.n, max_n=args.max_n)
         payload = poly.json_dict()
         _emit(args, format_bivariate(poly), payload, "\n".join(poly.csv_rows()))
     else:
@@ -158,7 +157,7 @@ def _cmd_eulerian(args) -> int:
 
 
 def _cmd_wd(args) -> int:
-    series = wd_series(args.d, args.terms, max_n=args.max_n, workers=args.threads)
+    series = wd_series(args.d, args.terms, max_n=args.max_n)
     payload = series.json_dict()
     _emit(
         args,
@@ -224,10 +223,7 @@ def _cmd_verify(args) -> int:
                 for d in range(1, n)
                 if region(n, d)
             ]
-        reports = [
-            bijection_report(n, d, max_n=args.max_n, workers=args.threads)
-            for n, d in pairs
-        ]
+        reports = [bijection_report(n, d, max_n=args.max_n) for n, d in pairs]
         lines = []
         for r in reports:
             lines.append(
@@ -265,9 +261,7 @@ def _cmd_verify(args) -> int:
     ks = range(args.k, args.k + 1) if args.k is not None else range(0, 4)
     checks = []
     for k in ks:
-        vals = stabilization_values(
-            args.d, k, n_max, max_n=args.max_n, workers=args.threads
-        )
+        vals = stabilization_values(args.d, k, n_max, max_n=args.max_n)
         stable = all(c == vals[0][1] for _, c in vals)
         checks.append({"d": args.d, "k": k, "values": vals, "stable": stable})
     ok = all(c["stable"] for c in checks)
@@ -289,49 +283,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def _cmd_bench(args) -> int:
-    for flag, n in (("--fast-n", args.fast_n), ("--range-n", args.range_n)):
-        if n < 1:
-            raise ValueError(f"{flag} must be at least 1, got {n}")
-    rng = random.Random(args.seed)
-
-    def sample(n):
-        word = list(range(1, n + 1))
-        rng.shuffle(word)
-        return tuple(word)
-
-    results = []
-    p_fast = sample(args.fast_n)
-    t0 = time.perf_counter()
-    w_fast = weight_accelerated(p_fast)
-    dt_fast = time.perf_counter() - t0
-    results.append(("accelerated", args.fast_n, w_fast, dt_fast))
-    p_rng = sample(args.range_n)
-    t0 = time.perf_counter()
-    w_rng = weight_via_ranges(p_rng)
-    dt_rng = time.perf_counter() - t0
-    results.append(("ranges", args.range_n, w_rng, dt_rng))
-    t0 = time.perf_counter()
-    w_cross = weight_accelerated(p_rng)
-    dt_cross = time.perf_counter() - t0
-    results.append(("accelerated", args.range_n, w_cross, dt_cross))
-    lines = [
-        f"{name:>12}  n={n:<8} weight={w:<12} {dt * 1000:9.2f} ms"
-        for name, n, w, dt in results
-    ]
-    agree = w_rng == w_cross
-    lines.append(f"agreement at n={args.range_n}: {'yes' if agree else 'NO'}")
-    payload = {
-        "runs": [
-            {"algo": name, "n": n, "weight": w, "seconds": round(dt, 6)}
-            for name, n, w, dt in results
-        ],
-        "agreement": agree,
-    }
-    _emit(args, "\n".join(lines), payload)
-    return EXIT_OK if agree else EXIT_VERIFY_FAILED
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxmintrees",
@@ -346,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--threads", type=int, default=1, metavar="T",
-        help="parallel workers for enumeration (default 1; output unchanged)",
+        help="ignored: the enumeration picks its own process count (must be >= 1)",
     )
     common.add_argument(
         "--max-n", type=int, default=DEFAULT_MAX_N, metavar="N",
@@ -397,13 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--region", choices=("stable", "wide"), default="stable",
                    help="(n, d) sweep region: 2d >= n-1 (stable) or n >= 2d (wide)")
     v.set_defaults(func=_cmd_verify)
-
-    b = sub.add_parser("bench", parents=[common],
-                       help="time the weight algorithms on random input")
-    b.add_argument("--fast-n", type=int, default=100_000)
-    b.add_argument("--range-n", type=int, default=10_000)
-    b.add_argument("--seed", type=int, default=2024)
-    b.set_defaults(func=_cmd_bench)
     return parser
 
 

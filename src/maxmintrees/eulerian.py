@@ -19,13 +19,15 @@ order; ``wd_series`` assembles them.
 Enumeration walks S_n in lexicographic blocks keyed by the first element,
 calling the weights kernel once per permutation and counting its
 (descents, weight) results at C speed.  Blocks are independent work units
-merged by coefficient-wise addition, so the result is identical for any
-worker count; ``workers`` > 1 fans the blocks out over OS processes.
+merged by coefficient-wise addition, so the result does not depend on where
+they run: from order ``_POOL_MIN_N`` on, with more than one CPU, they fan
+out over a process pool with one process per CPU, at most n.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations as _permutations
@@ -34,7 +36,7 @@ from .weights import descents_and_weight
 
 DEFAULT_MAX_N = 11
 
-_POOL_MIN_N = 7  # below this, process overhead beats the enumeration
+_POOL_MIN_N = 9  # below this, process start-up costs more than the pool saves
 
 
 class LimitExceeded(RuntimeError):
@@ -162,9 +164,7 @@ def clear_cache() -> None:
     _Q_CACHE.clear()
 
 
-def q_eulerian(
-    n: int, max_n: int = DEFAULT_MAX_N, workers: int = 1
-) -> BivariatePolynomial:
+def q_eulerian(n: int, max_n: int = DEFAULT_MAX_N) -> BivariatePolynomial:
     """
     The q-Eulerian polynomial of order n: coefficient of x^d q^w counts
     permutations with d descents and weight w.  Results are cached per n.
@@ -177,6 +177,7 @@ def q_eulerian(
     if cached is not None:
         return cached
     tasks = [(n, first) for first in range(1, n + 1)]
+    workers = min(n, os.cpu_count() or 1)
     if workers > 1 and n >= _POOL_MIN_N:
         # imported here: it loads multiprocessing, which no other path needs
         from concurrent.futures import ProcessPoolExecutor
@@ -195,7 +196,7 @@ def q_eulerian(
 
 
 def stabilization_values(
-    d: int, k: int, n_max: int, max_n: int = DEFAULT_MAX_N, workers: int = 1
+    d: int, k: int, n_max: int, max_n: int = DEFAULT_MAX_N
 ) -> list[tuple[int, int]]:
     """
     (n, coefficient of x^d q^{maxwt(n,d)-k}) for n from the stabilization
@@ -210,25 +211,23 @@ def stabilization_values(
         raise ValueError(f"n_max={n_max} is below the threshold {threshold}")
     _check_limit(n_max, max_n)
     return [
-        (n, q_eulerian(n, max_n=max_n, workers=workers).coefficient(d, maxwt(n, d) - k))
+        (n, q_eulerian(n, max_n=max_n).coefficient(d, maxwt(n, d) - k))
         for n in range(threshold, n_max + 1)
     ]
 
 
 def check_stabilization(
-    d: int, k: int, n_max: int, max_n: int = DEFAULT_MAX_N, workers: int = 1
+    d: int, k: int, n_max: int, max_n: int = DEFAULT_MAX_N
 ) -> bool:
     """
     True when the coefficient of x^d q^{maxwt(n,d)-k} is the same for every
     n from d+k+1 through n_max.
     """
-    vals = [c for _, c in stabilization_values(d, k, n_max, max_n, workers)]
+    vals = [c for _, c in stabilization_values(d, k, n_max, max_n)]
     return all(c == vals[0] for c in vals)
 
 
-def wd_coefficient(
-    d: int, k: int, max_n: int = DEFAULT_MAX_N, workers: int = 1
-) -> int:
+def wd_coefficient(d: int, k: int, max_n: int = DEFAULT_MAX_N) -> int:
     """
     Coefficient a_k of the stabilized series for descent count d, read at
     the threshold order n = d+k+1.
@@ -245,12 +244,10 @@ def wd_coefficient(
         raise LimitExceeded(
             f"coefficient a_{k} of the d={d} series needs n={n}, above the limit {max_n}"
         )
-    return q_eulerian(n, max_n=max_n, workers=workers).coefficient(d, maxwt(n, d) - k)
+    return q_eulerian(n, max_n=max_n).coefficient(d, maxwt(n, d) - k)
 
 
-def wd_series(
-    d: int, terms: int, max_n: int = DEFAULT_MAX_N, workers: int = 1
-) -> WdSeries:
+def wd_series(d: int, terms: int, max_n: int = DEFAULT_MAX_N) -> WdSeries:
     """
     The first ``terms`` stabilized coefficients [a_0 .. a_{terms-1}] for
     descent count d.
@@ -264,9 +261,7 @@ def wd_series(
         raise LimitExceeded(
             f"{terms} terms of the d={d} series need n={d + terms}, above the limit {max_n}"
         )
-    coeffs = tuple(
-        wd_coefficient(d, k, max_n=max_n, workers=workers) for k in range(terms)
-    )
+    coeffs = tuple(wd_coefficient(d, k, max_n=max_n) for k in range(terms))
     return WdSeries(d, coeffs)
 
 

@@ -8,6 +8,10 @@ are of the second kind, so
 
     T(n, k) = sum over partitions of n of C(parts, k).
 
+The number of partitions grows faster than any polynomial, so
+``enumerate_partitions`` and ``t_triangle`` refuse n above
+``MAX_PARTITION_N`` with ``LimitExceeded`` before enumerating anything.
+
 The triangle of these numbers is OEIS A256193; ``crosscheck_triangle``
 compares a locally supplied copy (CSV rows or an OEIS-style b-file)
 cell by cell against the computed values.
@@ -20,6 +24,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
+from .eulerian import LimitExceeded
+
+# p(60) = 966,467 partitions; T(60, 30) already takes seconds to enumerate
+MAX_PARTITION_N = 60
+
+
+def _check_partition_limit(n: int) -> None:
+    if n > MAX_PARTITION_N:
+        raise LimitExceeded(
+            f"partitions of n={n} exceed the enumeration limit {MAX_PARTITION_N}"
+        )
+
 
 def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """
@@ -31,6 +47,7 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """
     if n < 0:
         raise ValueError(f"cannot partition {n}")
+    _check_partition_limit(n)
     if n == 0:
         yield ()
         return
@@ -107,6 +124,7 @@ def t_triangle(n_max: int) -> PartitionTriangle:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _check_partition_limit(n_max)
     rows = []
     for n in range(n_max + 1):
         counts = [0] * (n + 1)
@@ -185,7 +203,6 @@ def read_bfile(text: str) -> list[tuple[int, int, int]]:
     """
     cells = []
     expected_idx = None
-    pos = 0  # row-major cell counter
     n = k = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -204,7 +221,6 @@ def read_bfile(text: str) -> list[tuple[int, int, int]]:
             )
         expected_idx = idx + 1
         cells.append((n, k, value))
-        pos += 1
         if k == n:
             n += 1
             k = 0

@@ -90,7 +90,7 @@ def test_02_eulerian_consistency():
         t0 = time.perf_counter()
         assert eulerian_polynomial(4) == [1, 11, 11, 1]
         for n in range(1, 10):
-            poly = q_eulerian(n, workers=WORKERS)
+            poly = q_eulerian(n)
             assert poly.at_q_one() == eulerian_polynomial(n), n
             assert poly.coefficient_sum() == math.factorial(n), n
         elapsed = time.perf_counter() - t0
@@ -101,7 +101,7 @@ def test_03_wd_series():
     with criterion(3, "stabilized series heads (thresholds through 10)"):
         t0 = time.perf_counter()
         for d, expected in W_SERIES.items():
-            got = wd_series(d, len(expected), workers=WORKERS)
+            got = wd_series(d, len(expected))
             assert got.coefficients == expected, f"series d={d}"
         elapsed = time.perf_counter() - t0
         assert elapsed < ENUMERATION_BUDGET, (
@@ -114,7 +114,7 @@ def test_04_stabilization():
         t0 = time.perf_counter()
         for d in (1, 2, 3):
             for k in range(4):
-                assert check_stabilization(d, k, 9, workers=WORKERS), (d, k)
+                assert check_stabilization(d, k, 9), (d, k)
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0, f"took {elapsed:.1f}s, budget 30s"
 
@@ -142,7 +142,7 @@ def test_06_bijection_region():
         ]
         assert (9, 5) in pairs and (10, 5) in pairs
         for n, d in pairs:
-            r = bijection_report(n, d, workers=WORKERS)
+            r = bijection_report(n, d)
             assert r["pass"], r
             assert r["brute_count"] == r["stem_total"] == r["t_value"], r
             if (n, d) == (9, 5):
@@ -256,7 +256,7 @@ def test_10_structural_properties():
             for d in range(n):
                 assert max_weight_by_d[d] == maxwt(n, d), (n, d)
         # the same maximum holds at order 9, read off the cached polynomial
-        poly9 = q_eulerian(9, workers=WORKERS)
+        poly9 = q_eulerian(9)
         for d in range(1, 8):
             assert poly9.max_q_degree(d) == maxwt(9, d), d
         elapsed = time.perf_counter() - t0

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import maxmintrees.bijection as bijection
 from maxmintrees.bijection import (
     Stem,
     bijection_report,
@@ -83,6 +84,11 @@ class TestVerifyBijection:
     def test_d_range_checked(self):
         with pytest.raises(ValueError):
             verify_bijection(4, 0)
+
+    def test_stem_total_must_agree_too(self, monkeypatch):
+        original = bijection.stem_count
+        monkeypatch.setattr(bijection, "stem_count", lambda s: original(s) + 1)
+        assert not verify_bijection(5, 2)
 
 
 class TestStems:

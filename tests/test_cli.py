@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import traceback
 from pathlib import Path
 
@@ -61,7 +62,8 @@ class TestWeight:
     def test_long_word_needs_only_the_standard_library(self):
         # a fresh interpreter, so that modules other tests import do not count;
         # multiprocessing aliases the main module as __mp_main__.  No pool
-        # starts here, so neither concurrent.futures nor multiprocessing loads.
+        # starts here, not even for S_8 with --threads 2, so neither
+        # concurrent.futures nor multiprocessing loads.
         script = (
             "import random, sys\n"
             "before = set(sys.modules)\n"
@@ -72,6 +74,7 @@ class TestWeight:
             "assert cli.main(['weight', perm]) == 0\n"
             "assert cli.main(['weight', perm, '--explain']) == 0\n"
             "assert cli.main(['tnk', '8', '5']) == 0\n"
+            "assert cli.main(['eulerian', '8', '--q', '--threads', '2']) == 0\n"
             "new = set(sys.modules) - before\n"
             "loaded = {m.partition('.')[0] for m in new if not m.startswith('__')}\n"
             "print(sorted(loaded - set(sys.stdlib_module_names) - {'maxmintrees'}))\n"
@@ -205,6 +208,32 @@ class TestTnk:
         assert err.startswith(f"error: cannot read {path}: ")
         assert len(err.splitlines()) == 1
 
+    def test_crosscheck_beyond_partition_limit_exit_3(self, capsys, tmp_path):
+        f = tmp_path / "t.b"
+        f.write_text("".join(f"{i} 1\n" for i in range(62 * 63 // 2)))
+        code, out, err = run(capsys, "tnk", "--crosscheck", str(f))
+        assert code == 3 and out == ""
+        assert err == "error: partitions of n=61 exceed the enumeration limit 60\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tnk", "120", "3"],
+        ["tnk", "120", "3", "--contributions"],
+        ["tnk", "--triangle", "120"],
+        ["verify", "stems", "--n", "200", "--d", "100"],
+    ],
+    ids=["cell", "contributions", "triangle", "stems"],
+)
+def test_partition_enumeration_is_refused_with_exit_3(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: partitions of n=")
+    assert len(err.splitlines()) == 1
+
 
 class TestVerify:
     def test_bijection_pair(self, capsys):
@@ -262,23 +291,6 @@ class TestVerify:
         assert record["brute_count"] == record["stem_total"] == record["t_value"] == 11
 
 
-class TestBench:
-    def test_small_run(self, capsys):
-        code, out, _ = run(
-            capsys, "bench", "--fast-n", "400", "--range-n", "300", "--seed", "7"
-        )
-        assert code == 0
-        assert "agreement at n=300: yes" in out
-
-    @pytest.mark.parametrize(
-        "flag, value", [("--fast-n", "0"), ("--fast-n", "-3"), ("--range-n", "0")]
-    )
-    def test_size_below_one_exit_2(self, capsys, flag, value):
-        code, out, err = run(capsys, "bench", flag, value)
-        assert code == 2 and out == ""
-        assert err == f"error: {flag} must be at least 1, got {value}\n"
-
-
 class TestThreads:
     def test_threads_flag_does_not_change_payload(self, capsys):
         import maxmintrees.eulerian as eu
@@ -298,9 +310,9 @@ class TestThreads:
         assert err == f"error: --threads must be at least 1, got {threads}\n"
 
 
-# sizes whose defaults would enumerate S_11 or time 1e5-letter words; the
-# fuzz cases always give them, bounded
-FUZZ_BOUNDED = {"--max-n": 8, "--fast-n": 7, "--range-n": 7}
+# a size whose default would enumerate S_11; the fuzz cases always give it,
+# bounded
+FUZZ_BOUNDED = {"--max-n": 8}
 
 
 def fuzz_value(rng, action, flag, files):

@@ -1,7 +1,10 @@
+import concurrent.futures
 import math
+import os
 
 import pytest
 
+import maxmintrees.eulerian as eulerian
 from maxmintrees.eulerian import (
     BivariatePolynomial,
     LimitExceeded,
@@ -104,10 +107,38 @@ class TestQEulerian:
             coeffs = q_eulerian(n).at_q_one()
             assert coeffs == coeffs[::-1]
 
-    def test_workers_do_not_change_output(self):
-        reference = dict(q_eulerian(7).terms)
+    def test_pool_result_equals_in_process_result(self, monkeypatch):
+        reference = dict(q_eulerian(6).terms)
+        built = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(eulerian, "_POOL_MIN_N", 5)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         clear_cache()
-        assert q_eulerian(7, workers=2).terms == reference
+        try:
+            assert q_eulerian(6).terms == reference
+        finally:
+            clear_cache()
+        assert built == [2]
+
+    @pytest.mark.parametrize("cpus", [1, None])
+    def test_one_cpu_never_builds_a_pool(self, monkeypatch, cpus):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(eulerian, "_POOL_MIN_N", 5)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        clear_cache()
+        try:
+            assert q_eulerian(6).coefficient_sum() == math.factorial(6)
+        finally:
+            clear_cache()
 
     def test_limit(self):
         with pytest.raises(LimitExceeded):

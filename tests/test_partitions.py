@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from maxmintrees.eulerian import LimitExceeded
 from maxmintrees.partitions import (
+    MAX_PARTITION_N,
     crosscheck_triangle,
     enumerate_partitions,
     read_bfile,
@@ -39,6 +41,13 @@ class TestEnumerate:
     def test_negative(self):
         with pytest.raises(ValueError):
             list(enumerate_partitions(-1))
+
+    def test_limit_refuses_before_enumerating(self):
+        assert next(enumerate_partitions(MAX_PARTITION_N)) == (MAX_PARTITION_N,)
+        with pytest.raises(LimitExceeded):
+            next(enumerate_partitions(MAX_PARTITION_N + 1))
+        with pytest.raises(LimitExceeded):
+            t_triangle(MAX_PARTITION_N + 1)
 
 
 class TestTnk:
