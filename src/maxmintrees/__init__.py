@@ -16,28 +16,22 @@ __version__ = "0.1.0"
 from .bijection import (
     Stem,
     bijection_report,
-    stable_region,
-    count_perms_by_weight,
     enumerate_stems,
-    wide_region,
+    stable_region,
     stem_count,
     stem_to_partition,
     target_weight,
-    verify_bijection,
-    verify_stem_totals,
 )
 from .eulerian import (
     DEFAULT_MAX_N,
     BivariatePolynomial,
     LimitExceeded,
     WdSeries,
-    check_stabilization,
     eulerian_polynomial,
     format_bivariate,
     maxwt,
     q_eulerian,
     stabilization_values,
-    wd_coefficient,
     wd_series,
 )
 from .mindecomp import (
@@ -97,12 +91,9 @@ __all__ = [
     "SubtreeRange",
     "WdSeries",
     "bijection_report",
-    "stable_region",
     "build_max_weight_tree",
     "build_min_decomp",
-    "check_stabilization",
     "classify",
-    "count_perms_by_weight",
     "crosscheck_triangle",
     "decompose_blocks",
     "descent_count",
@@ -118,9 +109,9 @@ __all__ = [
     "maxwt",
     "move_up",
     "parse_permutation",
-    "wide_region",
     "q_eulerian",
     "stabilization_values",
+    "stable_region",
     "stem_count",
     "stem_to_partition",
     "subtree",
@@ -131,10 +122,7 @@ __all__ = [
     "target_weight",
     "tree_descents",
     "validate_permutation",
-    "verify_bijection",
     "verify_injectivity",
-    "verify_stem_totals",
-    "wd_coefficient",
     "wd_series",
     "weight_accelerated",
     "weight_recursive",

@@ -16,10 +16,11 @@ off it, so they can be enumerated stem by stem:
     with 1s matches stems bijectively to partitions of n-1 with at least
     d parts, so the stem totals add up to T(n-1, d).
 
-The correspondence only holds on a region of (n, d) pairs.  The triangle
-cells that feed the stabilized coefficient series satisfy 2d >= n-1, and
-that is the region ``verify_bijection`` is validated on; the looser
-predicate n >= 2d is also exposed so either region can be swept.
+The count at (n, d) is the coefficient a_{n-d-1} of the stabilized series
+for d descents, and the paper's theorem equates a_k with T(d+k, d) for
+k <= d only: the region 2d >= n-1.  ``stem_report`` and
+``bijection_report`` refuse every (n, d) outside it with ``ValueError``
+before enumerating anything.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .eulerian import DEFAULT_MAX_N, maxwt, q_eulerian
+from .eulerian import DEFAULT_MAX_N, q_eulerian
 from .partitions import t_nk
 
 
@@ -63,13 +64,8 @@ class Stem:
 
 
 def stable_region(n: int, d: int) -> bool:
-    """The verified correspondence region: 2d >= n-1."""
+    """The correspondence region: 2d >= n-1."""
     return 2 * d >= n - 1
-
-
-def wide_region(n: int, d: int) -> bool:
-    """The looser predicate n >= 2d (not verified; exposed for sweeps)."""
-    return n >= 2 * d
 
 
 def target_weight(n: int, d: int) -> int:
@@ -77,21 +73,12 @@ def target_weight(n: int, d: int) -> int:
     return (n - d - 1) * (d - 1)
 
 
-def count_perms_by_weight(n: int, d: int, w: int, max_n: int = DEFAULT_MAX_N) -> int:
-    """
-    Number of permutations of length n with d descents and weight w, by
-    exhaustive enumeration.
-
-    >>> count_perms_by_weight(5, 2, 2)
-    11
-    """
-    return q_eulerian(n, max_n=max_n).coefficient(d, w)
-
-
 def _check_descents(n: int, d: int) -> None:
-    """Reject d outside 1..n-1, where no permutation is counted."""
+    """Reject (n, d) outside 1 <= d <= n-1 and 2d >= n-1."""
     if not 1 <= d <= n - 1:
         raise ValueError(f"d={d} outside 1..{n - 1}")
+    if not stable_region(n, d):
+        raise ValueError(f"n={n}, d={d} lies outside the region 2d >= n-1")
 
 
 def enumerate_stems(n: int, d: int) -> list[Stem]:
@@ -164,18 +151,6 @@ def stem_to_partition(s: Stem) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def verify_bijection(n: int, d: int, max_n: int = DEFAULT_MAX_N) -> bool:
-    """
-    True when the number of permutations of length n with d descents and
-    weight (n-d-1)(d-1), the stem total and T(n-1, d) all agree: the pass
-    rule of ``bijection_report``.
-
-    >>> verify_bijection(5, 2)
-    True
-    """
-    return bijection_report(n, d, max_n)["pass"]
-
-
 def stem_report(n: int, d: int) -> dict:
     """
     Per-stem record for (n, d): every admissible stem with its tree count
@@ -212,33 +187,26 @@ def stem_report(n: int, d: int) -> dict:
     }
 
 
-def verify_stem_totals(n: int, d: int) -> bool:
-    """
-    True when the stem counts add up to T(n-1, d) and stem_to_partition is
-    injective into the partitions of n-1 with at least d parts.
-    """
-    return stem_report(n, d)["ok"]
-
-
 def bijection_report(n: int, d: int, max_n: int = DEFAULT_MAX_N) -> dict:
     """
-    Per-(n, d) verification record: brute count, stem total, T(n-1, d),
-    and pass/fail, plus the region predicates.
+    Per-(n, d) verification record: the number of permutations of length n
+    with d descents and weight (n-d-1)(d-1) by exhaustive enumeration, the
+    stem total and T(n-1, d) from ``stem_report``, and whether all three
+    agree.
+
+    >>> bijection_report(5, 2)["pass"]
+    True
     """
     _check_descents(n, d)
     w = target_weight(n, d)
-    brute = count_perms_by_weight(n, d, w, max_n=max_n)
-    stems = enumerate_stems(n, d)
-    stem_total = sum(stem_count(s) for s in stems)
-    t_value = t_nk(n - 1, d)
+    brute = q_eulerian(n, max_n=max_n).coefficient(d, w)
+    stems = stem_report(n, d)
     return {
         "n": n,
         "d": d,
         "weight": w,
         "brute_count": brute,
-        "stem_total": stem_total,
-        "t_value": t_value,
-        "in_stable_region": stable_region(n, d),
-        "in_wide_region": wide_region(n, d),
-        "pass": brute == stem_total == t_value,
+        "stem_total": stems["total"],
+        "t_value": stems["t_value"],
+        "pass": brute == stems["total"] == stems["t_value"],
     }

@@ -10,15 +10,16 @@ Subcommands:
     tnk [N K | --triangle N | --crosscheck FILE [--file-format FMT]]
     verify {bijection,stems,stabilization} ...
 
-Every subcommand accepts --output text|json|csv (where meaningful) and
---max-n to move the exhaustive guard.  --threads is still accepted and
-checked to be at least 1, but it is ignored: the S_n enumeration picks its
-own process count.  JSON output wraps the payload in an envelope carrying
+Every subcommand accepts --output text|json|csv and --max-n to move the
+exhaustive guard; csv is refused before any work except for eulerian, wd
+and tnk --triangle.  --threads is still accepted and checked to be at
+least 1, but it is ignored: the S_n enumeration picks its own process
+count.  JSON output wraps the payload in an envelope carrying
 the command echo, parameters, elapsed time and tool version; payloads are
 deterministic for fixed inputs.
 
-Exit codes: 0 success, 1 verification failed, 2 input error, 3 resource
-limit exceeded.
+Exit codes: 0 success, 1 verification failed, 2 input error (including
+verify bijection|stems outside 2d >= n-1), 3 resource limit exceeded.
 """
 
 from __future__ import annotations
@@ -29,12 +30,7 @@ import sys
 import time
 
 from . import __version__
-from .bijection import (
-    bijection_report,
-    stable_region,
-    stem_report,
-    wide_region,
-)
+from .bijection import bijection_report, stable_region, stem_report
 from .eulerian import (
     DEFAULT_MAX_N,
     LimitExceeded,
@@ -74,7 +70,14 @@ def _dot_directed(tree) -> str:
     return "\n".join(lines)
 
 
-def _emit(args, result_text: str, payload, csv_text: str | None = None) -> None:
+def _has_csv(args) -> bool:
+    """Whether the command's ``_emit`` call passes a csv_text."""
+    if args.command == "tnk":
+        return args.crosscheck is None and args.triangle is not None
+    return args.command in ("eulerian", "wd")
+
+
+def _emit(args, result_text: str, payload, csv_text: str = "") -> None:
     if args.output == "json":
         envelope = {
             "command": args.command,
@@ -89,8 +92,6 @@ def _emit(args, result_text: str, payload, csv_text: str | None = None) -> None:
         }
         print(json.dumps(envelope, indent=2))
     elif args.output == "csv":
-        if csv_text is None:
-            raise ValueError("csv output is not available for this command")
         print(csv_text, end="" if csv_text.endswith("\n") else "\n")
     else:
         print(result_text)
@@ -216,12 +217,11 @@ def _cmd_verify(args) -> int:
         elif args.n_max < 2:
             raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
         else:
-            region = stable_region if args.region == "stable" else wide_region
             pairs = [
                 (n, d)
                 for n in range(2, args.n_max + 1)
                 for d in range(1, n)
-                if region(n, d)
+                if stable_region(n, d)
             ]
         reports = [bijection_report(n, d, max_n=args.max_n) for n, d in pairs]
         lines = []
@@ -345,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--d", type=int)
     v.add_argument("--k", type=int)
     v.add_argument("--n-max", type=int, dest="n_max")
-    v.add_argument("--region", choices=("stable", "wide"), default="stable",
-                   help="(n, d) sweep region: 2d >= n-1 (stable) or n >= 2d (wide)")
     v.set_defaults(func=_cmd_verify)
     return parser
 
@@ -358,6 +356,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        if args.output == "csv" and not _has_csv(args):
+            raise ValueError("csv output is not available for this command")
         return args.func(args)
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,9 +12,11 @@ permutations with d descents and weight w.  All arithmetic is exact
 integers.
 
 For fixed d, the coefficients at q-degree maxwt(n, d) - k stop depending
-on n once n reaches d + k + 1.  Collecting those stabilized values gives a
-power series per d whose k-th coefficient is read off at the threshold
-order; ``wd_series`` assembles them.
+on n once n reaches d + k + 1; ``stabilization_values`` lists them from
+that threshold on.  Collecting the stabilized values gives a power series
+per d whose k-th coefficient ``wd_series`` reads off at the threshold
+order.  The paper's theorem equates a_k with the partition count
+T(d+k, d) for k <= d, which ``bijection`` checks stem by stem.
 
 Enumeration walks S_n in lexicographic blocks keyed by the first element,
 calling the weights kernel once per permutation and counting its
@@ -216,52 +218,26 @@ def stabilization_values(
     ]
 
 
-def check_stabilization(
-    d: int, k: int, n_max: int, max_n: int = DEFAULT_MAX_N
-) -> bool:
-    """
-    True when the coefficient of x^d q^{maxwt(n,d)-k} is the same for every
-    n from d+k+1 through n_max.
-    """
-    vals = [c for _, c in stabilization_values(d, k, n_max, max_n)]
-    return all(c == vals[0] for c in vals)
-
-
-def wd_coefficient(d: int, k: int, max_n: int = DEFAULT_MAX_N) -> int:
-    """
-    Coefficient a_k of the stabilized series for descent count d, read at
-    the threshold order n = d+k+1.
-
-    >>> wd_coefficient(2, 3)
-    31
-    """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    n = d + k + 1
-    if n > max_n:
-        raise LimitExceeded(
-            f"coefficient a_{k} of the d={d} series needs n={n}, above the limit {max_n}"
-        )
-    return q_eulerian(n, max_n=max_n).coefficient(d, maxwt(n, d) - k)
-
-
 def wd_series(d: int, terms: int, max_n: int = DEFAULT_MAX_N) -> WdSeries:
     """
     The first ``terms`` stabilized coefficients [a_0 .. a_{terms-1}] for
-    descent count d.
+    descent count d, each read at its threshold order n = d+k+1.
 
     >>> wd_series(1, 6).coefficients
     (1, 3, 7, 15, 31, 63)
     """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     if d + terms > max_n:
         raise LimitExceeded(
             f"{terms} terms of the d={d} series need n={d + terms}, above the limit {max_n}"
         )
-    coeffs = tuple(wd_coefficient(d, k, max_n=max_n) for k in range(terms))
+    coeffs = tuple(
+        q_eulerian(d + k + 1, max_n=max_n).coefficient(d, maxwt(d + k + 1, d) - k)
+        for k in range(terms)
+    )
     return WdSeries(d, coeffs)
 
 

@@ -103,11 +103,6 @@ class PartitionTriangle:
     def cell(self, n: int, k: int) -> int:
         return self.rows[n][k]
 
-    @staticmethod
-    def is_stable(n: int, k: int) -> bool:
-        """Whether cell (n, k) feeds the stabilized coefficient series (2k >= n)."""
-        return 2 * k >= n
-
     def csv_text(self) -> str:
         return "\n".join(",".join(str(c) for c in row) for row in self.rows) + "\n"
 

@@ -25,17 +25,17 @@ from expected_values import (
 
 from maxmintrees.bijection import (
     bijection_report,
-    stable_region,
     enumerate_stems,
+    stable_region,
     stem_count,
     stem_to_partition,
 )
 from maxmintrees.eulerian import (
-    check_stabilization,
     clear_cache,
     eulerian_polynomial,
     maxwt,
     q_eulerian,
+    stabilization_values,
     wd_series,
 )
 from maxmintrees.mindecomp import build_min_decomp, classify, move_up, weight_via_leaves
@@ -114,7 +114,8 @@ def test_04_stabilization():
         t0 = time.perf_counter()
         for d in (1, 2, 3):
             for k in range(4):
-                assert check_stabilization(d, k, 9), (d, k)
+                want = [(n, W_SERIES[d][k]) for n in range(d + k + 1, 10)]
+                assert stabilization_values(d, k, 9) == want, (d, k)
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0, f"took {elapsed:.1f}s, budget 30s"
 

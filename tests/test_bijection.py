@@ -7,16 +7,14 @@ import maxmintrees.bijection as bijection
 from maxmintrees.bijection import (
     Stem,
     bijection_report,
-    stable_region,
-    count_perms_by_weight,
     enumerate_stems,
-    wide_region,
+    stable_region,
     stem_count,
+    stem_report,
     stem_to_partition,
     target_weight,
-    verify_bijection,
-    verify_stem_totals,
 )
+from maxmintrees.eulerian import q_eulerian, wd_series
 from maxmintrees.partitions import enumerate_partitions, t_nk
 from maxmintrees.perms import descent_count
 from maxmintrees.weights import weight_via_ranges
@@ -28,10 +26,6 @@ class TestRegions:
         assert stable_region(5, 2)  # boundary: 2d = n-1
         assert not stable_region(4, 1)
 
-    def test_wide(self):
-        assert wide_region(4, 1)
-        assert not wide_region(9, 5)
-
     def test_target_weight(self):
         assert target_weight(9, 5) == 12
         assert target_weight(5, 2) == 2
@@ -40,14 +34,14 @@ class TestRegions:
 
 class TestCounts:
     def test_5_2_2(self):
-        assert count_perms_by_weight(5, 2, 2) == 11
+        assert q_eulerian(5).coefficient(2, 2) == 11
 
     def test_3_1_1(self):
-        assert count_perms_by_weight(3, 1, 1) == 1
+        assert q_eulerian(3).coefficient(1, 1) == 1
 
     def test_identity_class(self):
         for n in range(1, 7):
-            assert count_perms_by_weight(n, 0, 0) == 1
+            assert q_eulerian(n).coefficient(0, 0) == 1
 
     def test_against_direct_enumeration(self):
         n, d, w = 6, 3, 4
@@ -56,39 +50,56 @@ class TestCounts:
             for p in itertools.permutations(range(1, n + 1))
             if descent_count(p) == d and weight_via_ranges(p) == w
         )
-        assert count_perms_by_weight(n, d, w) == direct == 16
+        assert q_eulerian(n).coefficient(d, w) == direct == 16
 
 
 class TestVerifyBijection:
     def test_5_2(self):
-        assert verify_bijection(5, 2)  # 11 = T(4, 2)
+        assert bijection_report(5, 2)["pass"]  # 11 = T(4, 2)
 
     def test_3_1(self):
-        assert verify_bijection(3, 1)  # 3 = T(2, 1)
+        assert bijection_report(3, 1)["pass"]  # 3 = T(2, 1)
 
     def test_6_3(self):
-        assert verify_bijection(6, 3)  # 16 = T(5, 3)
+        assert bijection_report(6, 3)["pass"]  # 16 = T(5, 3)
 
-    def test_fails_outside_region(self):
-        # (4, 1) sits outside 2d >= n-1 and the counts differ (7 vs 6)
-        assert count_perms_by_weight(4, 1, target_weight(4, 1)) == 7
+    def test_fails_outside_region(self, monkeypatch):
+        # (4, 1) sits outside 2d >= n-1, where the counts differ (7 vs 6);
+        # both reports refuse it before enumerating anything
+        assert q_eulerian(4).coefficient(1, target_weight(4, 1)) == 7
         assert t_nk(3, 1) == 6
-        assert not verify_bijection(4, 1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated outside the region")
+
+        monkeypatch.setattr(bijection, "q_eulerian", refuse)
+        monkeypatch.setattr(bijection, "enumerate_stems", refuse)
+        monkeypatch.setattr(bijection, "t_nk", refuse)
+        for report in (bijection_report, stem_report):
+            with pytest.raises(ValueError, match=r"^n=4, d=1 lies outside the region 2d >= n-1$"):
+                report(4, 1)
 
     def test_stable_region_up_to_8(self):
         for n in range(2, 9):
             for d in range(1, n):
                 if stable_region(n, d):
-                    assert verify_bijection(n, d), (n, d)
+                    assert bijection_report(n, d)["pass"], (n, d)
 
     def test_d_range_checked(self):
-        with pytest.raises(ValueError):
-            verify_bijection(4, 0)
+        with pytest.raises(ValueError, match="d=0 outside 1..3"):
+            bijection_report(4, 0)
 
     def test_stem_total_must_agree_too(self, monkeypatch):
-        original = bijection.stem_count
-        monkeypatch.setattr(bijection, "stem_count", lambda s: original(s) + 1)
-        assert not verify_bijection(5, 2)
+        original = bijection.stem_report
+
+        def off_by_one(n, d):
+            r = original(n, d)
+            return {**r, "total": r["total"] + 1}
+
+        monkeypatch.setattr(bijection, "stem_report", off_by_one)
+        r = bijection_report(5, 2)
+        assert r["stem_total"] == 12 and r["brute_count"] == r["t_value"] == 11
+        assert not r["pass"]
 
 
 class TestStems:
@@ -178,20 +189,20 @@ class TestStemToPartition:
 
 class TestStemTotals:
     def test_9_5(self):
-        assert verify_stem_totals(9, 5)
+        assert stem_report(9, 5)["ok"]
 
     def test_3_1(self):
-        assert verify_stem_totals(3, 1)
+        assert stem_report(3, 1)["ok"]
 
     def test_diagonal(self):
         for n in range(2, 9):
-            assert verify_stem_totals(n, n - 1)
+            assert stem_report(n, n - 1)["ok"]
 
     def test_region_sweep(self):
         for n in range(2, 10):
             for d in range(1, n):
                 if stable_region(n, d):
-                    assert verify_stem_totals(n, d), (n, d)
+                    assert stem_report(n, d)["ok"], (n, d)
 
 
 class TestThreeWayAgreement:
@@ -213,7 +224,20 @@ class TestThreeWayAgreement:
             "brute_count": 11,
             "stem_total": 11,
             "t_value": 11,
-            "in_stable_region": True,
-            "in_wide_region": True,
             "pass": True,
         }
+
+
+def test_theorem_in_series_form():
+    # a_k(W_d) is the count bijection_report reads at (d+k+1, d), and it
+    # equals T(d+k, d) exactly when k <= d; at k = d+1 the bound is sharp
+    sharp = {}
+    for d in range(1, 4):
+        series = wd_series(d, 8 - d).coefficients
+        for k in range(8 - d):
+            if k <= d:
+                assert series[k] == bijection_report(d + k + 1, d)["brute_count"], (d, k)
+            assert (series[k] == t_nk(d + k, d)) == (k <= d), (d, k)
+            if k == d + 1:
+                sharp[d] = (series[k], t_nk(d + k, d))
+    assert sharp == {1: (7, 6), 2: (31, 24), 3: (112, 91)}

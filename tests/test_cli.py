@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import maxmintrees.bijection as bijection
+import maxmintrees.cli as cli
 from maxmintrees.cli import build_parser, main
 from maxmintrees.partitions import t_triangle
 
@@ -241,9 +243,29 @@ class TestVerify:
         assert code == 0
         assert "brute=11 stems=11 T(4,2)=11 -> PASS" in out
 
-    def test_bijection_failure_exit_1(self, capsys):
-        code, out, _ = run(capsys, "verify", "bijection", "--n", "4", "--d", "1")
-        assert code == 1 and "FAIL" in out
+    def test_bijection_failure_exit_1(self, capsys, monkeypatch):
+        original = bijection.stem_report
+
+        def off_by_one(n, d):
+            r = original(n, d)
+            return {**r, "total": r["total"] + 1}
+
+        monkeypatch.setattr(bijection, "stem_report", off_by_one)
+        code, out, _ = run(capsys, "verify", "bijection", "--n", "5", "--d", "2")
+        assert code == 1
+        assert "brute=11 stems=12 T(4,2)=11 -> FAIL" in out
+        assert out.splitlines()[-1] == "FAILED"
+
+    @pytest.mark.parametrize("what", ["bijection", "stems"])
+    def test_outside_region_exit_2(self, capsys, monkeypatch, what):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated outside the region")
+
+        monkeypatch.setattr(bijection, "q_eulerian", refuse)
+        monkeypatch.setattr(bijection, "enumerate_stems", refuse)
+        code, out, err = run(capsys, "verify", what, "--n", "4", "--d", "1")
+        assert code == 2 and out == ""
+        assert err == "error: n=4, d=1 lies outside the region 2d >= n-1\n"
 
     @pytest.mark.parametrize("what", ["bijection", "stems"])
     def test_d_outside_domain_exit_2(self, capsys, what):
@@ -252,11 +274,15 @@ class TestVerify:
         assert err == "error: d=0 outside 1..2\n"
 
     def test_bijection_sweep(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "bijection", "--n-max", "6", "--region", "stable"
-        )
+        code, out, _ = run(capsys, "verify", "bijection", "--n-max", "6")
         assert code == 0
-        assert out.strip().splitlines()[-1] == "OK"
+        lines = out.strip().splitlines()
+        assert lines[-1] == "OK"
+        # one line per pair with 2d >= n-1
+        pairs = [ln.split(" weight=")[0] for ln in lines[:-1]]
+        assert pairs == [
+            f"n={n} d={d}" for n in range(2, 7) for d in range(1, n) if 2 * d >= n - 1
+        ]
 
     def test_bijection_sweep_needs_bound(self, capsys):
         code, _, err = run(capsys, "verify", "bijection")
@@ -272,6 +298,15 @@ class TestVerify:
         assert code == 0
         assert "1 2 3 4: 56" in out
         assert "total 92, T(8,5) = 92" in out
+
+    def test_csv_refused_before_computing(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before refusing csv")
+
+        monkeypatch.setattr(cli, "stabilization_values", refuse)
+        code, out, err = run(capsys, "verify", "stabilization", "--d", "2", "--output", "csv")
+        assert code == 2 and out == ""
+        assert err == "error: csv output is not available for this command\n"
 
     def test_stabilization(self, capsys):
         code, out, _ = run(
@@ -371,5 +406,7 @@ def test_fuzzed_argv_keep_the_exit_contract(capsys, tmp_path):
         except Exception:
             pytest.fail(f"{argv}: {traceback.format_exc()}")
         err = capsys.readouterr().err
-        assert code in (0, 1, 2, 3), argv
+        # every accepted input lies in a domain where the checks hold, and
+        # the crosscheck file is correct, so nothing reports a failure
+        assert code in (0, 2, 3), argv
         assert "Traceback" not in err, argv

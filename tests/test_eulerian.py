@@ -8,14 +8,12 @@ import maxmintrees.eulerian as eulerian
 from maxmintrees.eulerian import (
     BivariatePolynomial,
     LimitExceeded,
-    check_stabilization,
     clear_cache,
     eulerian_polynomial,
     format_bivariate,
     maxwt,
     q_eulerian,
     stabilization_values,
-    wd_coefficient,
     wd_series,
 )
 
@@ -156,16 +154,13 @@ class TestQEulerian:
 
 class TestStabilization:
     def test_d1_k1(self):
-        assert check_stabilization(1, 1, 6)
         assert stabilization_values(1, 1, 6) == [(3, 3), (4, 3), (5, 3), (6, 3)]
 
     def test_leading_coefficient(self):
-        assert check_stabilization(2, 0, 6)
-        assert stabilization_values(2, 0, 6)[0][1] == 1
+        assert stabilization_values(2, 0, 6) == [(n, 1) for n in range(3, 7)]
 
     def test_d3_k1(self):
-        assert check_stabilization(3, 1, 6)
-        assert stabilization_values(3, 1, 6)[0][1] == 5
+        assert stabilization_values(3, 1, 6) == [(5, 5), (6, 5)]
 
     def test_below_threshold_not_included(self):
         # one step below the threshold the coefficient differs (25 vs 31)
@@ -181,10 +176,10 @@ class TestStabilization:
 
 class TestWdSeries:
     def test_known_coefficients(self):
-        assert wd_coefficient(2, 3) == 31
-        assert wd_coefficient(4, 2) == 22
+        assert wd_series(2, 4).coefficients[3] == 31
+        assert wd_series(4, 3).coefficients[2] == 22
         for d in range(1, 5):
-            assert wd_coefficient(d, 0) == 1
+            assert wd_series(d, 1).coefficients[0] == 1
 
     def test_w1(self):
         assert wd_series(1, 6).coefficients == (1, 3, 7, 15, 31, 63)
@@ -203,16 +198,16 @@ class TestWdSeries:
             assert wd_series(d, 1).coefficients == (1,)
 
     def test_limit(self):
-        with pytest.raises(LimitExceeded):
-            wd_coefficient(6, 6)
+        with pytest.raises(LimitExceeded, match="7 terms of the d=5 series need n=12"):
+            wd_series(5, 7)
         with pytest.raises(LimitExceeded):
             wd_series(6, 7)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             wd_series(1, 0)
-        with pytest.raises(ValueError):
-            wd_coefficient(0, 1)
+        with pytest.raises(ValueError, match="d must be >= 1, got 0"):
+            wd_series(0, 2)
 
 
 class TestFormatting:

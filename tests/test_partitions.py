@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from maxmintrees.bijection import stable_region
 from maxmintrees.eulerian import LimitExceeded
 from maxmintrees.partitions import (
     MAX_PARTITION_N,
@@ -105,13 +106,12 @@ class TestTriangle:
                 assert tri.cell(n, k) == t_nk(n, k)
 
     def test_stable_region(self):
-        tri = t_triangle(10)
-        assert tri.is_stable(0, 0)
-        assert tri.is_stable(2, 1)
-        assert tri.is_stable(8, 4)
-        assert not tri.is_stable(8, 3)
-        assert tri.is_stable(10, 5)
-        assert not tri.is_stable(10, 4)
+        # cell (n, k) feeds the stabilized series when 2k >= n: the
+        # correspondence region at (n+1, k)
+        cells = {(0, 0): True, (2, 1): True, (8, 4): True, (8, 3): False,
+                 (10, 5): True, (10, 4): False}
+        for (n, k), stable in cells.items():
+            assert stable_region(n + 1, k) is stable, (n, k)
 
     def test_csv_round_trip(self):
         tri = t_triangle(6)
