@@ -109,34 +109,37 @@ def _cmd_weight(args) -> int:
         w = weight_via_ranges(p)
     else:
         w = weight_accelerated(p)
-    payload: dict = {"n": len(p), "perm": list(p), "algo": args.algo, "weight": w}
+    details = range_details(p) if args.explain else []
+    if args.output == "json":
+        payload: dict = {"n": len(p), "perm": list(p), "algo": args.algo, "weight": w}
+        if args.explain:
+            payload["ranges"] = details
+        _emit(args, "", payload)
+        return EXIT_OK
     lines = [str(w)]
-    if args.explain:
-        details = range_details(p)
-        payload["ranges"] = details
-        for dct in details:
-            lines.append(
-                f"position {dct['position']} (value {dct['value']}): "
-                f"range {dct['range'][0]}..{dct['range'][1]}, "
-                f"{dct['descents']} descents"
-            )
-    _emit(args, "\n".join(lines), payload)
+    for dct in details:
+        lines.append(
+            f"position {dct['position']} (value {dct['value']}): "
+            f"range {dct['range'][0]}..{dct['range'][1]}, "
+            f"{dct['descents']} descents"
+        )
+    _emit(args, "\n".join(lines), None)
     return EXIT_OK
 
 
 def _cmd_tree(args) -> int:
     p = parse_permutation(args.perm)
     if args.kind == "maxweight":
-        t = build_max_weight_tree(p)
-        dot = _dot_undirected(t)
+        t, to_dot = build_max_weight_tree(p), _dot_undirected
     else:
-        t = build_min_decomp(p)
-        dot = _dot_directed(t)
+        t, to_dot = build_min_decomp(p), _dot_directed
     if args.format == "dot":
-        _emit(args, dot, {"perm": list(p), "dot": dot})
+        dot = to_dot(t)
+        _emit(args, dot, {"perm": list(p), "dot": dot} if args.output == "json" else None)
+    elif args.output == "json":
+        _emit(args, "", {"perm": list(p), **t.json_dict()})
     else:
-        payload = t.json_dict()
-        _emit(args, json.dumps(payload), {"perm": list(p), **payload})
+        _emit(args, json.dumps(t.json_dict()), None)
     return EXIT_OK
 
 
@@ -196,15 +199,18 @@ def _cmd_tnk(args) -> int:
     if args.n is None or args.k is None:
         raise ValueError("tnk needs N and K, or --triangle N, or --crosscheck FILE")
     value = t_nk(args.n, args.k)
-    payload = {"n": args.n, "k": args.k, "value": value}
+    contrib = t_nk_contributions(args.n, args.k) if args.contributions else []
+    if args.output == "json":
+        payload = {"n": args.n, "k": args.k, "value": value}
+        if args.contributions:
+            payload["contributions"] = [
+                {"partition": list(lam), "count": c} for lam, c in contrib
+            ]
+        _emit(args, "", payload)
+        return EXIT_OK
     lines = [str(value)]
-    if args.contributions:
-        contrib = t_nk_contributions(args.n, args.k)
-        payload["contributions"] = [
-            {"partition": list(lam), "count": c} for lam, c in contrib
-        ]
-        lines += [f"{''.join(map(str, lam))} : {c}" for lam, c in contrib]
-    _emit(args, "\n".join(lines), payload)
+    lines += [f"{''.join(map(str, lam))} : {c}" for lam, c in contrib]
+    _emit(args, "\n".join(lines), None)
     return EXIT_OK
 
 

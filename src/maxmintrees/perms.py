@@ -18,6 +18,7 @@ extended tuple by k directly reads position k.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Sequence
 
 Permutation = tuple[int, ...]
@@ -61,7 +62,8 @@ def validate_permutation(values: Iterable[int]) -> Permutation:
 
 def parse_permutation(text: str) -> Permutation:
     """
-    Parse a one-line permutation from whitespace- or comma-separated labels.
+    Parse a one-line permutation from whitespace- or comma-separated labels,
+    each an ASCII decimal integer.
 
     >>> parse_permutation("2 1 3")
     (2, 1, 3)
@@ -71,15 +73,25 @@ def parse_permutation(text: str) -> Permutation:
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ValueError("empty permutation text")
-    try:
-        values = list(map(int, tokens))
-    except ValueError:
+    # int() also reads 1_0, +1 and non-ASCII digits; in ASCII text without
+    # '_' or '+' it reads exactly the tokens that match -?[0-9]+
+    values = None
+    if text.isascii() and "_" not in text and "+" not in text:
+        try:
+            values = list(map(int, tokens))
+        except ValueError:
+            pass
+    if values is None:
+        values = []
         for pos, tok in enumerate(tokens, start=1):
+            if not re.fullmatch(r"-?[0-9]+", tok):
+                raise ValueError(f"non-integer token {tok!r} at position {pos}")
             try:
-                int(tok)
-            except ValueError:
-                raise ValueError(f"non-integer token {tok!r} at position {pos}") from None
-        raise
+                values.append(int(tok))
+            except ValueError:  # more digits than int() converts
+                raise ValueError(
+                    f"label {tok} out of range [1, {len(tokens)}] at position {pos}"
+                ) from None
     return validate_permutation(values)
 
 

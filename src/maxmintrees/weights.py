@@ -15,21 +15,24 @@ where
 The appended maximum n+1 always counts as a descent; the back sentinel 0
 makes that fall out of the plain comparison ext[k] > ext[k+1].
 
-Two routes find these ranges.  The scanning route looks for j, m, M and L
-from each non-descent (quadratic worst case, fast in practice) and is the
-oracle: ``descents_and_weight``, the per-permutation kernel of the S_n
-enumeration behind ``weight_via_ranges``, carries these scans inline in one
-flat function, and ``_scan_range`` runs the same scans for
-``subtree_range``.  ``weight_accelerated`` and ``range_details`` take every
-range from one left-to-right monotonic-stack pass, O(n) per word.  The
-tests hold the two routes equal to each other and to the tree-based
+Three routes find these ranges.  The scanning route looks for j, m, M and
+L from each non-descent (quadratic worst case, fast in practice on short
+words) and is the oracle: ``descents_and_weight``, the per-permutation
+kernel of the S_n enumeration, carries these scans inline in one flat
+function, and ``_scan_range`` runs the same scans for ``subtree_range``.
+``weight_via_ranges`` takes every range from one left-to-right pass over two
+monotonic stacks; ``weight_accelerated`` and ``range_details`` take them
+from a jump-pointer pass.  Both are O(n) per word and share no code beyond
+the descent prefix counts, so they check each other at any length.  The
+tests hold all three routes equal to each other and to the tree-based
 computations.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .perms import ExtendedPermutation, Permutation, extend
 
@@ -81,10 +84,10 @@ def subtree_range(ext: ExtendedPermutation, i: int) -> SubtreeRange:
     return SubtreeRange(left, right)
 
 
-def _descent_prefix(ext: Sequence[int]) -> list[int]:
+def _descent_prefix(ext: Sequence[int]) -> array:
     """P[k] = number of descent positions in 1..k of the extended word."""
     n1 = len(ext) - 2
-    P = [0] * (n1 + 1)
+    P = array("i", bytes(4 * (n1 + 1)))
     c = 0
     for k in range(1, n1 + 1):
         if ext[k] > ext[k + 1]:
@@ -97,10 +100,12 @@ def descents_and_weight(p: Permutation) -> tuple[int, int]:
     """
     (descent count, weight) of p in one pass over the extended word.
 
-    This is the scanning range algorithm fused with the descent count; it
-    is the kernel behind weight_via_ranges and the symmetric-group
-    enumeration, so the scans of _scan_range run inline here rather than
-    as one call per non-descent.
+    This is the scanning range algorithm fused with the descent count:
+    quadratic on long rising runs, fast on the short words of the
+    symmetric-group enumeration, whose per-permutation kernel it is.  The
+    scans of _scan_range run inline here rather than as one call per
+    non-descent.  It is also the oracle the linear routes are tested
+    against.
 
     >>> descents_and_weight((2, 1, 3))
     (1, 0)
@@ -140,12 +145,15 @@ def descents_and_weight(p: Permutation) -> tuple[int, int]:
 
 def weight_via_ranges(p: Permutation) -> int:
     """
-    Weight of p by the scanning range algorithm (quadratic worst case).
+    Weight of p from the two monotonic stacks of _subtree_ranges, O(n).
 
     >>> weight_via_ranges((1, 3, 2))
     1
     """
-    return descents_and_weight(p)[1]
+    n = len(p)
+    ext = [n + 2, *p, n + 1, 0]
+    P = _descent_prefix(ext)
+    return sum(P[m] - P[lo] for _, lo, m in _subtree_ranges(ext)) - n
 
 
 def _subtree_ranges(ext: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -199,6 +207,54 @@ def _subtree_ranges(ext: Sequence[int]) -> list[tuple[int, int, int]]:
     return [(i, lo_of[i], m) for i, m in enumerate(m_of) if m]
 
 
+def _jump_ranges(ext: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """
+    (i, lo, m) for every non-descent position i of the extended word, in
+    descending order of i, with the subtree range lo+1..m of _subtree_ranges.
+
+    A left-to-right pass sets smaller[k] and greater[k], the nearest
+    position left of k with a smaller and with a greater value; each hops
+    from k-1 along the pointers already set.  A right-to-left pass sets
+    nxt[k], the first position right of k with a smaller value (j), and
+    amx[k], the argmax of k..nxt[k]-1, hopping the same way.  A non-descent
+    k then has m = amx[k], M = greater[m] and L = smaller[k].  Every hop
+    skips a run that no later hop enters again, so both passes are O(n).
+    """
+    size = len(ext)
+    smaller = array("i", bytes(4 * size))
+    # -1 indexes the back sentinel 0, which stops every smaller hop; as a
+    # position it loses every max(M, L), as the front sentinel would
+    smaller[0] = -1
+    greater = array("i", bytes(4 * size))  # the front sentinel stops these hops
+    for k in range(1, size - 1):
+        v = ext[k]
+        s = k - 1
+        while ext[s] > v:
+            s = smaller[s]
+        smaller[k] = s
+        g = k - 1
+        while ext[g] < v:
+            g = greater[g]
+        greater[k] = g
+    nxt = array("i", bytes(4 * size))
+    amx = array("i", bytes(4 * size))
+    for k in range(size - 2, 0, -1):
+        v = ext[k]
+        a = k
+        t = k + 1
+        while ext[t] > v:
+            b = amx[t]
+            if ext[b] > ext[a]:
+                a = b
+            t = nxt[t]
+        nxt[k] = t
+        amx[k] = a
+        if a != k:  # something right of k exceeds it: k is a non-descent
+            M = greater[a]
+            L = smaller[k]
+            yield k, (M if M > L else L), a
+
+
 def range_details(p: Permutation) -> list[dict]:
     """
     Per-non-descent breakdown of the range computation: position, value,
@@ -206,20 +262,22 @@ def range_details(p: Permutation) -> list[dict]:
     """
     ext = extend(p)
     P = _descent_prefix(ext)
-    return [
+    rows = [
         {
             "position": i,
             "value": ext[i],
             "range": [lo + 1, m],
             "descents": P[m] - P[lo],
         }
-        for i, lo, m in _subtree_ranges(ext)
+        for i, lo, m in _jump_ranges(ext)
     ]
+    rows.reverse()
+    return rows
 
 
 def weight_accelerated(p: Permutation) -> int:
     """
-    Weight of p from one monotonic-stack pass over the word, O(n) per call.
+    Weight of p from the jump-pointer pass of _jump_ranges, O(n) per call.
 
     Output is identical to weight_via_ranges for every input.
 
@@ -229,4 +287,4 @@ def weight_accelerated(p: Permutation) -> int:
     n = len(p)
     ext = [n + 2, *p, n + 1, 0]
     P = _descent_prefix(ext)
-    return sum(P[m] - P[lo] for _, lo, m in _subtree_ranges(ext)) - n
+    return sum(P[m] - P[lo] for _, lo, m in _jump_ranges(ext)) - n

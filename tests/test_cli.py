@@ -53,6 +53,11 @@ class TestWeight:
         assert code == 2
         assert "duplicate label 1 at position 2" in err
 
+    def test_underscore_label_exit_2(self, capsys):
+        code, out, err = run(capsys, "weight", "1_0 2 3 4 5 6 7 8 9 1")
+        assert code == 2 and out == ""
+        assert err == "error: non-integer token '1_0' at position 1\n"
+
     def test_json_envelope(self, capsys):
         code, out, _ = run(capsys, "weight", "1 3 2", "--output", "json")
         assert code == 0
@@ -116,6 +121,16 @@ class TestTree:
         code, out, _ = run(capsys, "tree", "2 1 3", "--format", "dot")
         assert out.startswith("graph")
         assert "1 -- 2;" in out
+
+    def test_json_format_builds_no_dot(self, capsys, monkeypatch):
+        _, expected, _ = run(capsys, "tree", "2 1 3", "--format", "json")
+
+        def refuse(tree):
+            raise AssertionError("DOT text built for --format json")
+
+        monkeypatch.setattr(cli, "_dot_undirected", refuse)
+        code, out, _ = run(capsys, "tree", "2 1 3", "--format", "json")
+        assert code == 0 and out == expected
 
     def test_mindecomp_json_annotations(self, capsys):
         code, out, _ = run(capsys, "tree", "1 3 2", "--kind", "mindecomp")

@@ -76,6 +76,32 @@ class TestParse:
             parse_permutation("1,2 3.5 y 9")
         assert str(exc.value) == "non-integer token '3.5' at position 3"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1_0 2 3 4 5 6 7 8 9 1", "non-integer token '1_0' at position 1"),
+            ("2 +1", "non-integer token '+1' at position 2"),
+            ("1 \u0662", "non-integer token '\u0662' at position 2"),
+            ("\uff12 1", "non-integer token '\uff12' at position 1"),
+            ("2 1 3 x \u0661", "non-integer token 'x' at position 4"),
+            ("-1 2", "label -1 out of range [1, 2] at position 1"),
+        ],
+    )
+    def test_only_ascii_digit_labels_are_read(self, text, message):
+        # int() alone reads every one of the first four tokens as a number
+        with pytest.raises(ValueError) as exc:
+            parse_permutation(text)
+        assert str(exc.value) == message
+
+    def test_label_too_long_for_int_is_out_of_range(self):
+        huge = "9" * 5000  # int() refuses more than 4300 digits
+        with pytest.raises(ValueError) as exc:
+            parse_permutation(f"1 {huge}")
+        assert str(exc.value) == f"label {huge} out of range [1, 2] at position 2"
+
+    def test_non_ascii_whitespace_still_separates(self):
+        assert parse_permutation("2\u20031\u00a03") == (2, 1, 3)
+
 
 class TestDescents:
     def test_identity_has_none(self):
