@@ -199,18 +199,15 @@ def _cmd_tnk(args) -> int:
     if args.n is None or args.k is None:
         raise ValueError("tnk needs N and K, or --triangle N, or --crosscheck FILE")
     value = t_nk(args.n, args.k)
-    contrib = t_nk_contributions(args.n, args.k) if args.contributions else []
-    if args.output == "json":
-        payload = {"n": args.n, "k": args.k, "value": value}
-        if args.contributions:
-            payload["contributions"] = [
-                {"partition": list(lam), "count": c} for lam, c in contrib
-            ]
-        _emit(args, "", payload)
-        return EXIT_OK
+    payload = {"n": args.n, "k": args.k, "value": value}
     lines = [str(value)]
-    lines += [f"{''.join(map(str, lam))} : {c}" for lam, c in contrib]
-    _emit(args, "\n".join(lines), None)
+    if args.contributions:
+        contrib = t_nk_contributions(args.n, args.k)
+        payload["contributions"] = [
+            {"partition": list(lam), "count": c} for lam, c in contrib
+        ]
+        lines += [f"{''.join(map(str, lam))} : {c}" for lam, c in contrib]
+    _emit(args, "\n".join(lines), payload)
     return EXIT_OK
 
 

@@ -84,14 +84,12 @@ def parse_permutation(text: str) -> Permutation:
     if values is None:
         values = []
         for pos, tok in enumerate(tokens, start=1):
-            if not re.fullmatch(r"-?[0-9]+", tok):
-                raise ValueError(f"non-integer token {tok!r} at position {pos}")
             try:
+                if not re.fullmatch(r"-?[0-9]+", tok):
+                    raise ValueError
                 values.append(int(tok))
-            except ValueError:  # more digits than int() converts
-                raise ValueError(
-                    f"label {tok} out of range [1, {len(tokens)}] at position {pos}"
-                ) from None
+            except ValueError:
+                raise ValueError(f"non-integer token {tok!r} at position {pos}") from None
     return validate_permutation(values)
 
 

@@ -15,16 +15,15 @@ where
 The appended maximum n+1 always counts as a descent; the back sentinel 0
 makes that fall out of the plain comparison ext[k] > ext[k+1].
 
-Three routes find these ranges.  The scanning route looks for j, m, M and
-L from each non-descent (quadratic worst case, fast in practice on short
+Two routes find these ranges.  The scanning route looks for j, m, M and L
+from each non-descent (quadratic worst case, fast in practice on short
 words) and is the oracle: ``descents_and_weight``, the per-permutation
 kernel of the S_n enumeration, carries these scans inline in one flat
 function, and ``_scan_range`` runs the same scans for ``subtree_range``.
-``weight_via_ranges`` takes every range from one left-to-right pass over two
-monotonic stacks; ``weight_accelerated`` and ``range_details`` take them
-from a jump-pointer pass.  Both are O(n) per word and share no code beyond
-the descent prefix counts, so they check each other at any length.  The
-tests hold all three routes equal to each other and to the tree-based
+``weight_via_ranges``, ``weight_accelerated`` and ``range_details`` take
+every range from one left-to-right monotonic-stack pass, O(n) per word,
+that yields the ranges as it finds them rather than listing them.  The
+tests hold the two routes equal to each other and to the tree-based
 computations.
 """
 
@@ -145,7 +144,7 @@ def descents_and_weight(p: Permutation) -> tuple[int, int]:
 
 def weight_via_ranges(p: Permutation) -> int:
     """
-    Weight of p from the two monotonic stacks of _subtree_ranges, O(n).
+    Weight of p from the subtree ranges of _subtree_ranges, O(n).
 
     >>> weight_via_ranges((1, 3, 2))
     1
@@ -156,11 +155,12 @@ def weight_via_ranges(p: Permutation) -> int:
     return sum(P[m] - P[lo] for _, lo, m in _subtree_ranges(ext)) - n
 
 
-def _subtree_ranges(ext: Sequence[int]) -> list[tuple[int, int, int]]:
+def _subtree_ranges(ext: Sequence[int]) -> Iterator[tuple[int, int, int]]:
     """
-    (i, lo, m) for every non-descent position i of the extended word, in
-    ascending order of i: its subtree range is lo+1..m, so it holds
-    P[m] - P[lo] descents for the prefix counts P of _descent_prefix.
+    (i, lo, m) for every non-descent position i of the extended word, each
+    yielded as its next smaller value pops i: its subtree range is lo+1..m,
+    so it holds P[m] - P[lo] descents for the prefix counts P of
+    _descent_prefix.
 
     One left-to-right pass keeps two monotonic stacks.  The rising stack
     holds positions of increasing values; a position i is popped by its
@@ -174,12 +174,11 @@ def _subtree_ranges(ext: Sequence[int]) -> list[tuple[int, int, int]]:
     # value; as a position it lies left of the front sentinel, so it loses
     # every max(M, L)
     none = -1
-    above = [0] * len(ext)  # above[k]: nearest position left of k with a greater value
+    # above[k]: nearest position left of k with a greater value
+    above = array("i", bytes(4 * len(ext)))
     rising = [none]
     inner = [none]  # inner[s]: argmax strictly between rising[s] and rising[s + 1]
     falling = [0]
-    lo_of = [0] * len(ext)
-    m_of = [0] * len(ext)  # stays 0 at descents
     for t in range(1, len(ext)):
         v = ext[t]
         seen = none  # argmax of the positions popped so far at t
@@ -193,8 +192,7 @@ def _subtree_ranges(ext: Sequence[int]) -> list[tuple[int, int, int]]:
             else:
                 M = above[m]
                 L = rising[-1]
-                lo_of[i] = M if M > L else L
-                m_of[i] = m
+                yield i, (M if M > L else L), m
                 seen = m
         if ext[seen] > ext[inner[-1]]:
             inner[-1] = seen
@@ -204,55 +202,6 @@ def _subtree_ranges(ext: Sequence[int]) -> list[tuple[int, int, int]]:
             falling.pop()
         above[t] = falling[-1]
         falling.append(t)
-    return [(i, lo_of[i], m) for i, m in enumerate(m_of) if m]
-
-
-def _jump_ranges(ext: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    """
-    (i, lo, m) for every non-descent position i of the extended word, in
-    descending order of i, with the subtree range lo+1..m of _subtree_ranges.
-
-    A left-to-right pass sets smaller[k] and greater[k], the nearest
-    position left of k with a smaller and with a greater value; each hops
-    from k-1 along the pointers already set.  A right-to-left pass sets
-    nxt[k], the first position right of k with a smaller value (j), and
-    amx[k], the argmax of k..nxt[k]-1, hopping the same way.  A non-descent
-    k then has m = amx[k], M = greater[m] and L = smaller[k].  Every hop
-    skips a run that no later hop enters again, so both passes are O(n).
-    """
-    size = len(ext)
-    smaller = array("i", bytes(4 * size))
-    # -1 indexes the back sentinel 0, which stops every smaller hop; as a
-    # position it loses every max(M, L), as the front sentinel would
-    smaller[0] = -1
-    greater = array("i", bytes(4 * size))  # the front sentinel stops these hops
-    for k in range(1, size - 1):
-        v = ext[k]
-        s = k - 1
-        while ext[s] > v:
-            s = smaller[s]
-        smaller[k] = s
-        g = k - 1
-        while ext[g] < v:
-            g = greater[g]
-        greater[k] = g
-    nxt = array("i", bytes(4 * size))
-    amx = array("i", bytes(4 * size))
-    for k in range(size - 2, 0, -1):
-        v = ext[k]
-        a = k
-        t = k + 1
-        while ext[t] > v:
-            b = amx[t]
-            if ext[b] > ext[a]:
-                a = b
-            t = nxt[t]
-        nxt[k] = t
-        amx[k] = a
-        if a != k:  # something right of k exceeds it: k is a non-descent
-            M = greater[a]
-            L = smaller[k]
-            yield k, (M if M > L else L), a
 
 
 def range_details(p: Permutation) -> list[dict]:
@@ -262,22 +211,20 @@ def range_details(p: Permutation) -> list[dict]:
     """
     ext = extend(p)
     P = _descent_prefix(ext)
-    rows = [
+    return [
         {
             "position": i,
             "value": ext[i],
             "range": [lo + 1, m],
             "descents": P[m] - P[lo],
         }
-        for i, lo, m in _jump_ranges(ext)
+        for i, lo, m in sorted(_subtree_ranges(ext))
     ]
-    rows.reverse()
-    return rows
 
 
 def weight_accelerated(p: Permutation) -> int:
     """
-    Weight of p from the jump-pointer pass of _jump_ranges, O(n) per call.
+    Weight of p from one monotonic-stack pass over the word, O(n) per call.
 
     Output is identical to weight_via_ranges for every input.
 
@@ -287,4 +234,4 @@ def weight_accelerated(p: Permutation) -> int:
     n = len(p)
     ext = [n + 2, *p, n + 1, 0]
     P = _descent_prefix(ext)
-    return sum(P[m] - P[lo] for _, lo, m in _jump_ranges(ext)) - n
+    return sum(P[m] - P[lo] for _, lo, m in _subtree_ranges(ext)) - n
