@@ -75,7 +75,6 @@ from .weights import (
     descents_and_weight,
     subtree_range,
     weight_accelerated,
-    weight_via_ranges,
 )
 
 __all__ = [
@@ -128,5 +127,4 @@ __all__ = [
     "weight_recursive",
     "weight_via_descent_sums",
     "weight_via_leaves",
-    "weight_via_ranges",
 ]

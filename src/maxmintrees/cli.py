@@ -3,7 +3,7 @@ Command-line front end.
 
 Subcommands:
 
-    weight PERM [--algo recursive|range|fast] [--explain]
+    weight PERM [--algo mindecomp|range|fast] [--explain]
     tree PERM [--kind maxweight|mindecomp] [--format dot|json]
     eulerian N [--q]
     wd D [--terms K]
@@ -18,14 +18,20 @@ count.  JSON output wraps the payload in an envelope carrying
 the command echo, parameters, elapsed time and tool version; payloads are
 deterministic for fixed inputs.
 
+--algo fast and --algo range run the one linear weight pass; --algo
+mindecomp reads the weight off the minimum decomposition tree.  An option
+the chosen mode would ignore is refused as an input error.
+
 Exit codes: 0 success, 1 verification failed, 2 input error (including
-verify bijection|stems outside 2d >= n-1), 3 resource limit exceeded.
+verify bijection|stems outside 2d >= n-1), 3 resource limit exceeded,
+141 (128 + SIGPIPE) when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -34,26 +40,23 @@ from .bijection import bijection_report, stable_region, stem_report
 from .eulerian import (
     DEFAULT_MAX_N,
     LimitExceeded,
+    _check_limit,
     eulerian_polynomial,
     format_bivariate,
     q_eulerian,
     stabilization_values,
     wd_series,
 )
-from .mindecomp import build_min_decomp
+from .mindecomp import build_min_decomp, weight_via_leaves
 from .partitions import crosscheck_triangle, t_nk, t_nk_contributions, t_triangle
 from .perms import parse_permutation
-from .trees import build_max_weight_tree, weight_recursive
-from .weights import range_details, weight_accelerated, weight_via_ranges
+from .trees import build_max_weight_tree
+from .weights import range_details, weight_accelerated
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_LIMIT = 3
-
-# the definitional tree recursion is a reference implementation; refuse
-# inputs deep enough to threaten the interpreter recursion limit
-RECURSIVE_ALGO_LIMIT = 500
 
 
 def _dot_undirected(tree) -> str:
@@ -68,6 +71,13 @@ def _dot_directed(tree) -> str:
     lines += [f"  {a} -> {b};" for a, b in tree.edges()]
     lines.append("}")
     return "\n".join(lines)
+
+
+def _refuse_ignored(mode: str, options: dict) -> None:
+    """Refuse, as an input error, the first given option that mode ignores."""
+    for flag, value in options.items():
+        if value is not None and value is not False:
+            raise ValueError(f"{mode} ignores {flag}")
 
 
 def _has_csv(args) -> bool:
@@ -99,14 +109,8 @@ def _emit(args, result_text: str, payload, csv_text: str = "") -> None:
 
 def _cmd_weight(args) -> int:
     p = parse_permutation(args.perm)
-    if args.algo == "recursive":
-        if len(p) > RECURSIVE_ALGO_LIMIT:
-            raise LimitExceeded(
-                f"recursive weight on n={len(p)} refused; use --algo fast"
-            )
-        w = weight_recursive(build_max_weight_tree(p))
-    elif args.algo == "range":
-        w = weight_via_ranges(p)
+    if args.algo == "mindecomp":
+        w = weight_via_leaves(build_min_decomp(p))
     else:
         w = weight_accelerated(p)
     details = range_details(p) if args.explain else []
@@ -173,7 +177,12 @@ def _cmd_wd(args) -> int:
 
 
 def _cmd_tnk(args) -> int:
+    nk = {"N": args.n, "K": args.k}
     if args.crosscheck is not None:
+        _refuse_ignored(
+            "tnk --crosscheck",
+            {**nk, "--triangle": args.triangle, "--contributions": args.contributions},
+        )
         try:
             report = crosscheck_triangle(args.crosscheck, fmt=args.file_format)
         except OSError as exc:
@@ -188,6 +197,7 @@ def _cmd_tnk(args) -> int:
         _emit(args, "\n".join(lines), report.json_dict())
         return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
     if args.triangle is not None:
+        _refuse_ignored("tnk --triangle", {**nk, "--contributions": args.contributions})
         tri = t_triangle(args.triangle)
         _emit(
             args,
@@ -214,12 +224,20 @@ def _cmd_tnk(args) -> int:
 def _cmd_verify(args) -> int:
     if args.what == "bijection":
         if args.n is not None and args.d is not None:
+            _refuse_ignored(
+                "verify bijection --n --d", {"--k": args.k, "--n-max": args.n_max}
+            )
             pairs = [(args.n, args.d)]
         elif args.n_max is None:
             raise ValueError("verify bijection needs --n and --d, or --n-max for a sweep")
-        elif args.n_max < 2:
-            raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
         else:
+            _refuse_ignored(
+                "verify bijection --n-max", {"--n": args.n, "--d": args.d, "--k": args.k}
+            )
+            if args.n_max < 2:
+                raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
+            # the sweep's largest S_n is S_{n_max}: refuse it before any work
+            _check_limit(args.n_max, args.max_n)
             pairs = [
                 (n, d)
                 for n in range(2, args.n_max + 1)
@@ -241,6 +259,7 @@ def _cmd_verify(args) -> int:
         return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
     if args.what == "stems":
+        _refuse_ignored("verify stems", {"--k": args.k, "--n-max": args.n_max})
         if args.n is None or args.d is None:
             raise ValueError("verify stems needs --n and --d")
         report = stem_report(args.n, args.d)
@@ -258,6 +277,7 @@ def _cmd_verify(args) -> int:
 
     # stabilization; the default sweep stops at order 9 so a bare
     # invocation stays interactive
+    _refuse_ignored("verify stabilization", {"--n": args.n})
     if args.d is None:
         raise ValueError("verify stabilization needs --d")
     n_max = args.n_max if args.n_max is not None else min(args.max_n, 9)
@@ -310,7 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("weight", parents=[common], help="weight of a permutation")
     w.add_argument("perm", help="permutation, e.g. '1 3 2'")
-    w.add_argument("--algo", choices=("recursive", "range", "fast"), default="fast")
+    w.add_argument("--algo", choices=("mindecomp", "range", "fast"), default="fast",
+                   help="mindecomp: leaves of the minimum decomposition tree; "
+                   "range and fast: one linear pass (default fast)")
     w.add_argument("--explain", action="store_true",
                    help="show per-non-descent subtree ranges")
     w.set_defaults(func=_cmd_weight)
@@ -362,6 +384,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.output == "csv" and not _has_csv(args):
             raise ValueError("csv output is not available for this command")
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the interpreter's
+        # final flush stays quiet, and exit as cat and seq do on SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT

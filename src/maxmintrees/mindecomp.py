@@ -19,10 +19,9 @@ import math
 from itertools import permutations as _permutations
 from typing import Sequence
 
+from .eulerian import DEFAULT_MAX_N
 from .perms import Permutation, extend
 from .trees import block_walk
-
-EXHAUSTIVE_LIMIT = 11
 
 
 class MinDecompTree:
@@ -159,7 +158,7 @@ def move_up(t: MinDecompTree, leaf: int) -> MinDecompTree:
     return MinDecompTree(new_parent)
 
 
-def verify_injectivity(n: int, limit: int = EXHAUSTIVE_LIMIT) -> bool:
+def verify_injectivity(n: int, limit: int = DEFAULT_MAX_N) -> bool:
     """
     True when p -> build_min_decomp(p) is injective over all of S_n,
     compared by canonical parent arrays.

@@ -20,11 +20,10 @@ from each non-descent (quadratic worst case, fast in practice on short
 words) and is the oracle: ``descents_and_weight``, the per-permutation
 kernel of the S_n enumeration, carries these scans inline in one flat
 function, and ``_scan_range`` runs the same scans for ``subtree_range``.
-``weight_via_ranges``, ``weight_accelerated`` and ``range_details`` take
-every range from one left-to-right monotonic-stack pass, O(n) per word,
-that yields the ranges as it finds them rather than listing them.  The
-tests hold the two routes equal to each other and to the tree-based
-computations.
+``weight_accelerated`` and ``range_details`` take every range from one
+left-to-right monotonic-stack pass, O(n) per word, that yields the ranges
+as it finds them rather than listing them.  The tests hold the two routes
+equal to each other and to the tree-based computations.
 """
 
 from __future__ import annotations
@@ -142,19 +141,6 @@ def descents_and_weight(p: Permutation) -> tuple[int, int]:
     return P[n], total - n
 
 
-def weight_via_ranges(p: Permutation) -> int:
-    """
-    Weight of p from the subtree ranges of _subtree_ranges, O(n).
-
-    >>> weight_via_ranges((1, 3, 2))
-    1
-    """
-    n = len(p)
-    ext = [n + 2, *p, n + 1, 0]
-    P = _descent_prefix(ext)
-    return sum(P[m] - P[lo] for _, lo, m in _subtree_ranges(ext)) - n
-
-
 def _subtree_ranges(ext: Sequence[int]) -> Iterator[tuple[int, int, int]]:
     """
     (i, lo, m) for every non-descent position i of the extended word, each
@@ -224,9 +210,7 @@ def range_details(p: Permutation) -> list[dict]:
 
 def weight_accelerated(p: Permutation) -> int:
     """
-    Weight of p from one monotonic-stack pass over the word, O(n) per call.
-
-    Output is identical to weight_via_ranges for every input.
+    Weight of p from the subtree ranges of _subtree_ranges, O(n) per call.
 
     >>> weight_accelerated((1, 3, 2))
     1
@@ -235,3 +219,7 @@ def weight_accelerated(p: Permutation) -> int:
     ext = [n + 2, *p, n + 1, 0]
     P = _descent_prefix(ext)
     return sum(P[m] - P[lo] for _, lo, m in _subtree_ranges(ext)) - n
+
+
+# perfbench/test_perfbench.py imports this name; ROADMAP item 1 deletes both
+weight_via_ranges = weight_accelerated

@@ -47,7 +47,7 @@ from maxmintrees.trees import (
     weight_recursive,
     weight_via_descent_sums,
 )
-from maxmintrees.weights import descents_and_weight, weight_accelerated, weight_via_ranges
+from maxmintrees.weights import descents_and_weight, weight_accelerated
 
 WORKERS = min(8, os.cpu_count() or 1)
 # the big-enumeration budget depends on how wide the fan-out can go
@@ -173,11 +173,10 @@ def test_08_algorithm_agreement():
             t = build_max_weight_tree(p)
             a = weight_recursive(t)
             b = weight_via_descent_sums(t)
-            c = weight_via_ranges(p)
-            d = weight_accelerated(p)
-            e = weight_via_leaves(build_min_decomp(p))
-            f = descents_and_weight(p)[1]
-            assert a == b == c == d == e == f, p
+            c = weight_accelerated(p)
+            d = weight_via_leaves(build_min_decomp(p))
+            e = descents_and_weight(p)[1]
+            assert a == b == c == d == e, p
             checked += 1
         assert checked == 40320
         rng = random.Random(20240803)
@@ -186,11 +185,10 @@ def test_08_algorithm_agreement():
             t = build_max_weight_tree(p)
             a = weight_recursive(t)
             b = weight_via_descent_sums(t)
-            c = weight_via_ranges(p)
-            d = weight_accelerated(p)
-            e = weight_via_leaves(build_min_decomp(p))
-            f = descents_and_weight(p)[1]
-            assert a == b == c == d == e == f
+            c = weight_accelerated(p)
+            d = weight_via_leaves(build_min_decomp(p))
+            e = descents_and_weight(p)[1]
+            assert a == b == c == d == e
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"took {elapsed:.1f}s, budget 60s"
 
@@ -206,7 +204,7 @@ def test_09_performance():
         # the rising word is the one on which scanning the ranges is quadratic
         p_rising = tuple(range(1, 100_001))
         t0 = time.perf_counter()
-        w_rising = weight_via_ranges(p_rising)
+        w_rising = weight_accelerated(p_rising)
         dt_rng = time.perf_counter() - t0
         print(
             f"\n  accelerated n=100000: {dt_fast * 1000:.0f} ms (weight {w_large}); "

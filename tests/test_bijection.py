@@ -17,7 +17,7 @@ from maxmintrees.bijection import (
 from maxmintrees.eulerian import q_eulerian, wd_series
 from maxmintrees.partitions import enumerate_partitions, t_nk
 from maxmintrees.perms import descent_count
-from maxmintrees.weights import weight_via_ranges
+from maxmintrees.weights import weight_accelerated
 
 
 class TestRegions:
@@ -48,7 +48,7 @@ class TestCounts:
         direct = sum(
             1
             for p in itertools.permutations(range(1, n + 1))
-            if descent_count(p) == d and weight_via_ranges(p) == w
+            if descent_count(p) == d and weight_accelerated(p) == w
         )
         assert q_eulerian(n).coefficient(d, w) == direct == 16
 

@@ -29,9 +29,22 @@ class TestWeight:
         code, out, _ = run(capsys, "weight", "1 3 2", "--algo", "fast")
         assert code == 0 and out.strip() == "1"
 
-    def test_recursive_identity(self, capsys):
-        code, out, _ = run(capsys, "weight", "1 2 3", "--algo", "recursive")
+    def test_mindecomp_identity(self, capsys):
+        code, out, _ = run(capsys, "weight", "1 2 3", "--algo", "mindecomp")
         assert code == 0 and out.strip() == "0"
+
+    def test_mindecomp_matches_fast_on_a_long_word(self, capsys):
+        word = list(range(1, 10_001))
+        random.Random(5).shuffle(word)
+        text = " ".join(map(str, word))
+        results = [run(capsys, "weight", text, "--algo", algo) for algo in ("mindecomp", "fast")]
+        assert results[0] == results[1] and results[0][0] == 0
+
+    def test_recursive_algo_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["weight", "1 2 3", "--algo", "recursive"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'recursive'" in capsys.readouterr().err
 
     def test_range_with_explain(self, capsys):
         code, out, _ = run(capsys, "weight", "2 1 3", "--algo", "range", "--explain")
@@ -42,7 +55,7 @@ class TestWeight:
 
     def test_algos_agree(self, capsys):
         results = []
-        for algo in ("recursive", "range", "fast"):
+        for algo in ("mindecomp", "range", "fast"):
             code, out, _ = run(capsys, "weight", EXAMPLE_15_TEXT, "--algo", algo)
             assert code == 0
             results.append(out.strip())
@@ -97,6 +110,23 @@ class TestWeight:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
+
+    def test_reader_closing_the_pipe_exits_141_quietly(self):
+        # the output (about 270 kB) outgrows the pipe buffer, so the write
+        # is still pending when the reader closes its end
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "maxmintrees.cli", "tnk", "39", "13", "--contributions"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().strip().isdigit()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
 
 
 class TestTree:
@@ -252,6 +282,38 @@ def test_partition_enumeration_is_refused_with_exit_3(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tnk", "3", "1", "--triangle", "3"], "tnk --triangle ignores N"),
+        (["tnk", "8", "5", "--crosscheck", "t.csv"], "tnk --crosscheck ignores N"),
+        (["tnk", "--triangle", "3", "--contributions"], "tnk --triangle ignores --contributions"),
+        (["tnk", "--crosscheck", "t.csv", "--contributions"],
+         "tnk --crosscheck ignores --contributions"),
+        (["verify", "bijection", "--n", "5", "--d", "2", "--n-max", "3"],
+         "verify bijection --n --d ignores --n-max"),
+        (["verify", "bijection", "--n", "5", "--d", "2", "--k", "1"],
+         "verify bijection --n --d ignores --k"),
+        (["verify", "bijection", "--n-max", "6", "--n", "5"],
+         "verify bijection --n-max ignores --n"),
+        (["verify", "stems", "--n", "9", "--d", "5", "--k", "1"], "verify stems ignores --k"),
+        (["verify", "stems", "--n", "9", "--d", "5", "--n-max", "3"],
+         "verify stems ignores --n-max"),
+        (["verify", "stabilization", "--d", "1", "--n", "4"],
+         "verify stabilization ignores --n"),
+    ],
+    ids=["triangle-nk", "crosscheck-nk", "triangle-contributions",
+         "crosscheck-contributions", "bijection-pair-n-max", "bijection-pair-k",
+         "bijection-sweep-n", "stems-k", "stems-n-max", "stabilization-n"],
+)
+def test_ignored_arguments_are_refused(capsys, tmp_path, monkeypatch, argv, message):
+    (tmp_path / "t.csv").write_text(t_triangle(6).csv_text())
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 class TestVerify:
     def test_bijection_pair(self, capsys):
         code, out, _ = run(capsys, "verify", "bijection", "--n", "5", "--d", "2")
@@ -298,6 +360,15 @@ class TestVerify:
         assert pairs == [
             f"n={n} d={d}" for n in range(2, 7) for d in range(1, n) if 2 * d >= n - 1
         ]
+
+    def test_bijection_sweep_is_refused_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verified a pair before refusing the sweep")
+
+        monkeypatch.setattr(cli, "bijection_report", refuse)
+        code, out, err = run(capsys, "verify", "bijection", "--n-max", "10", "--max-n", "9")
+        assert code == 3 and out == ""
+        assert err == "error: n=10 exceeds the exhaustive limit 9\n"
 
     def test_bijection_sweep_needs_bound(self, capsys):
         code, _, err = run(capsys, "verify", "bijection")

@@ -13,7 +13,6 @@ from maxmintrees.weights import (
     range_details,
     subtree_range,
     weight_accelerated,
-    weight_via_ranges,
 )
 
 
@@ -87,14 +86,13 @@ class TestSubtreeRange:
 class TestWeightValues:
     def test_identity(self):
         for n in range(1, 9):
-            assert weight_via_ranges(tuple(range(1, n + 1))) == 0
+            assert weight_accelerated(tuple(range(1, n + 1))) == 0
 
     def test_132(self):
-        assert weight_via_ranges((1, 3, 2)) == 1
         assert weight_accelerated((1, 3, 2)) == 1
 
     def test_213(self):
-        assert weight_via_ranges((2, 1, 3)) == 0
+        assert weight_accelerated((2, 1, 3)) == 0
 
     def test_reversal(self):
         for n in range(1, 9):
@@ -162,36 +160,35 @@ class TestAgreement:
     def test_exhaustive_small(self):
         for n in range(1, 8):
             for p in all_perms(n):
-                wr = weight_via_ranges(p)
-                assert wr == weight_accelerated(p), p
-                assert wr == weight_recursive(build_max_weight_tree(p)), p
+                wa = weight_accelerated(p)
+                assert wa == descents_and_weight(p)[1], p
+                assert wa == weight_recursive(build_max_weight_tree(p)), p
 
     def test_random_medium(self):
         for seed in range(50):
             p = shuffled(200, seed)
-            assert weight_via_ranges(p) == weight_accelerated(p)
+            assert weight_accelerated(p) == descents_and_weight(p)[1]
 
     def test_large_words_match_scanning(self):
         for n in (1500, 2047, 2048, 2049, 3000):
             for seed in range(3):
                 p = shuffled(n, seed)
                 w = descents_and_weight(p)[1]
-                assert weight_accelerated(p) == weight_via_ranges(p) == w
+                assert weight_accelerated(p) == w
         # at full length the scanning oracle stays fast on the random and
         # the falling word; the rising word, on which it is quadratic, has
         # weight 0
         n = 100_000
         for p in (shuffled(n, 0), tuple(range(n, 0, -1))):
             w = descents_and_weight(p)[1]
-            assert weight_accelerated(p) == weight_via_ranges(p) == w, p[:20]
-        rising = tuple(range(1, n + 1))
-        assert weight_accelerated(rising) == weight_via_ranges(rising) == 0
+            assert weight_accelerated(p) == w, p[:20]
+        assert weight_accelerated(tuple(range(1, n + 1))) == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.permutations(list(range(1, 26))))
     def test_property_agreement(self, values):
         p = tuple(values)
-        assert weight_via_ranges(p) == weight_accelerated(p)
+        assert weight_accelerated(p) == descents_and_weight(p)[1]
 
 
 class TestRangeDetails:
@@ -205,7 +202,7 @@ class TestRangeDetails:
         for seed in range(5):
             p = shuffled(40, seed)
             details = range_details(p)
-            assert sum(r["descents"] for r in details) - 40 == weight_via_ranges(p)
+            assert sum(r["descents"] for r in details) - 40 == descents_and_weight(p)[1]
 
     def test_rows_match_the_scanning_oracle(self):
         n = 2000
