@@ -1,26 +1,30 @@
 """
 Command-line front end.
 
-Subcommands:
+Subcommands, each with only the options it reads (OUT is text|json,
+OUT+ is text|json|csv, LIMITS is [--max-n N] [--threads T]):
 
-    weight PERM [--algo mindecomp|range|fast] [--explain]
-    tree PERM [--kind maxweight|mindecomp] [--format dot|json]
-    eulerian N [--q]
-    wd D [--terms K]
-    tnk [N K | --triangle N | --crosscheck FILE [--file-format FMT]]
-    verify {bijection,stems,stabilization} ...
+    weight PERM [--algo mindecomp|range|fast] [--explain] [--output OUT]
+    tree PERM [--kind maxweight|mindecomp] [--format dot|json] [--output OUT]
+    eulerian N [--q] [--output OUT+] LIMITS
+    wd D [--terms K] [--output OUT+] LIMITS
+    tnk N K [--contributions] [--output OUT]
+    tnk --triangle N [--output OUT+]
+    tnk --crosscheck FILE [--file-format auto|csv|bfile] [--output OUT]
+    verify bijection (--n N --d D | --n-max N) [--output OUT] LIMITS
+    verify stems --n N --d D [--output OUT]
+    verify stabilization --d D [--k K] [--n-max N] [--output OUT] LIMITS
 
-Every subcommand accepts --output text|json|csv and --max-n to move the
-exhaustive guard; csv is refused before any work except for eulerian, wd
-and tnk --triangle.  --threads is still accepted and checked to be at
-least 1, but it is ignored: the S_n enumeration picks its own process
-count.  JSON output wraps the payload in an envelope carrying
-the command echo, parameters, elapsed time and tool version; payloads are
-deterministic for fixed inputs.
+argparse refuses any other option with exit 2 before any work.  Where one
+parser serves several modes (tnk, verify bijection), an option the chosen
+mode would ignore is refused as an input error too.  --max-n (at least 1)
+moves the exhaustive S_n guard.  --threads is checked to be at least 1
+but ignored: the S_n enumeration picks its own process count.  JSON output
+wraps the payload in an envelope carrying the command echo, parameters,
+elapsed time and tool version; payloads are deterministic for fixed inputs.
 
 --algo fast and --algo range run the one linear weight pass; --algo
-mindecomp reads the weight off the minimum decomposition tree.  An option
-the chosen mode would ignore is refused as an input error.
+mindecomp reads the weight off the minimum decomposition tree.
 
 Exit codes: 0 success, 1 verification failed, 2 input error (including
 verify bijection|stems outside 2d >= n-1), 3 resource limit exceeded,
@@ -41,6 +45,7 @@ from .eulerian import (
     DEFAULT_MAX_N,
     LimitExceeded,
     _check_limit,
+    _check_stabilization,
     eulerian_polynomial,
     format_bivariate,
     q_eulerian,
@@ -78,13 +83,6 @@ def _refuse_ignored(mode: str, options: dict) -> None:
     for flag, value in options.items():
         if value is not None and value is not False:
             raise ValueError(f"{mode} ignores {flag}")
-
-
-def _has_csv(args) -> bool:
-    """Whether the command's ``_emit`` call passes a csv_text."""
-    if args.command == "tnk":
-        return args.crosscheck is None and args.triangle is not None
-    return args.command in ("eulerian", "wd")
 
 
 def _emit(args, result_text: str, payload, csv_text: str = "") -> None:
@@ -178,13 +176,15 @@ def _cmd_wd(args) -> int:
 
 def _cmd_tnk(args) -> int:
     nk = {"N": args.n, "K": args.k}
+    csv = args.output == "csv"
     if args.crosscheck is not None:
         _refuse_ignored(
             "tnk --crosscheck",
-            {**nk, "--triangle": args.triangle, "--contributions": args.contributions},
+            {**nk, "--triangle": args.triangle, "--contributions": args.contributions,
+             "--output csv": csv},
         )
         try:
-            report = crosscheck_triangle(args.crosscheck, fmt=args.file_format)
+            report = crosscheck_triangle(args.crosscheck, fmt=args.file_format or "auto")
         except OSError as exc:
             raise ValueError(f"cannot read {args.crosscheck}: {exc.strerror}") from None
         lines = [f"checked {len(report.cells)} cells"]
@@ -197,7 +197,11 @@ def _cmd_tnk(args) -> int:
         _emit(args, "\n".join(lines), report.json_dict())
         return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
     if args.triangle is not None:
-        _refuse_ignored("tnk --triangle", {**nk, "--contributions": args.contributions})
+        _refuse_ignored(
+            "tnk --triangle",
+            {**nk, "--contributions": args.contributions,
+             "--file-format": args.file_format},
+        )
         tri = t_triangle(args.triangle)
         _emit(
             args,
@@ -208,6 +212,7 @@ def _cmd_tnk(args) -> int:
         return EXIT_OK
     if args.n is None or args.k is None:
         raise ValueError("tnk needs N and K, or --triangle N, or --crosscheck FILE")
+    _refuse_ignored("tnk N K", {"--file-format": args.file_format, "--output csv": csv})
     value = t_nk(args.n, args.k)
     payload = {"n": args.n, "k": args.k, "value": value}
     lines = [str(value)]
@@ -221,67 +226,54 @@ def _cmd_tnk(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    if args.what == "bijection":
-        if args.n is not None and args.d is not None:
-            _refuse_ignored(
-                "verify bijection --n --d", {"--k": args.k, "--n-max": args.n_max}
-            )
-            pairs = [(args.n, args.d)]
-        elif args.n_max is None:
-            raise ValueError("verify bijection needs --n and --d, or --n-max for a sweep")
-        else:
-            _refuse_ignored(
-                "verify bijection --n-max", {"--n": args.n, "--d": args.d, "--k": args.k}
-            )
-            if args.n_max < 2:
-                raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
-            # the sweep's largest S_n is S_{n_max}: refuse it before any work
-            _check_limit(args.n_max, args.max_n)
-            pairs = [
-                (n, d)
-                for n in range(2, args.n_max + 1)
-                for d in range(1, n)
-                if stable_region(n, d)
-            ]
-        reports = [bijection_report(n, d, max_n=args.max_n) for n, d in pairs]
-        lines = []
-        for r in reports:
-            lines.append(
-                f"n={r['n']} d={r['d']} weight={r['weight']}: "
-                f"brute={r['brute_count']} stems={r['stem_total']} "
-                f"T({r['n'] - 1},{r['d']})={r['t_value']} -> "
-                + ("PASS" if r["pass"] else "FAIL")
-            )
-        ok = all(r["pass"] for r in reports)
-        lines.append("OK" if ok else "FAILED")
-        _emit(args, "\n".join(lines), {"checks": reports, "ok": ok})
-        return EXIT_OK if ok else EXIT_VERIFY_FAILED
-
-    if args.what == "stems":
-        _refuse_ignored("verify stems", {"--k": args.k, "--n-max": args.n_max})
-        if args.n is None or args.d is None:
-            raise ValueError("verify stems needs --n and --d")
-        report = stem_report(args.n, args.d)
-        lines = [
-            f"{' '.join(map(str, r['stem']))}: {r['count']}  "
-            f"(partition {''.join(map(str, r['partition']))})"
-            for r in report["stems"]
-        ]
+def _cmd_verify_bijection(args) -> int:
+    if args.n is not None and args.d is not None:
+        _refuse_ignored("verify bijection --n --d", {"--n-max": args.n_max})
+        pairs = [(args.n, args.d)]
+    elif args.n_max is None:
+        raise ValueError("verify bijection needs --n and --d, or --n-max for a sweep")
+    else:
+        _refuse_ignored("verify bijection --n-max", {"--n": args.n, "--d": args.d})
+        if args.n_max < 2:
+            raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
+        # the sweep's largest S_n is S_{n_max}: refuse it before any work
+        _check_limit(args.n_max, args.max_n)
+        pairs = [(n, d) for n in range(2, args.n_max + 1) for d in range(1, n)
+                 if stable_region(n, d)]
+    reports = [bijection_report(n, d, max_n=args.max_n) for n, d in pairs]
+    lines = []
+    for r in reports:
         lines.append(
-            f"total {report['total']}, T({args.n - 1},{args.d}) = {report['t_value']}"
+            f"n={r['n']} d={r['d']} weight={r['weight']}: "
+            f"brute={r['brute_count']} stems={r['stem_total']} "
+            f"T({r['n'] - 1},{r['d']})={r['t_value']} -> "
+            + ("PASS" if r["pass"] else "FAIL")
         )
-        lines.append("OK" if report["ok"] else "FAILED")
-        _emit(args, "\n".join(lines), report)
-        return EXIT_OK if report["ok"] else EXIT_VERIFY_FAILED
+    ok = all(r["pass"] for r in reports)
+    lines.append("OK" if ok else "FAILED")
+    _emit(args, "\n".join(lines), {"checks": reports, "ok": ok})
+    return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
-    # stabilization; the default sweep stops at order 9 so a bare
-    # invocation stays interactive
-    _refuse_ignored("verify stabilization", {"--n": args.n})
-    if args.d is None:
-        raise ValueError("verify stabilization needs --d")
+
+def _cmd_verify_stems(args) -> int:
+    report = stem_report(args.n, args.d)
+    lines = [
+        f"{' '.join(map(str, r['stem']))}: {r['count']}  "
+        f"(partition {''.join(map(str, r['partition']))})"
+        for r in report["stems"]
+    ]
+    lines.append(f"total {report['total']}, T({args.n - 1},{args.d}) = {report['t_value']}")
+    lines.append("OK" if report["ok"] else "FAILED")
+    _emit(args, "\n".join(lines), report)
+    return EXIT_OK if report["ok"] else EXIT_VERIFY_FAILED
+
+
+def _cmd_verify_stabilization(args) -> int:
+    # the default sweep stops at order 9 so a bare invocation stays interactive
     n_max = args.n_max if args.n_max is not None else min(args.max_n, 9)
-    ks = range(args.k, args.k + 1) if args.k is not None else range(0, 4)
+    ks = [args.k] if args.k is not None else range(4)
+    for k in ks:  # refuse any k before S_n is enumerated for another
+        _check_stabilization(args.d, k, n_max, args.max_n)
     checks = []
     for k in ks:
         vals = stabilization_values(args.d, k, n_max, max_n=args.max_n)
@@ -296,13 +288,7 @@ def _cmd_verify(args) -> int:
             + ("stable" if c["stable"] else "NOT stable")
         )
     lines.append("OK" if ok else "FAILED")
-    payload = {
-        "checks": [
-            {**c, "values": [[n, v] for n, v in c["values"]]} for c in checks
-        ],
-        "ok": ok,
-    }
-    _emit(args, "\n".join(lines), payload)
+    _emit(args, "\n".join(lines), {"checks": checks, "ok": ok})
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
@@ -313,22 +299,21 @@ def build_parser() -> argparse.ArgumentParser:
         "and the two-kind partition triangle.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--output", choices=("text", "json", "csv"), default="text",
-        help="output format (default text)",
-    )
-    common.add_argument(
-        "--threads", type=int, default=1, metavar="T",
-        help="ignored: the enumeration picks its own process count (must be >= 1)",
-    )
-    common.add_argument(
-        "--max-n", type=int, default=DEFAULT_MAX_N, metavar="N",
-        help=f"exhaustive-enumeration guard (default {DEFAULT_MAX_N})",
-    )
+    # option groups shared by the commands that read them
+    text_json = argparse.ArgumentParser(add_help=False)
+    text_json.add_argument("--output", choices=("text", "json"), default="text",
+                           help="output format (default text)")
+    with_csv = argparse.ArgumentParser(add_help=False)
+    with_csv.add_argument("--output", choices=("text", "json", "csv"), default="text",
+                          help="output format (default text)")
+    limits = argparse.ArgumentParser(add_help=False)
+    limits.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, metavar="N",
+                        help=f"largest S_n to enumerate, >= 1 (default {DEFAULT_MAX_N})")
+    limits.add_argument("--threads", type=int, default=1, metavar="T",
+                        help="ignored: the enumeration picks its own process count (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    w = sub.add_parser("weight", parents=[common], help="weight of a permutation")
+    w = sub.add_parser("weight", parents=[text_json], help="weight of a permutation")
     w.add_argument("perm", help="permutation, e.g. '1 3 2'")
     w.add_argument("--algo", choices=("mindecomp", "range", "fast"), default="fast",
                    help="mindecomp: leaves of the minimum decomposition tree; "
@@ -337,52 +322,71 @@ def build_parser() -> argparse.ArgumentParser:
                    help="show per-non-descent subtree ranges")
     w.set_defaults(func=_cmd_weight)
 
-    t = sub.add_parser("tree", parents=[common], help="build a tree from a permutation")
+    t = sub.add_parser("tree", parents=[text_json], help="build a tree from a permutation")
     t.add_argument("perm")
     t.add_argument("--kind", choices=("maxweight", "mindecomp"), default="maxweight")
     t.add_argument("--format", choices=("dot", "json"), default="json")
     t.set_defaults(func=_cmd_tree)
 
-    e = sub.add_parser("eulerian", parents=[common], help="Eulerian polynomial of order n")
+    e = sub.add_parser("eulerian", parents=[with_csv, limits],
+                       help="Eulerian polynomial of order n")
     e.add_argument("n", type=int)
     e.add_argument("--q", action="store_true", help="bivariate (descents, weight) version")
     e.set_defaults(func=_cmd_eulerian)
 
-    d = sub.add_parser("wd", parents=[common], help="stabilized coefficient series")
+    d = sub.add_parser("wd", parents=[with_csv, limits],
+                       help="stabilized coefficient series")
     d.add_argument("d", type=int)
     d.add_argument("--terms", type=int, default=6)
     d.set_defaults(func=_cmd_wd)
 
-    k = sub.add_parser("tnk", parents=[common], help="two-kind partition counts")
+    k = sub.add_parser("tnk", parents=[with_csv], help="two-kind partition counts")
     k.add_argument("n", type=int, nargs="?")
     k.add_argument("k", type=int, nargs="?")
-    k.add_argument("--triangle", type=int, metavar="N", help="print rows 0..N")
+    k.add_argument("--triangle", type=int, metavar="N",
+                   help="print rows 0..N (the one tnk mode with csv output)")
     k.add_argument("--contributions", action="store_true",
                    help="show per-partition contributions")
     k.add_argument("--crosscheck", metavar="FILE",
                    help="compare a triangle file cell by cell")
-    k.add_argument("--file-format", choices=("auto", "csv", "bfile"), default="auto")
+    k.add_argument("--file-format", choices=("auto", "csv", "bfile"),
+                   help="with --crosscheck: format of FILE (default auto)")
     k.set_defaults(func=_cmd_tnk)
 
-    v = sub.add_parser("verify", parents=[common], help="run a verification")
-    v.add_argument("what", choices=("bijection", "stems", "stabilization"))
-    v.add_argument("--n", type=int)
-    v.add_argument("--d", type=int)
-    v.add_argument("--k", type=int)
-    v.add_argument("--n-max", type=int, dest="n_max")
-    v.set_defaults(func=_cmd_verify)
+    v = sub.add_parser("verify", help="run a verification")
+    modes = v.add_subparsers(dest="what", required=True)
+    b = modes.add_parser("bijection", parents=[text_json, limits],
+                         help="brute force, stems and T(n-1, d) agree")
+    b.add_argument("--n", type=int)
+    b.add_argument("--d", type=int)
+    b.add_argument("--n-max", type=int, dest="n_max",
+                   help="sweep every (n, d) with 2 <= n <= N and 2d >= n-1")
+    b.set_defaults(func=_cmd_verify_bijection)
+
+    s = modes.add_parser("stems", parents=[text_json], help="list the stems of (n, d)")
+    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--d", type=int, required=True)
+    s.set_defaults(func=_cmd_verify_stems)
+
+    # no abbreviations here, or --n would be read as --n-max
+    z = modes.add_parser("stabilization", parents=[text_json, limits], allow_abbrev=False,
+                         help="coefficients stop depending on n")
+    z.add_argument("--d", type=int, required=True)
+    z.add_argument("--k", type=int, help="check only this k (default 0..3)")
+    z.add_argument("--n-max", type=int, dest="n_max",
+                   help="last order to check (default the smaller of --max-n and 9)")
+    z.set_defaults(func=_cmd_verify_stabilization)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args._t0 = time.perf_counter()
     try:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
-        if args.output == "csv" and not _has_csv(args):
-            raise ValueError("csv output is not available for this command")
+        for flag, dest in (("--threads", "threads"), ("--max-n", "max_n")):
+            value = vars(args).get(dest, 1)  # 1 where the command lacks the option
+            if value < 1:
+                raise ValueError(f"{flag} must be at least 1, got {value}")
         return args.func(args)
     except BrokenPipeError:
         # the reader closed stdout: point it at devnull so the interpreter's

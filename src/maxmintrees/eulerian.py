@@ -45,7 +45,7 @@ class LimitExceeded(RuntimeError):
     """An exhaustive enumeration was refused because n exceeds the limit."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BivariatePolynomial:
     """
     Nonnegative integer polynomial in x and q, stored as a sparse map
@@ -55,10 +55,7 @@ class BivariatePolynomial:
     n: int
     terms: dict[tuple[int, int], int]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BivariatePolynomial):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+    __hash__ = None  # unhashable, as terms is a dict
 
     def coefficient(self, x_degree: int, q_degree: int) -> int:
         return self.terms.get((x_degree, q_degree), 0)
@@ -204,6 +201,15 @@ def stabilization_values(
     (n, coefficient of x^d q^{maxwt(n,d)-k}) for n from the stabilization
     threshold d+k+1 through n_max.
     """
+    _check_stabilization(d, k, n_max, max_n)
+    return [
+        (n, q_eulerian(n, max_n=max_n).coefficient(d, maxwt(n, d) - k))
+        for n in range(d + k + 1, n_max + 1)
+    ]
+
+
+def _check_stabilization(d: int, k: int, n_max: int, max_n: int) -> None:
+    """Refuse what ``stabilization_values(d, k, n_max, max_n)`` would refuse."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if k < 0:
@@ -212,10 +218,6 @@ def stabilization_values(
     if n_max < threshold:
         raise ValueError(f"n_max={n_max} is below the threshold {threshold}")
     _check_limit(n_max, max_n)
-    return [
-        (n, q_eulerian(n, max_n=max_n).coefficient(d, maxwt(n, d) - k))
-        for n in range(threshold, n_max + 1)
-    ]
 
 
 def wd_series(d: int, terms: int, max_n: int = DEFAULT_MAX_N) -> WdSeries:

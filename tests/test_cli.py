@@ -12,6 +12,7 @@ import pytest
 
 import maxmintrees.bijection as bijection
 import maxmintrees.cli as cli
+import maxmintrees.eulerian as eulerian
 from maxmintrees.cli import build_parser, main
 from maxmintrees.partitions import t_triangle
 
@@ -22,6 +23,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_to_exit(capsys, *argv):
+    """Like ``run``, but an argv that argparse refuses ends in SystemExit."""
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+
+
+def assert_refused(code, out, err, message):
+    """Exit 2, no stdout, and one error report: ours is one line; argparse's
+    own (a message naming its parser) comes after its usage lines."""
+    assert code == 2 and out == ""
+    if message.startswith("error: "):
+        assert err == f"{message}\n"
+    else:
+        assert err.startswith("usage: maxmintrees")
+        assert err.endswith(f"\n{message}\n") and err.count("error:") == 1
 
 
 class TestWeight:
@@ -285,33 +306,52 @@ def test_partition_enumeration_is_refused_with_exit_3(capsys, argv):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["tnk", "3", "1", "--triangle", "3"], "tnk --triangle ignores N"),
-        (["tnk", "8", "5", "--crosscheck", "t.csv"], "tnk --crosscheck ignores N"),
-        (["tnk", "--triangle", "3", "--contributions"], "tnk --triangle ignores --contributions"),
+        (["tnk", "3", "1", "--triangle", "3"], "error: tnk --triangle ignores N"),
+        (["tnk", "8", "5", "--crosscheck", "t.csv"], "error: tnk --crosscheck ignores N"),
+        (["tnk", "--triangle", "3", "--contributions"],
+         "error: tnk --triangle ignores --contributions"),
         (["tnk", "--crosscheck", "t.csv", "--contributions"],
-         "tnk --crosscheck ignores --contributions"),
+         "error: tnk --crosscheck ignores --contributions"),
         (["verify", "bijection", "--n", "5", "--d", "2", "--n-max", "3"],
-         "verify bijection --n --d ignores --n-max"),
+         "error: verify bijection --n --d ignores --n-max"),
         (["verify", "bijection", "--n", "5", "--d", "2", "--k", "1"],
-         "verify bijection --n --d ignores --k"),
+         "maxmintrees: error: unrecognized arguments: --k 1"),
         (["verify", "bijection", "--n-max", "6", "--n", "5"],
-         "verify bijection --n-max ignores --n"),
-        (["verify", "stems", "--n", "9", "--d", "5", "--k", "1"], "verify stems ignores --k"),
+         "error: verify bijection --n-max ignores --n"),
+        (["verify", "stems", "--n", "9", "--d", "5", "--k", "1"],
+         "maxmintrees: error: unrecognized arguments: --k 1"),
         (["verify", "stems", "--n", "9", "--d", "5", "--n-max", "3"],
-         "verify stems ignores --n-max"),
+         "maxmintrees: error: unrecognized arguments: --n-max 3"),
         (["verify", "stabilization", "--d", "1", "--n", "4"],
-         "verify stabilization ignores --n"),
+         "maxmintrees: error: unrecognized arguments: --n 4"),
+        (["weight", "1 3 2", "--max-n", "3"],
+         "maxmintrees: error: unrecognized arguments: --max-n 3"),
+        (["tree", "1 3 2", "--threads", "2"],
+         "maxmintrees: error: unrecognized arguments: --threads 2"),
+        (["weight", "1 3 2", "--output", "csv"],
+         "maxmintrees weight: error: argument --output: invalid choice: 'csv' "
+         "(choose from 'text', 'json')"),
+        (["tnk", "8", "5", "--max-n", "3"],
+         "maxmintrees: error: unrecognized arguments: --max-n 3"),
+        (["verify", "stems", "--n", "9", "--d", "5", "--threads", "2"],
+         "maxmintrees: error: unrecognized arguments: --threads 2"),
+        (["tnk", "--triangle", "3", "--file-format", "csv"],
+         "error: tnk --triangle ignores --file-format"),
+        (["tnk", "8", "5", "--file-format", "bfile"], "error: tnk N K ignores --file-format"),
+        (["tnk", "8", "5", "--output", "csv"], "error: tnk N K ignores --output csv"),
+        (["tnk", "--crosscheck", "t.csv", "--output", "csv"],
+         "error: tnk --crosscheck ignores --output csv"),
     ],
     ids=["triangle-nk", "crosscheck-nk", "triangle-contributions",
          "crosscheck-contributions", "bijection-pair-n-max", "bijection-pair-k",
-         "bijection-sweep-n", "stems-k", "stems-n-max", "stabilization-n"],
+         "bijection-sweep-n", "stems-k", "stems-n-max", "stabilization-n",
+         "weight-max-n", "tree-threads", "weight-csv", "tnk-max-n", "stems-threads",
+         "triangle-file-format", "nk-file-format", "nk-csv", "crosscheck-csv"],
 )
 def test_ignored_arguments_are_refused(capsys, tmp_path, monkeypatch, argv, message):
     (tmp_path / "t.csv").write_text(t_triangle(6).csv_text())
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err == f"error: {message}\n"
+    assert_refused(*run_to_exit(capsys, *argv), message)
 
 
 class TestVerify:
@@ -390,9 +430,22 @@ class TestVerify:
             raise AssertionError("computed before refusing csv")
 
         monkeypatch.setattr(cli, "stabilization_values", refuse)
-        code, out, err = run(capsys, "verify", "stabilization", "--d", "2", "--output", "csv")
+        result = run_to_exit(capsys, "verify", "stabilization", "--d", "2", "--output", "csv")
+        assert_refused(
+            *result,
+            "maxmintrees verify stabilization: error: argument --output: "
+            "invalid choice: 'csv' (choose from 'text', 'json')",
+        )
+
+    def test_stabilization_checks_every_k_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated S_n before refusing a later k")
+
+        # k = 0..3 at d = 6 ends at order 9, below the threshold 10 of k = 3
+        monkeypatch.setattr(eulerian, "q_eulerian", refuse)
+        code, out, err = run(capsys, "verify", "stabilization", "--d", "6")
         assert code == 2 and out == ""
-        assert err == "error: csv output is not available for this command\n"
+        assert err == "error: n_max=9 is below the threshold 10\n"
 
     def test_stabilization(self, capsys):
         code, out, _ = run(
@@ -431,6 +484,19 @@ class TestThreads:
         assert err == f"error: --threads must be at least 1, got {threads}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["eulerian", "3"], ["wd", "1"], ["verify", "bijection", "--n-max", "3"],
+     ["verify", "stabilization", "--d", "1"]],
+    ids=["eulerian", "wd", "bijection", "stabilization"],
+)
+@pytest.mark.parametrize("max_n", ["0", "-5"])
+def test_max_n_below_one_exit_2(capsys, argv, max_n):
+    code, out, err = run(capsys, *argv, "--max-n", max_n)
+    assert code == 2 and out == ""
+    assert err == f"error: --max-n must be at least 1, got {max_n}\n"
+
+
 # a size whose default would enumerate S_11; the fuzz cases always give it,
 # bounded
 FUZZ_BOUNDED = {"--max-n": 8}
@@ -450,17 +516,22 @@ def fuzz_value(rng, action, flag, files):
     return rng.choice(["", "1 1", "0 1", "a b", "2,1,3", "1 2 x", "1.5", "-1 2"])
 
 
-def fuzz_argv(rng, subparsers, files):
-    command = rng.choice(sorted(subparsers))
-    argv = [command]
-    for action in subparsers[command]._actions:
+def fuzz_argv(rng, parser, files):
+    argv = []
+    for action in parser._actions:
         if isinstance(action, (argparse._HelpAction, argparse._VersionAction)):
+            continue
+        if isinstance(action, argparse._SubParsersAction):  # a command, or a verify mode
+            name = rng.choice(sorted(action.choices))
+            argv += [name, *fuzz_argv(rng, action.choices[name], files)]
             continue
         flag = action.option_strings[-1] if action.option_strings else None
         if flag == "--threads":
             argv += [flag, "1"]
             continue
-        given = flag in FUZZ_BOUNDED or rng.random() < (0.9 if flag is None else 0.6)
+        given = flag in FUZZ_BOUNDED or rng.random() < (
+            0.9 if flag is None or action.required else 0.6
+        )
         if not given:
             continue
         if isinstance(action, argparse._StoreTrueAction):
@@ -469,8 +540,6 @@ def fuzz_argv(rng, subparsers, files):
             argv.append(fuzz_value(rng, action, flag, files))
         else:
             argv += [flag, fuzz_value(rng, action, flag, files)]
-    if rng.random() < 0.05:
-        argv.insert(rng.randint(1, len(argv)), rng.choice(["--bogus", "x", "-1"]))
     return argv
 
 
@@ -478,13 +547,12 @@ def test_fuzzed_argv_keep_the_exit_contract(capsys, tmp_path):
     good = tmp_path / "triangle.csv"
     good.write_text(t_triangle(6).csv_text())
     files = [str(good), str(tmp_path / "missing.csv"), str(tmp_path)]
-    subparsers = next(
-        a for a in build_parser()._actions
-        if isinstance(a, argparse._SubParsersAction)
-    ).choices
+    parser = build_parser()
     rng = random.Random(7)
     for _ in range(300):
-        argv = fuzz_argv(rng, subparsers, files)
+        argv = fuzz_argv(rng, parser, files)
+        if rng.random() < 0.05:
+            argv.insert(rng.randint(1, len(argv)), rng.choice(["--bogus", "x", "-1"]))
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejecting the argv

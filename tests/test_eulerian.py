@@ -244,3 +244,14 @@ class TestPolynomialBasics:
         assert poly.coefficient(1, 1) == 1
         assert poly.coefficient(1, 5) == 0
         assert poly.max_q_degree(9) == -1
+
+    def test_equal_by_order_and_terms_and_unhashable(self):
+        poly = BivariatePolynomial(3, dict(E3))
+        assert poly == BivariatePolynomial(3, dict(E3)) == q_eulerian(3)
+        assert poly != BivariatePolynomial(4, dict(E3))
+        assert poly != BivariatePolynomial(3, {**E3, (0, 0): 2})
+        assert poly != dict(E3) and poly.__eq__(dict(E3)) is NotImplemented
+        # no generated __hash__ that would fail only on reaching the dict
+        assert BivariatePolynomial.__hash__ is None
+        with pytest.raises(TypeError, match="unhashable type: 'BivariatePolynomial'"):
+            hash(poly)
