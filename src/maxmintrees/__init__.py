@@ -71,9 +71,7 @@ from .trees import (
     weight_via_descent_sums,
 )
 from .weights import (
-    SubtreeRange,
     descents_and_weight,
-    subtree_range,
     weight_accelerated,
 )
 
@@ -87,7 +85,6 @@ __all__ = [
     "MinDecompTree",
     "PartitionTriangle",
     "Stem",
-    "SubtreeRange",
     "WdSeries",
     "bijection_report",
     "build_max_weight_tree",
@@ -114,7 +111,6 @@ __all__ = [
     "stem_count",
     "stem_to_partition",
     "subtree",
-    "subtree_range",
     "t_nk",
     "t_nk_contributions",
     "t_triangle",

@@ -15,10 +15,11 @@ OUT+ is text|json|csv, LIMITS is [--max-n N] [--threads T]):
     verify stems --n N --d D [--output OUT]
     verify stabilization --d D [--k K] [--n-max N] [--output OUT] LIMITS
 
-argparse refuses any other option with exit 2 before any work.  Where one
-parser serves several modes (tnk, verify bijection), an option the chosen
-mode would ignore is refused as an input error too.  --max-n (at least 1)
-moves the exhaustive S_n guard.  --threads is checked to be at least 1
+argparse refuses any other option with exit 2 before any work, with the
+usage of the command that does not take it.  Where one parser serves
+several modes (tnk, verify bijection), an option the chosen mode would
+ignore is refused as an input error too.  --max-n (at least 1) moves the
+exhaustive S_n guard.  --threads is checked to be at least 1
 but ignored: the S_n enumeration picks its own process count.  JSON output
 wraps the payload in an envelope carrying the command echo, parameters,
 elapsed time and tool version; payloads are deterministic for fixed inputs.
@@ -320,25 +321,25 @@ def build_parser() -> argparse.ArgumentParser:
                    "range and fast: one linear pass (default fast)")
     w.add_argument("--explain", action="store_true",
                    help="show per-non-descent subtree ranges")
-    w.set_defaults(func=_cmd_weight)
+    w.set_defaults(func=_cmd_weight, _parser=w)
 
     t = sub.add_parser("tree", parents=[text_json], help="build a tree from a permutation")
     t.add_argument("perm")
     t.add_argument("--kind", choices=("maxweight", "mindecomp"), default="maxweight")
     t.add_argument("--format", choices=("dot", "json"), default="json")
-    t.set_defaults(func=_cmd_tree)
+    t.set_defaults(func=_cmd_tree, _parser=t)
 
     e = sub.add_parser("eulerian", parents=[with_csv, limits],
                        help="Eulerian polynomial of order n")
     e.add_argument("n", type=int)
     e.add_argument("--q", action="store_true", help="bivariate (descents, weight) version")
-    e.set_defaults(func=_cmd_eulerian)
+    e.set_defaults(func=_cmd_eulerian, _parser=e)
 
     d = sub.add_parser("wd", parents=[with_csv, limits],
                        help="stabilized coefficient series")
     d.add_argument("d", type=int)
     d.add_argument("--terms", type=int, default=6)
-    d.set_defaults(func=_cmd_wd)
+    d.set_defaults(func=_cmd_wd, _parser=d)
 
     k = sub.add_parser("tnk", parents=[with_csv], help="two-kind partition counts")
     k.add_argument("n", type=int, nargs="?")
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare a triangle file cell by cell")
     k.add_argument("--file-format", choices=("auto", "csv", "bfile"),
                    help="with --crosscheck: format of FILE (default auto)")
-    k.set_defaults(func=_cmd_tnk)
+    k.set_defaults(func=_cmd_tnk, _parser=k)
 
     v = sub.add_parser("verify", help="run a verification")
     modes = v.add_subparsers(dest="what", required=True)
@@ -361,12 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--d", type=int)
     b.add_argument("--n-max", type=int, dest="n_max",
                    help="sweep every (n, d) with 2 <= n <= N and 2d >= n-1")
-    b.set_defaults(func=_cmd_verify_bijection)
+    b.set_defaults(func=_cmd_verify_bijection, _parser=b)
 
     s = modes.add_parser("stems", parents=[text_json], help="list the stems of (n, d)")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--d", type=int, required=True)
-    s.set_defaults(func=_cmd_verify_stems)
+    s.set_defaults(func=_cmd_verify_stems, _parser=s)
 
     # no abbreviations here, or --n would be read as --n-max
     z = modes.add_parser("stabilization", parents=[text_json, limits], allow_abbrev=False,
@@ -375,12 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     z.add_argument("--k", type=int, help="check only this k (default 0..3)")
     z.add_argument("--n-max", type=int, dest="n_max",
                    help="last order to check (default the smaller of --max-n and 9)")
-    z.set_defaults(func=_cmd_verify_stabilization)
+    z.set_defaults(func=_cmd_verify_stabilization, _parser=z)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # reported with the usage of the command that refused them
+        args._parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     args._t0 = time.perf_counter()
     try:
         for flag, dest in (("--threads", "threads"), ("--max-n", "max_n")):

@@ -19,7 +19,7 @@ import math
 from itertools import permutations as _permutations
 from typing import Sequence
 
-from .eulerian import DEFAULT_MAX_N
+from .eulerian import DEFAULT_MAX_N, _check_limit
 from .perms import Permutation, extend
 from .trees import block_walk
 
@@ -163,8 +163,7 @@ def verify_injectivity(n: int, limit: int = DEFAULT_MAX_N) -> bool:
     True when p -> build_min_decomp(p) is injective over all of S_n,
     compared by canonical parent arrays.
     """
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the exhaustive limit {limit}")
+    _check_limit(n, limit)
     seen: set[tuple[int, ...]] = set()
     for p in _permutations(range(1, n + 1)):
         seen.add(build_min_decomp(p).parent)

@@ -192,13 +192,13 @@ def read_triangle_csv(text: str) -> list[tuple[int, int, int]]:
 
 def read_bfile(text: str) -> list[tuple[int, int, int]]:
     """
-    Parse an OEIS-style b-file: "index value" per line, indices consecutive
-    and counting the triangle cells row-major from T(0, 0).  Lines starting
-    with '#' and blank lines are ignored.
+    Parse an OEIS-style b-file: "index value" per line, indices consecutive.
+    Index i names cell i of the triangle read row-major from T(0, 0) = 0:
+    row n with n(n+1)/2 <= i < (n+1)(n+2)/2, and k = i - n(n+1)/2.  Lines
+    starting with '#' and blank lines are ignored.
     """
     cells = []
     expected_idx = None
-    n = k = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -214,13 +214,11 @@ def read_bfile(text: str) -> list[tuple[int, int, int]]:
             raise ValueError(
                 f"line {lineno}: index {idx} not consecutive (expected {expected_idx})"
             )
+        if idx < 0:
+            raise ValueError(f"line {lineno}: negative index {idx}")
         expected_idx = idx + 1
-        cells.append((n, k, value))
-        if k == n:
-            n += 1
-            k = 0
-        else:
-            k += 1
+        n = (math.isqrt(8 * idx + 1) - 1) // 2
+        cells.append((n, idx - n * (n + 1) // 2, value))
     return cells
 
 
@@ -231,7 +229,8 @@ def crosscheck_triangle(file: str | Path, fmt: str = "auto") -> CrosscheckReport
 
     ``fmt`` is "csv", "bfile", or "auto" (sniffed: comma-bearing or
     single-entry lines mean CSV, two whitespace-separated fields mean
-    b-file).
+    b-file).  A file without cells is refused: a check that compares
+    nothing must not pass.
     """
     text = Path(file).read_text()
     if fmt == "auto":
@@ -249,7 +248,9 @@ def crosscheck_triangle(file: str | Path, fmt: str = "auto") -> CrosscheckReport
         cells = read_bfile(text)
     else:
         raise ValueError(f"unknown triangle format {fmt!r}")
-    rows = t_triangle(max(n for n, _, _ in cells)).rows if cells else ()
+    if not cells:
+        raise ValueError(f"{file} holds no triangle cells")
+    rows = t_triangle(max(n for n, _, _ in cells)).rows
     checks = tuple(
         CellCheck(n, k, expected=rows[n][k], found=value) for n, k, value in cells
     )

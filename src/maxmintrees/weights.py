@@ -19,67 +19,19 @@ Two routes find these ranges.  The scanning route looks for j, m, M and L
 from each non-descent (quadratic worst case, fast in practice on short
 words) and is the oracle: ``descents_and_weight``, the per-permutation
 kernel of the S_n enumeration, carries these scans inline in one flat
-function, and ``_scan_range`` runs the same scans for ``subtree_range``.
-``weight_accelerated`` and ``range_details`` take every range from one
-left-to-right monotonic-stack pass, O(n) per word, that yields the ranges
-as it finds them rather than listing them.  The tests hold the two routes
-equal to each other and to the tree-based computations.
+function.  ``weight_accelerated`` and ``range_details`` take every range
+from one left-to-right monotonic-stack pass, O(n) per word, that yields
+the ranges as it finds them rather than listing them.  The tests hold the
+two routes equal to each other, to ``trees.subtree`` and to the segments
+of the block split in ``trees.decompose_blocks``.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .perms import ExtendedPermutation, Permutation, extend
-
-
-@dataclass(frozen=True)
-class SubtreeRange:
-    """Inclusive position interval inside the extended word."""
-
-    left: int
-    right: int
-
-
-def _scan_range(ext: Sequence[int], i: int) -> tuple[int, int]:
-    """(left, right) subtree range of non-descent position i, by scanning."""
-    v = ext[i]
-    j = i + 1
-    while ext[j] > v:
-        j += 1
-    m = i + 1
-    best = ext[m]
-    for k in range(i + 2, j):
-        if ext[k] > best:
-            best = ext[k]
-            m = k
-    M = m - 1
-    while ext[M] < best:
-        M -= 1
-    L = i - 1
-    while L and ext[L] > v:
-        L -= 1
-    lo = M if M > L else L
-    return lo + 1, m
-
-
-def subtree_range(ext: ExtendedPermutation, i: int) -> SubtreeRange:
-    """
-    The subtree range of non-descent position i: the positions whose values
-    form subtree(build_max_weight_tree(p), sigma_i).
-
-    >>> subtree_range(extend((2, 1, 3)), 2)
-    SubtreeRange(left=1, right=4)
-    """
-    n = len(ext) - 3
-    if not 1 <= i <= n:
-        raise ValueError(f"position {i} outside 1..{n}")
-    if ext[i] > ext[i + 1]:
-        raise ValueError(f"position {i} is a descent")
-    left, right = _scan_range(ext, i)
-    return SubtreeRange(left, right)
+from .perms import Permutation, extend
 
 
 def _descent_prefix(ext: Sequence[int]) -> array:
@@ -100,10 +52,9 @@ def descents_and_weight(p: Permutation) -> tuple[int, int]:
 
     This is the scanning range algorithm fused with the descent count:
     quadratic on long rising runs, fast on the short words of the
-    symmetric-group enumeration, whose per-permutation kernel it is.  The
-    scans of _scan_range run inline here rather than as one call per
-    non-descent.  It is also the oracle the linear routes are tested
-    against.
+    symmetric-group enumeration, whose per-permutation kernel it is.  Each
+    non-descent scans right for j and m, then left for M and L.  It is also
+    the oracle the linear routes are tested against.
 
     >>> descents_and_weight((2, 1, 3))
     (1, 0)
@@ -193,7 +144,11 @@ def _subtree_ranges(ext: Sequence[int]) -> Iterator[tuple[int, int, int]]:
 def range_details(p: Permutation) -> list[dict]:
     """
     Per-non-descent breakdown of the range computation: position, value,
-    subtree range and the number of descents inside it.  Linear time.
+    subtree range and the number of descents inside it, in ascending
+    position.  One linear stack pass plus an O(n log n) sort of the rows.
+
+    >>> [r["range"] for r in range_details((2, 1, 3))]
+    [[1, 4], [3, 4]]
     """
     ext = extend(p)
     P = _descent_prefix(ext)

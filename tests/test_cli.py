@@ -36,12 +36,13 @@ def run_to_exit(capsys, *argv):
 
 def assert_refused(code, out, err, message):
     """Exit 2, no stdout, and one error report: ours is one line; argparse's
-    own (a message naming its parser) comes after its usage lines."""
+    own (a message naming its parser) comes after that parser's usage lines."""
     assert code == 2 and out == ""
     if message.startswith("error: "):
         assert err == f"{message}\n"
     else:
-        assert err.startswith("usage: maxmintrees")
+        prog = message.split(": error: ")[0]
+        assert err.startswith(f"usage: {prog} [-h]")
         assert err.endswith(f"\n{message}\n") and err.count("error:") == 1
 
 
@@ -262,6 +263,26 @@ class TestTnk:
         assert code == 1
         assert "MISMATCH at (n=3, k=1)" in out
 
+    def test_crosscheck_offset_bfile_exit_1(self, capsys, tmp_path):
+        # index 5 is T(2, 2) = 1 and index 6 is T(3, 0) = 3
+        f = tmp_path / "t.b"
+        f.write_text("5 1\n6 1\n")
+        code, out, _ = run(capsys, "tnk", "--crosscheck", str(f))
+        assert code == 1
+        assert out.splitlines() == [
+            "checked 2 cells", "MISMATCH at (n=3, k=0): computed 3, file has 1", "FAILED",
+        ]
+
+    @pytest.mark.parametrize(
+        "text, fmt", [("", "auto"), ("# no cells\n\n", "bfile")], ids=["empty", "comments"]
+    )
+    def test_crosscheck_without_cells_exit_2(self, capsys, tmp_path, text, fmt):
+        f = tmp_path / "t.b"
+        f.write_text(text)
+        code, out, err = run(capsys, "tnk", "--crosscheck", str(f), "--file-format", fmt)
+        assert code == 2 and out == ""
+        assert err == f"error: {f} holds no triangle cells\n"
+
     def test_crosscheck_malformed_exit_2(self, capsys, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("1\n1,2,3\n")
@@ -315,26 +336,26 @@ def test_partition_enumeration_is_refused_with_exit_3(capsys, argv):
         (["verify", "bijection", "--n", "5", "--d", "2", "--n-max", "3"],
          "error: verify bijection --n --d ignores --n-max"),
         (["verify", "bijection", "--n", "5", "--d", "2", "--k", "1"],
-         "maxmintrees: error: unrecognized arguments: --k 1"),
+         "maxmintrees verify bijection: error: unrecognized arguments: --k 1"),
         (["verify", "bijection", "--n-max", "6", "--n", "5"],
          "error: verify bijection --n-max ignores --n"),
         (["verify", "stems", "--n", "9", "--d", "5", "--k", "1"],
-         "maxmintrees: error: unrecognized arguments: --k 1"),
+         "maxmintrees verify stems: error: unrecognized arguments: --k 1"),
         (["verify", "stems", "--n", "9", "--d", "5", "--n-max", "3"],
-         "maxmintrees: error: unrecognized arguments: --n-max 3"),
+         "maxmintrees verify stems: error: unrecognized arguments: --n-max 3"),
         (["verify", "stabilization", "--d", "1", "--n", "4"],
-         "maxmintrees: error: unrecognized arguments: --n 4"),
+         "maxmintrees verify stabilization: error: unrecognized arguments: --n 4"),
         (["weight", "1 3 2", "--max-n", "3"],
-         "maxmintrees: error: unrecognized arguments: --max-n 3"),
+         "maxmintrees weight: error: unrecognized arguments: --max-n 3"),
         (["tree", "1 3 2", "--threads", "2"],
-         "maxmintrees: error: unrecognized arguments: --threads 2"),
+         "maxmintrees tree: error: unrecognized arguments: --threads 2"),
         (["weight", "1 3 2", "--output", "csv"],
          "maxmintrees weight: error: argument --output: invalid choice: 'csv' "
          "(choose from 'text', 'json')"),
         (["tnk", "8", "5", "--max-n", "3"],
-         "maxmintrees: error: unrecognized arguments: --max-n 3"),
+         "maxmintrees tnk: error: unrecognized arguments: --max-n 3"),
         (["verify", "stems", "--n", "9", "--d", "5", "--threads", "2"],
-         "maxmintrees: error: unrecognized arguments: --threads 2"),
+         "maxmintrees verify stems: error: unrecognized arguments: --threads 2"),
         (["tnk", "--triangle", "3", "--file-format", "csv"],
          "error: tnk --triangle ignores --file-format"),
         (["tnk", "8", "5", "--file-format", "bfile"], "error: tnk N K ignores --file-format"),

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from maxmintrees.eulerian import LimitExceeded
 from maxmintrees.mindecomp import (
     MinDecompTree,
     build_min_decomp,
@@ -178,7 +179,7 @@ class TestInjectivity:
         assert verify_injectivity(7)
 
     def test_limit_guard(self):
-        with pytest.raises(ValueError, match="limit"):
+        with pytest.raises(LimitExceeded, match="limit"):
             verify_injectivity(9, limit=8)
 
 

@@ -141,15 +141,16 @@ class TestCrosscheck:
         assert (bad.expected, bad.found) == (11, 12)
 
     def test_empty_file(self, tmp_path):
+        # a check that compared nothing must not pass
         f = tmp_path / "empty.csv"
         f.write_text("")
-        report = crosscheck_triangle(f)
-        assert report.ok and len(report.cells) == 0
+        with pytest.raises(ValueError, match="holds no triangle cells"):
+            crosscheck_triangle(f)
 
     def test_bfile(self, tmp_path):
         values = [c for row in TRIANGLE_10[:5] for c in row]
         lines = ["# two-kind partition triangle"] + [
-            f"{i + 1} {v}" for i, v in enumerate(values)
+            f"{i} {v}" for i, v in enumerate(values)
         ]
         f = tmp_path / "b.txt"
         f.write_text("\n".join(lines) + "\n")
@@ -161,6 +162,9 @@ class TestCrosscheck:
         f = tmp_path / "b.txt"
         f.write_text("1 1\n3 1\n")
         with pytest.raises(ValueError, match="line 2"):
+            crosscheck_triangle(f, fmt="bfile")
+        f.write_text("# indices start at 0\n-1 1\n0 1\n")
+        with pytest.raises(ValueError, match="line 2: negative index -1"):
             crosscheck_triangle(f, fmt="bfile")
 
     def test_malformed_csv_reports_line(self, tmp_path):

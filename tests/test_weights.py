@@ -2,18 +2,17 @@ import itertools
 import math
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxmintrees.eulerian import _block_counts
 from maxmintrees.perms import descent_count, extend
-from maxmintrees.trees import build_max_weight_tree, subtree, weight_recursive
-from maxmintrees.weights import (
-    descents_and_weight,
-    range_details,
-    subtree_range,
-    weight_accelerated,
+from maxmintrees.trees import (
+    build_max_weight_tree,
+    decompose_blocks,
+    subtree,
+    weight_recursive,
 )
+from maxmintrees.weights import descents_and_weight, range_details, weight_accelerated
 
 
 def all_perms(n):
@@ -27,60 +26,86 @@ def shuffled(n, seed):
     return tuple(word)
 
 
+def subtree_rows(p):
+    """range_details rows built from the tree definition: the positions of
+    subtree(build_max_weight_tree(p), sigma_i) for every non-descent i."""
+    ext = extend(p)
+    where = {v: k for k, v in enumerate(ext)}
+    t = build_max_weight_tree(p)
+    rows = []
+    for i in range(1, len(p) + 1):
+        if ext[i] > ext[i + 1]:
+            continue
+        spots = sorted(where[v] for v in subtree(t, ext[i]))
+        lo, hi = spots[0], spots[-1]
+        assert hi - lo + 1 == len(spots), (p, i)  # a subtree fills a range
+        rows.append({
+            "position": i,
+            "value": ext[i],
+            "range": [lo, hi],
+            "descents": sum(ext[k] > ext[k + 1] for k in range(lo, hi + 1)),
+        })
+    return rows
+
+
+def block_segments(p):
+    """Every segment of the recursive block split of positions 1..n+1."""
+    ext = extend(p)
+    segments, stack = [], [(1, len(p) + 1)]
+    while stack:
+        a, b = stack.pop()
+        segments.append((a, b))
+        if a < b:
+            dec = decompose_blocks(ext, (a, b))
+            stack += dec.left_blocks
+            if dec.right_block is not None:
+                stack.append(dec.right_block)
+    return sorted(segments)
+
+
+def range_values(p, value):
+    """The values inside the range_details row of ``value``."""
+    ext = extend(p)
+    (lo, hi), = [r["range"] for r in range_details(p) if r["value"] == value]
+    return {ext[k] for k in range(lo, hi + 1)}
+
+
 class TestSubtreeRange:
     def test_range_of_global_min_covers_everything(self):
-        ext = extend((2, 1, 3))
-        r = subtree_range(ext, 2)  # value 1
-        assert (r.left, r.right) == (1, 4)
+        (row,) = [r for r in range_details((2, 1, 3)) if r["value"] == 1]
+        assert row["position"] == 2 and row["range"] == [1, 4]
 
     def test_range_of_value_three_in_213(self):
-        ext = extend((2, 1, 3))
-        r = subtree_range(ext, 3)
-        assert {ext[k] for k in range(r.left, r.right + 1)} == {3, 4}
+        assert range_values((2, 1, 3), 3) == {3, 4}
 
     def test_identity_middle(self):
-        ext = extend((1, 2, 3))
-        r = subtree_range(ext, 2)
-        assert {ext[k] for k in range(r.left, r.right + 1)} == {2, 3, 4}
-
-    def test_rejects_descent_position(self):
-        with pytest.raises(ValueError, match="descent"):
-            subtree_range(extend((2, 1, 3)), 1)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="outside"):
-            subtree_range(extend((2, 1, 3)), 4)
+        assert range_values((1, 2, 3), 2) == {2, 3, 4}
 
     def test_matches_tree_subtrees_exhaustively(self):
         # binding contract: the range's value set is the subtree of sigma_i
         for n in range(1, 9):
             for p in all_perms(n):
-                ext = extend(p)
-                t = build_max_weight_tree(p)
-                for i in range(1, n + 1):
-                    if ext[i] > ext[i + 1]:
-                        continue
-                    r = subtree_range(ext, i)
-                    got = frozenset(ext[k] for k in range(r.left, r.right + 1))
-                    assert got == subtree(t, ext[i]), (p, i)
+                assert range_details(p) == subtree_rows(p), p
 
     def test_ranges_are_laminar(self):
         # ranges of distinct non-descents nest or are disjoint
         for n in range(1, 8):
             for p in all_perms(n):
+                ranges = [r["range"] for r in range_details(p)]
+                for (a, b), (c, d) in itertools.combinations(ranges, 2):
+                    disjoint = b < c or d < a
+                    nested = (a <= c and d <= b) or (c <= a and b <= d)
+                    assert disjoint or nested, (p, (a, b), (c, d))
+
+    def test_ranges_and_descents_are_the_block_segments(self):
+        # the split's segments are the non-descent ranges plus one
+        # single-letter segment per descent; n+1 is always a descent
+        for n in range(1, 8):
+            for p in all_perms(n):
                 ext = extend(p)
-                ranges = [
-                    subtree_range(ext, i)
-                    for i in range(1, n + 1)
-                    if ext[i] < ext[i + 1]
-                ]
-                for a, b in itertools.combinations(ranges, 2):
-                    disjoint = a.right < b.left or b.right < a.left
-                    nested = (
-                        (a.left <= b.left and b.right <= a.right)
-                        or (b.left <= a.left and a.right <= b.right)
-                    )
-                    assert disjoint or nested, (p, a, b)
+                expected = [tuple(r["range"]) for r in range_details(p)]
+                expected += [(i, i) for i in range(1, n + 2) if ext[i] > ext[i + 1]]
+                assert block_segments(p) == sorted(expected), p
 
 
 class TestWeightValues:
@@ -112,27 +137,21 @@ def zigzag(n, run=45):
     return tuple(word)
 
 
-def scanned_descents_and_weight(p):
-    """(descents, weight) from subtree_range and a direct descent count."""
-    n = len(p)
-    ext = extend(p)
-    # D[k]: descent positions of the extended word in 1..k
-    D = list(itertools.accumulate(
-        (ext[k] > ext[k + 1] for k in range(1, n + 2)), initial=0
-    ))
-    total = 0
-    for i in range(1, n + 1):
-        if ext[i] < ext[i + 1]:
-            r = subtree_range(ext, i)
-            total += D[r.right] - D[r.left - 1]
-    return descent_count(p), total - n
+def tree_descents_and_weight(p):
+    """(descents, weight) from the subtrees of the max-weight tree."""
+    return descent_count(p), sum(r["descents"] for r in subtree_rows(p)) - len(p)
+
+
+def ranged_descents_and_weight(p):
+    """(descents, weight) from the range_details rows."""
+    return descent_count(p), sum(r["descents"] for r in range_details(p)) - len(p)
 
 
 class TestKernel:
     def test_exhaustive_against_subtree_ranges(self):
         for n in range(1, 9):
             for p in all_perms(n):
-                assert descents_and_weight(p) == scanned_descents_and_weight(p), p
+                assert descents_and_weight(p) == tree_descents_and_weight(p), p
 
     def test_long_scans_against_subtree_ranges(self):
         # the increasing, decreasing and zigzag words make the inline j, m,
@@ -141,7 +160,7 @@ class TestKernel:
         words = [shuffled(rng.randint(1, 400), seed) for seed in range(300)]
         words += [tuple(range(1, 2001)), tuple(range(2000, 0, -1)), zigzag(2000)]
         for p in words:
-            assert descents_and_weight(p) == scanned_descents_and_weight(p), p[:20]
+            assert descents_and_weight(p) == ranged_descents_and_weight(p), p[:20]
 
     def test_block_histogram_matches_a_plain_loop(self):
         for n in range(1, 8):
@@ -204,24 +223,12 @@ class TestRangeDetails:
             details = range_details(p)
             assert sum(r["descents"] for r in details) - 40 == descents_and_weight(p)[1]
 
-    def test_rows_match_the_scanning_oracle(self):
+    def test_rows_match_tree_subtrees(self):
         n = 2000
         rng = random.Random(2)
         words = [p for k in range(1, 8) for p in all_perms(k)]
         words += [shuffled(rng.randint(1, 400), seed) for seed in range(300)]
-        # the increasing word is the one on which scanning every range is
-        # quadratic
+        # the increasing word is the one with the largest subtrees
         words += [tuple(range(1, n + 1)), tuple(range(n, 0, -1)), zigzag(n)]
         for p in words:
-            ext = extend(p)
-            rows = iter(range_details(p))
-            for i in range(1, len(p) + 1):
-                if ext[i] > ext[i + 1]:
-                    continue
-                row = next(rows)
-                r = subtree_range(ext, i)
-                assert row["position"] == i and row["value"] == ext[i], (p, i)
-                assert row["range"] == [r.left, r.right], (p, i)
-                direct = sum(ext[k] > ext[k + 1] for k in range(r.left, r.right + 1))
-                assert row["descents"] == direct, (p, i)
-            assert next(rows, None) is None, p
+            assert range_details(p) == subtree_rows(p), p[:20]
