@@ -26,7 +26,6 @@ from .eulerian import (
     DEFAULT_MAX_N,
     BivariatePolynomial,
     LimitExceeded,
-    WdSeries,
     eulerian_polynomial,
     format_bivariate,
     maxwt,
@@ -43,7 +42,6 @@ from .mindecomp import (
     weight_via_leaves,
 )
 from .partitions import (
-    CrosscheckReport,
     PartitionTriangle,
     crosscheck_triangle,
     enumerate_partitions,
@@ -78,14 +76,12 @@ from .weights import (
 __all__ = [
     "BivariatePolynomial",
     "BlockDecomposition",
-    "CrosscheckReport",
     "DEFAULT_MAX_N",
     "LimitExceeded",
     "MaxminTree",
     "MinDecompTree",
     "PartitionTriangle",
     "Stem",
-    "WdSeries",
     "bijection_report",
     "build_max_weight_tree",
     "build_min_decomp",

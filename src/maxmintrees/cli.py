@@ -65,16 +65,15 @@ EXIT_INPUT_ERROR = 2
 EXIT_LIMIT = 3
 
 
-def _dot_undirected(tree) -> str:
-    lines = ["graph maxweight {"]
-    lines += [f"  {a} -- {b};" for a, b in tree.edges]
-    lines.append("}")
-    return "\n".join(lines)
+# tree kind -> (DOT graph type, edge operator): maxweight trees are
+# undirected, minimum decompositions point from parent to child
+_DOT_STYLE = {"maxweight": ("graph", "--"), "mindecomp": ("digraph", "->")}
 
 
-def _dot_directed(tree) -> str:
-    lines = ["digraph mindecomp {"]
-    lines += [f"  {a} -> {b};" for a, b in tree.edges()]
+def _dot(tree, kind: str) -> str:
+    graph, op = _DOT_STYLE[kind]
+    lines = [f"{graph} {kind} {{"]
+    lines += [f"  {a} {op} {b};" for a, b in tree.edges]
     lines.append("}")
     return "\n".join(lines)
 
@@ -132,12 +131,10 @@ def _cmd_weight(args) -> int:
 
 def _cmd_tree(args) -> int:
     p = parse_permutation(args.perm)
-    if args.kind == "maxweight":
-        t, to_dot = build_max_weight_tree(p), _dot_undirected
-    else:
-        t, to_dot = build_min_decomp(p), _dot_directed
+    build = build_max_weight_tree if args.kind == "maxweight" else build_min_decomp
+    t = build(p)
     if args.format == "dot":
-        dot = to_dot(t)
+        dot = _dot(t, args.kind)
         _emit(args, dot, {"perm": list(p), "dot": dot} if args.output == "json" else None)
     elif args.output == "json":
         _emit(args, "", {"perm": list(p), **t.json_dict()})
@@ -164,13 +161,12 @@ def _cmd_eulerian(args) -> int:
 
 
 def _cmd_wd(args) -> int:
-    series = wd_series(args.d, args.terms, max_n=args.max_n)
-    payload = series.json_dict()
+    coeffs = wd_series(args.d, args.terms, max_n=args.max_n)
     _emit(
         args,
-        ",".join(str(c) for c in series.coefficients),
-        payload,
-        "k,a\n" + "\n".join(f"{k},{c}" for k, c in enumerate(series.coefficients)),
+        ",".join(str(c) for c in coeffs),
+        {"d": args.d, "coefficients": list(coeffs)},
+        "k,a\n" + "\n".join(f"{k},{c}" for k, c in enumerate(coeffs)),
     )
     return EXIT_OK
 
@@ -188,15 +184,15 @@ def _cmd_tnk(args) -> int:
             report = crosscheck_triangle(args.crosscheck, fmt=args.file_format or "auto")
         except OSError as exc:
             raise ValueError(f"cannot read {args.crosscheck}: {exc.strerror}") from None
-        lines = [f"checked {len(report.cells)} cells"]
-        for c in report.mismatches():
-            lines.append(
-                f"MISMATCH at (n={c.n}, k={c.k}): "
-                f"computed {c.expected}, file has {c.found}"
-            )
-        lines.append("OK" if report.ok else "FAILED")
-        _emit(args, "\n".join(lines), report.json_dict())
-        return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
+        lines = [f"checked {report['checked']} cells"]
+        lines += [
+            f"MISMATCH at (n={m['n']}, k={m['k']}): "
+            f"computed {m['expected']}, file has {m['found']}"
+            for m in report["mismatches"]
+        ]
+        lines.append("OK" if report["ok"] else "FAILED")
+        _emit(args, "\n".join(lines), report)
+        return EXIT_OK if report["ok"] else EXIT_VERIFY_FAILED
     if args.triangle is not None:
         _refuse_ignored(
             "tnk --triangle",
@@ -214,15 +210,20 @@ def _cmd_tnk(args) -> int:
     if args.n is None or args.k is None:
         raise ValueError("tnk needs N and K, or --triangle N, or --crosscheck FILE")
     _refuse_ignored("tnk N K", {"--file-format": args.file_format, "--output csv": csv})
-    value = t_nk(args.n, args.k)
-    payload = {"n": args.n, "k": args.k, "value": value}
-    lines = [str(value)]
-    if args.contributions:
-        contrib = t_nk_contributions(args.n, args.k)
-        payload["contributions"] = [
-            {"partition": list(lam), "count": c} for lam, c in contrib
-        ]
-        lines += [f"{''.join(map(str, lam))} : {c}" for lam, c in contrib]
+    if not args.contributions:
+        value = t_nk(args.n, args.k)
+        _emit(args, str(value), {"n": args.n, "k": args.k, "value": value})
+        return EXIT_OK
+    # one enumeration: T(n, k) is the sum of the listed contributions
+    contrib = t_nk_contributions(args.n, args.k)
+    value = sum(c for _, c in contrib)
+    payload = {
+        "n": args.n,
+        "k": args.k,
+        "value": value,
+        "contributions": [{"partition": list(lam), "count": c} for lam, c in contrib],
+    }
+    lines = [str(value)] + [f"{''.join(map(str, lam))} : {c}" for lam, c in contrib]
     _emit(args, "\n".join(lines), payload)
     return EXIT_OK
 

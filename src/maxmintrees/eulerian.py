@@ -14,8 +14,8 @@ integers.
 For fixed d, the coefficients at q-degree maxwt(n, d) - k stop depending
 on n once n reaches d + k + 1; ``stabilization_values`` lists them from
 that threshold on.  Collecting the stabilized values gives a power series
-per d whose k-th coefficient ``wd_series`` reads off at the threshold
-order.  The paper's theorem equates a_k with the partition count
+W_d per d; ``wd_series`` returns its head a_0, a_1, ... as a plain tuple
+of integers, each read at its threshold order.  The paper's theorem equates a_k with the partition count
 T(d+k, d) for k <= d, which ``bijection`` checks stem by stem.
 
 Enumeration walks S_n in lexicographic blocks keyed by the first element,
@@ -96,17 +96,6 @@ class BivariatePolynomial:
 
     def csv_rows(self) -> list[str]:
         return ["x,q,c"] + [f"{x},{q},{c}" for x, q, c in self.sorted_terms()]
-
-
-@dataclass(frozen=True)
-class WdSeries:
-    """Stabilized coefficient series for a fixed descent count d."""
-
-    d: int
-    coefficients: tuple[int, ...]
-
-    def json_dict(self) -> dict:
-        return {"d": self.d, "coefficients": list(self.coefficients)}
 
 
 def maxwt(n: int, d: int) -> int:
@@ -220,12 +209,12 @@ def _check_stabilization(d: int, k: int, n_max: int, max_n: int) -> None:
     _check_limit(n_max, max_n)
 
 
-def wd_series(d: int, terms: int, max_n: int = DEFAULT_MAX_N) -> WdSeries:
+def wd_series(d: int, terms: int, max_n: int = DEFAULT_MAX_N) -> tuple[int, ...]:
     """
-    The first ``terms`` stabilized coefficients [a_0 .. a_{terms-1}] for
+    The first ``terms`` stabilized coefficients (a_0, ..., a_{terms-1}) for
     descent count d, each read at its threshold order n = d+k+1.
 
-    >>> wd_series(1, 6).coefficients
+    >>> wd_series(1, 6)
     (1, 3, 7, 15, 31, 63)
     """
     if d < 1:
@@ -236,11 +225,10 @@ def wd_series(d: int, terms: int, max_n: int = DEFAULT_MAX_N) -> WdSeries:
         raise LimitExceeded(
             f"{terms} terms of the d={d} series need n={d + terms}, above the limit {max_n}"
         )
-    coeffs = tuple(
+    return tuple(
         q_eulerian(d + k + 1, max_n=max_n).coefficient(d, maxwt(d + k + 1, d) - k)
         for k in range(terms)
     )
-    return WdSeries(d, coeffs)
 
 
 def format_bivariate(poly: BivariatePolynomial) -> str:

@@ -72,6 +72,7 @@ class MinDecompTree:
             stack.extend(self.children[u])
         return frozenset(out)
 
+    @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Directed parent -> child pairs, sorted."""
         return tuple((self.parent[v], v) for v in range(2, self.node_count + 1))
@@ -90,7 +91,7 @@ class MinDecompTree:
     def json_dict(self) -> dict:
         return {
             "nodes": list(range(1, self.node_count + 1)),
-            "edges": [list(e) for e in self.edges()],
+            "edges": [list(e) for e in self.edges],
             "root": self.root,
             "leaves": sorted(self.leaves()),
         }
@@ -100,7 +101,7 @@ def build_min_decomp(p: Permutation) -> MinDecompTree:
     """
     The minimum decomposition tree of p, rooted at 1.
 
-    >>> build_min_decomp((1, 3, 2)).edges()
+    >>> build_min_decomp((1, 3, 2)).edges
     ((1, 2), (2, 3), (2, 4))
     """
     parent = [0] * (len(p) + 2)

@@ -13,8 +13,10 @@ The number of partitions grows faster than any polynomial, so
 ``MAX_PARTITION_N`` with ``LimitExceeded`` before enumerating anything.
 
 The triangle of these numbers is OEIS A256193; ``crosscheck_triangle``
-compares a locally supplied copy (CSV rows or an OEIS-style b-file)
-cell by cell against the computed values.
+compares a locally supplied copy (CSV rows or an OEIS-style b-file, both
+with '#' comment lines allowed) cell by cell against the computed values
+and returns the verdict as plain JSON-ready data: the cell count, ok, and
+the mismatching cells.
 """
 
 from __future__ import annotations
@@ -62,14 +64,20 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n, n, ())
 
 
+def _check_nk(n: int, k: int) -> None:
+    if n < 0 or k < 0:
+        raise ValueError(f"T({n}, {k}) undefined for negative arguments")
+
+
 def t_nk_contributions(n: int, k: int) -> list[tuple[tuple[int, ...], int]]:
     """
     The nonzero per-partition contributions C(parts, k) to T(n, k), in
-    enumeration order.
+    enumeration order; they sum to T(n, k).
 
     >>> t_nk_contributions(8, 5)[-1]
     ((1, 1, 1, 1, 1, 1, 1, 1), 56)
     """
+    _check_nk(n, k)
     out = []
     for lam in enumerate_partitions(n):
         c = math.comb(len(lam), k)
@@ -85,8 +93,7 @@ def t_nk(n: int, k: int) -> int:
     >>> t_nk(8, 5)
     92
     """
-    if n < 0 or k < 0:
-        raise ValueError(f"T({n}, {k}) undefined for negative arguments")
+    _check_nk(n, k)
     return sum(math.comb(len(lam), k) for lam in enumerate_partitions(n))
 
 
@@ -131,50 +138,17 @@ def t_triangle(n_max: int) -> PartitionTriangle:
     return PartitionTriangle(tuple(rows))
 
 
-@dataclass(frozen=True)
-class CellCheck:
-    n: int
-    k: int
-    expected: int
-    found: int
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.found
-
-
-@dataclass(frozen=True)
-class CrosscheckReport:
-    cells: tuple[CellCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.cells)
-
-    def mismatches(self) -> list[CellCheck]:
-        return [c for c in self.cells if not c.ok]
-
-    def json_dict(self) -> dict:
-        return {
-            "checked": len(self.cells),
-            "ok": self.ok,
-            "mismatches": [
-                {"n": c.n, "k": c.k, "expected": c.expected, "found": c.found}
-                for c in self.mismatches()
-            ],
-        }
-
-
 def read_triangle_csv(text: str) -> list[tuple[int, int, int]]:
     """
-    Parse triangle rows from CSV text: line i holds row n = i-1.  Returns
-    (n, k, value) triples.  Blank lines are ignored.
+    Parse triangle rows from CSV text: the i-th row line holds row n = i-1.
+    Returns (n, k, value) triples.  Lines starting with '#' and blank lines
+    are ignored.
     """
     cells = []
     n = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if not line:
+        if not line or line.startswith("#"):
             continue
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != n + 1:
@@ -222,10 +196,12 @@ def read_bfile(text: str) -> list[tuple[int, int, int]]:
     return cells
 
 
-def crosscheck_triangle(file: str | Path, fmt: str = "auto") -> CrosscheckReport:
+def crosscheck_triangle(file: str | Path, fmt: str = "auto") -> dict:
     """
     Compare a triangle file cell by cell against one computed triangle,
-    t_triangle up to the largest n in the file.
+    t_triangle up to the largest n in the file.  Returns
+    {"checked": cell count, "ok": bool, "mismatches": [{"n", "k",
+    "expected", "found"}, ...]} with the mismatches in file order.
 
     ``fmt`` is "csv", "bfile", or "auto" (sniffed: comma-bearing or
     single-entry lines mean CSV, two whitespace-separated fields mean
@@ -251,7 +227,9 @@ def crosscheck_triangle(file: str | Path, fmt: str = "auto") -> CrosscheckReport
     if not cells:
         raise ValueError(f"{file} holds no triangle cells")
     rows = t_triangle(max(n for n, _, _ in cells)).rows
-    checks = tuple(
-        CellCheck(n, k, expected=rows[n][k], found=value) for n, k, value in cells
-    )
-    return CrosscheckReport(checks)
+    mismatches = [
+        {"n": n, "k": k, "expected": rows[n][k], "found": value}
+        for n, k, value in cells
+        if rows[n][k] != value
+    ]
+    return {"checked": len(cells), "ok": not mismatches, "mismatches": mismatches}

@@ -228,12 +228,24 @@ class TestThreeWayAgreement:
         }
 
 
+def test_report_fails_when_the_stem_map_is_not_injective(monkeypatch):
+    # every stem to the all-ones partition: counts and totals stay right,
+    # but the map stops being injective once there are two stems
+    monkeypatch.setattr(bijection, "stem_to_partition", lambda s: (1,) * (s.n - 1))
+    stems = stem_report(7, 4)
+    assert len(stems["stems"]) > 1 and stems["total"] == stems["t_value"]
+    assert not stems["ok"]
+    r = bijection_report(7, 4)
+    assert r["brute_count"] == r["stem_total"] == r["t_value"]
+    assert r["pass"] is False
+
+
 def test_theorem_in_series_form():
     # a_k(W_d) is the count bijection_report reads at (d+k+1, d), and it
     # equals T(d+k, d) exactly when k <= d; at k = d+1 the bound is sharp
     sharp = {}
     for d in range(1, 4):
-        series = wd_series(d, 8 - d).coefficients
+        series = wd_series(d, 8 - d)
         for k in range(8 - d):
             if k <= d:
                 assert series[k] == bijection_report(d + k + 1, d)["brute_count"], (d, k)

@@ -13,6 +13,7 @@ import pytest
 import maxmintrees.bijection as bijection
 import maxmintrees.cli as cli
 import maxmintrees.eulerian as eulerian
+import maxmintrees.partitions as partitions
 from maxmintrees.cli import build_parser, main
 from maxmintrees.partitions import t_triangle
 
@@ -44,6 +45,23 @@ def assert_refused(code, out, err, message):
         prog = message.split(": error: ")[0]
         assert err.startswith(f"usage: {prog} [-h]")
         assert err.endswith(f"\n{message}\n") and err.count("error:") == 1
+
+
+def result_text(out):
+    """The ``result`` of a JSON envelope, serialised again in its own key order."""
+    envelope = json.loads(out)
+    assert list(envelope) == ["command", "parameters", "result", "elapsed_s", "version"]
+    return json.dumps(envelope["result"])
+
+
+def faulty_triangle(tmp_path):
+    """Rows 0..4 of T(n, k) as CSV with T(3, 1) and T(4, 4) off by one."""
+    rows = [list(r) for r in t_triangle(4).rows]
+    rows[3][1] += 1
+    rows[4][4] += 1
+    f = tmp_path / "faulty.csv"
+    f.write_text("\n".join(",".join(map(str, r)) for r in rows) + "\n")
+    return f
 
 
 class TestWeight:
@@ -174,15 +192,25 @@ class TestTree:
         assert out.startswith("graph")
         assert "1 -- 2;" in out
 
-    def test_json_format_builds_no_dot(self, capsys, monkeypatch):
-        _, expected, _ = run(capsys, "tree", "2 1 3", "--format", "json")
+    @pytest.mark.parametrize(
+        "kind, dot",
+        [("maxweight", "graph maxweight {\n  1 -- 2;\n  1 -- 4;\n  3 -- 4;\n}\n"),
+         ("mindecomp", "digraph mindecomp {\n  1 -> 2;\n  2 -> 3;\n  2 -> 4;\n}\n")],
+    )
+    def test_dot_text(self, capsys, kind, dot):
+        perm = "2 1 3" if kind == "maxweight" else "1 3 2"
+        code, out, _ = run(capsys, "tree", perm, "--kind", kind, "--format", "dot")
+        assert code == 0 and out == dot
 
+    def test_json_format_builds_no_dot(self, capsys, monkeypatch):
         def refuse(tree):
             raise AssertionError("DOT text built for --format json")
 
-        monkeypatch.setattr(cli, "_dot_undirected", refuse)
-        code, out, _ = run(capsys, "tree", "2 1 3", "--format", "json")
-        assert code == 0 and out == expected
+        monkeypatch.setattr(cli, "_dot", refuse)
+        for kind in ("maxweight", "mindecomp"):
+            _, expected, _ = run(capsys, "tree", "2 1 3", "--kind", kind)
+            code, out, _ = run(capsys, "tree", "2 1 3", "--kind", kind, "--format", "json")
+            assert code == 0 and out == expected
 
     def test_mindecomp_json_annotations(self, capsys):
         code, out, _ = run(capsys, "tree", "1 3 2", "--kind", "mindecomp")
@@ -228,6 +256,11 @@ class TestWd:
         code, _, err = run(capsys, "wd", "6", "--terms", "7")
         assert code == 3
 
+    def test_json_payload(self, capsys):
+        code, out, _ = run(capsys, "wd", "2", "--terms", "3", "--output", "json")
+        assert code == 0
+        assert result_text(out) == '{"d": 2, "coefficients": [1, 4, 11]}'
+
 
 class TestTnk:
     def test_cell(self, capsys):
@@ -239,6 +272,25 @@ class TestTnk:
         lines = out.strip().splitlines()
         assert lines[0] == "92"
         assert "11111111 : 56" in lines
+
+    def test_contributions_enumerate_the_partitions_once(self, capsys, monkeypatch):
+        original, calls = partitions.enumerate_partitions, []
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(partitions, "enumerate_partitions", counting)
+        code, out, _ = run(capsys, "tnk", "8", "5", "--contributions", "--output", "json")
+        assert code == 0 and calls == [8]
+        result = json.loads(out)["result"]
+        assert result["value"] == 92 == sum(c["count"] for c in result["contributions"])
+
+    @pytest.mark.parametrize("extra", [[], ["--contributions"]], ids=["cell", "contributions"])
+    def test_negative_arguments_exit_2(self, capsys, extra):
+        code, out, err = run(capsys, "tnk", "3", "-1", *extra)
+        assert code == 2 and out == ""
+        assert err == "error: T(3, -1) undefined for negative arguments\n"
 
     def test_triangle_csv(self, capsys):
         code, out, _ = run(capsys, "tnk", "--triangle", "4", "--output", "csv")
@@ -262,6 +314,30 @@ class TestTnk:
         code, out, _ = run(capsys, "tnk", "--crosscheck", str(f))
         assert code == 1
         assert "MISMATCH at (n=3, k=1)" in out
+
+    def test_crosscheck_mismatch_text(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "tnk", "--crosscheck", str(faulty_triangle(tmp_path)))
+        assert code == 1
+        assert out.splitlines() == [
+            "checked 15 cells",
+            "MISMATCH at (n=3, k=1): computed 6, file has 7",
+            "MISMATCH at (n=4, k=4): computed 1, file has 2",
+            "FAILED",
+        ]
+
+    def test_crosscheck_json_payload(self, capsys, tmp_path):
+        f = faulty_triangle(tmp_path)
+        code, out, _ = run(capsys, "tnk", "--crosscheck", str(f), "--output", "json")
+        assert code == 1
+        assert result_text(out) == (
+            '{"checked": 15, "ok": false, "mismatches": ['
+            '{"n": 3, "k": 1, "expected": 6, "found": 7}, '
+            '{"n": 4, "k": 4, "expected": 1, "found": 2}]}'
+        )
+        f.write_text(t_triangle(6).csv_text())
+        code, out, _ = run(capsys, "tnk", "--crosscheck", str(f), "--output", "json")
+        assert code == 0
+        assert result_text(out) == '{"checked": 28, "ok": true, "mismatches": []}'
 
     def test_crosscheck_offset_bfile_exit_1(self, capsys, tmp_path):
         # index 5 is T(2, 2) = 1 and index 6 is T(3, 0) = 3
@@ -410,6 +486,15 @@ class TestVerify:
         code, out, err = run(capsys, "verify", what, "--n", "3", "--d", "0")
         assert code == 2 and out == ""
         assert err == "error: d=0 outside 1..2\n"
+
+    def test_bijection_fails_when_the_stem_map_is_not_injective(self, capsys, monkeypatch):
+        # every stem to one partition: the totals still agree, the map does not
+        monkeypatch.setattr(bijection, "stem_to_partition", lambda s: (1,) * (s.n - 1))
+        code, out, _ = run(capsys, "verify", "bijection", "--n", "7", "--d", "4")
+        assert code == 1
+        assert out.splitlines() == [
+            "n=7 d=4 weight=6: brute=22 stems=22 T(6,4)=22 -> FAIL", "FAILED",
+        ]
 
     def test_bijection_sweep(self, capsys):
         code, out, _ = run(capsys, "verify", "bijection", "--n-max", "6")

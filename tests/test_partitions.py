@@ -125,9 +125,7 @@ class TestCrosscheck:
     def test_clean_csv(self, tmp_path):
         f = tmp_path / "triangle.csv"
         f.write_text(t_triangle(10).csv_text())
-        report = crosscheck_triangle(f)
-        assert report.ok
-        assert len(report.cells) == 66
+        assert crosscheck_triangle(f) == {"checked": 66, "ok": True, "mismatches": []}
 
     def test_injected_fault_named(self, tmp_path):
         rows = [list(r) for r in t_triangle(5).rows]
@@ -135,10 +133,8 @@ class TestCrosscheck:
         f = tmp_path / "bad.csv"
         f.write_text("\n".join(",".join(map(str, r)) for r in rows) + "\n")
         report = crosscheck_triangle(f)
-        assert not report.ok
-        (bad,) = report.mismatches()
-        assert (bad.n, bad.k) == (4, 2)
-        assert (bad.expected, bad.found) == (11, 12)
+        assert not report["ok"] and report["checked"] == 21
+        assert report["mismatches"] == [{"n": 4, "k": 2, "expected": 11, "found": 12}]
 
     def test_empty_file(self, tmp_path):
         # a check that compared nothing must not pass
@@ -154,9 +150,13 @@ class TestCrosscheck:
         ]
         f = tmp_path / "b.txt"
         f.write_text("\n".join(lines) + "\n")
-        report = crosscheck_triangle(f)
-        assert report.ok
-        assert len(report.cells) == 15
+        assert crosscheck_triangle(f) == {"checked": 15, "ok": True, "mismatches": []}
+
+    @pytest.mark.parametrize("fmt", ["auto", "csv"])
+    def test_csv_comment_lines(self, tmp_path, fmt):
+        f = tmp_path / "triangle.csv"
+        f.write_text("# T(n,k)\n" + t_triangle(4).csv_text() + "# rows 0..4\n")
+        assert crosscheck_triangle(f, fmt) == {"checked": 15, "ok": True, "mismatches": []}
 
     def test_bfile_gap_rejected(self, tmp_path):
         f = tmp_path / "b.txt"
