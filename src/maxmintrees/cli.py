@@ -274,6 +274,13 @@ def _cmd_verify_stabilization(args) -> int:
     # the default sweep stops at order 9 so a bare invocation stays interactive
     n_max = args.n_max if args.n_max is not None else min(args.max_n, 9)
     ks = [args.k] if args.k is not None else range(4)
+    need = args.d + ks[-1] + 1  # the threshold order of the largest k
+    if args.n_max is None and args.d >= 1 and ks[0] >= 0 and n_max < need:
+        what = "k up to 3" if args.k is None else f"k = {args.k}"
+        raise ValueError(
+            f"--d {args.d} checks {what}, which needs --n-max {need} or more "
+            f"(default {n_max})"
+        )
     for k in ks:  # refuse any k before S_n is enumerated for another
         _check_stabilization(args.d, k, n_max, args.max_n)
     checks = []

@@ -74,7 +74,7 @@ class MinDecompTree:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Directed parent -> child pairs, sorted."""
+        """Directed parent -> child pairs, ordered by child label."""
         return tuple((self.parent[v], v) for v in range(2, self.node_count + 1))
 
     def __eq__(self, other: object) -> bool:

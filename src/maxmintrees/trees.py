@@ -26,7 +26,6 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .perms import ExtendedPermutation, Permutation, extend
@@ -74,7 +73,9 @@ class MaxminTree:
                 raise ValueError("edges do not form a connected tree")
         self.node_count = node_count
         self.edges = tuple(canonical)
-        self.neighbors = tuple(tuple(sorted(ns)) for ns in nbrs)
+        # each node meets its smaller neighbors (edges (a, v), by a) before its
+        # larger ones (edges (v, b), by b), so every list is already ascending
+        self.neighbors = tuple(tuple(ns) for ns in nbrs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MaxminTree):
@@ -94,30 +95,18 @@ class MaxminTree:
         }
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """
-    One splitting step of a segment of the extended word.
-
-    ``min_position`` locates the segment minimum; ``left_blocks`` are the
-    position intervals covering everything left of it, each ending at the
-    running maximum of the remaining left part; ``right_block`` covers
-    everything right of the minimum (absent when the minimum is the
-    segment's last element).  All intervals are inclusive position pairs.
-    """
-
-    min_position: int
-    left_blocks: tuple[tuple[int, int], ...]
-    right_block: tuple[int, int] | None
-
-
 def decompose_blocks(
     ext: ExtendedPermutation, segment: tuple[int, int]
-) -> BlockDecomposition:
+) -> tuple[int, list[tuple[int, int]]]:
     """
     Split ``segment`` (inclusive positions into ``ext``) at its minimum and
     cut the left part, in one right-to-left pass, into blocks that end at
-    its right-to-left maxima.
+    its right-to-left maxima.  Returns the minimum's position and the
+    blocks as inclusive position pairs in position order; the part right
+    of the minimum, when there is one, is the last block.
+
+    >>> decompose_blocks(extend((3, 1, 2)), (1, 4))
+    (2, [(1, 1), (3, 4)])
     """
     lo, hi = segment
     n1 = len(ext) - 2  # last usable position: n+1
@@ -130,17 +119,18 @@ def decompose_blocks(
             ends.append(b)
             top = ext[b]
     ends.reverse()
-    left_blocks = tuple(zip([lo] + [b + 1 for b in ends], ends))
-    right_block = (mpos + 1, hi) if mpos < hi else None
-    return BlockDecomposition(mpos, left_blocks, right_block)
+    blocks = list(zip([lo] + [b + 1 for b in ends], ends))
+    if mpos < hi:
+        blocks.append((mpos + 1, hi))
+    return mpos, blocks
 
 
 def block_walk(ext: ExtendedPermutation) -> Iterator[tuple[int, int, int]]:
     """
     One (segment minimum, block minimum, block maximum) letter triple per
     block of the recursive split of positions 1..n+1, in no set order.  A
-    block's minimum is that of its own ``decompose_blocks`` call, or its
-    only letter.
+    block's minimum is the segment minimum of its own ``decompose_blocks``
+    call, or its only letter.
 
     >>> sorted(block_walk(extend((2, 1, 3))))
     [(1, 2, 2), (1, 3, 4), (3, 4, 4)]
@@ -150,11 +140,9 @@ def block_walk(ext: ExtendedPermutation) -> Iterator[tuple[int, int, int]]:
         a, b, seg_min = stack.pop()
         low = ext[a]
         if a < b:
-            dec = decompose_blocks(ext, (a, b))
-            low = ext[dec.min_position]
-            stack += [(c, d, low) for c, d in dec.left_blocks]
-            if dec.right_block is not None:
-                stack.append((*dec.right_block, low))
+            mpos, blocks = decompose_blocks(ext, (a, b))
+            low = ext[mpos]
+            stack += [(c, d, low) for c, d in blocks]
         if seg_min:
             # every block carries its maximum at its right end
             assert ext[b] == max(ext[a : b + 1]), (ext, (a, b))
@@ -227,30 +215,31 @@ def weight_recursive(t: MaxminTree) -> int:
 
     Delete the minimal node m; for each resulting component, count the
     local maxima smaller than the node that was attached to m, and add the
-    component's own weight.  A single node weighs 0.
+    component's own weight.  A single node weighs 0.  The weight is a sum
+    over components, so they wait on a work stack instead of the call
+    stack, and words of any length fit.
     """
-    return _weight_rec(set(range(1, t.node_count + 1)), t.neighbors)
-
-
-def _weight_rec(members: set[int], neighbors: Sequence[Sequence[int]]) -> int:
-    if len(members) == 1:
-        return 0
-    m = min(members)
-    rest = members - {m}
+    neighbors = t.neighbors
     total = 0
-    for u in neighbors[m]:
-        if u not in rest:
-            continue
-        comp = {u}
-        stack = [u]
-        while stack:
-            for y in neighbors[stack.pop()]:
-                if y in rest and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        rest -= comp
-        total += sum(1 for v in _local_maxima(comp, neighbors) if v < u)
-        total += _weight_rec(comp, neighbors)
+    work = [set(range(1, t.node_count + 1))]
+    while work:
+        rest = work.pop()
+        m = min(rest)
+        rest.discard(m)
+        for u in neighbors[m]:
+            if u not in rest:
+                continue
+            comp = {u}
+            stack = [u]
+            while stack:
+                for y in neighbors[stack.pop()]:
+                    if y in rest and y not in comp:
+                        comp.add(y)
+                        stack.append(y)
+            rest -= comp
+            total += sum(1 for v in _local_maxima(comp, neighbors) if v < u)
+            if len(comp) > 1:
+                work.append(comp)
     return total
 
 

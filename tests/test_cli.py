@@ -551,7 +551,16 @@ class TestVerify:
         monkeypatch.setattr(eulerian, "q_eulerian", refuse)
         code, out, err = run(capsys, "verify", "stabilization", "--d", "6")
         assert code == 2 and out == ""
-        assert err == "error: n_max=9 is below the threshold 10\n"
+        assert err == (
+            "error: --d 6 checks k up to 3, which needs --n-max 10 or more (default 9)\n"
+        )
+        code, _, err = run(capsys, "verify", "stabilization", "--d", "5", "--k", "4",
+                           "--max-n", "8")
+        assert code == 2
+        assert err == "error: --d 5 checks k = 4, which needs --n-max 10 or more (default 8)\n"
+        # a value the user gave is named as given
+        code, _, err = run(capsys, "verify", "stabilization", "--d", "6", "--n-max", "9")
+        assert code == 2 and err == "error: n_max=9 is below the threshold 10\n"
 
     def test_stabilization(self, capsys):
         code, out, _ = run(

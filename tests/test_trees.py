@@ -15,7 +15,8 @@ from maxmintrees.trees import (
     weight_recursive,
     weight_via_descent_sums,
 )
-from test_weights import zigzag
+from maxmintrees.weights import weight_accelerated
+from test_weights import shuffled, zigzag
 
 EXAMPLE_15 = (1, 12, 15, 9, 10, 5, 7, 11, 6, 4, 13, 3, 8, 2, 14)
 
@@ -48,11 +49,8 @@ def oracle_all_construction_trees(p):
         if lo == hi:
             yield frozenset(), frozenset({ext[lo]})
             return
-        dec = decompose_blocks(ext, (lo, hi))
-        blocks = list(dec.left_blocks)
-        if dec.right_block:
-            blocks.append(dec.right_block)
-        m = ext[dec.min_position]
+        mpos, blocks = decompose_blocks(ext, (lo, hi))
+        m = ext[mpos]
         alternatives = [rec(a, b) for a, b in blocks]
         for combo in itertools.product(*[list(a) for a in alternatives]):
             base = frozenset().union(*[e for e, _ in combo])
@@ -121,35 +119,27 @@ def walk_words():
 class TestDecompose:
     def test_full_segment_of_15_example(self):
         ext = extend(EXAMPLE_15)
-        dec = decompose_blocks(ext, (1, 16))
-        assert dec.min_position == 1
-        assert dec.left_blocks == ()
-        assert dec.right_block == (2, 16)
+        assert decompose_blocks(ext, (1, 16)) == (1, [(2, 16)])
 
     def test_right_part_of_15_example(self):
         ext = extend(EXAMPLE_15)
-        dec = decompose_blocks(ext, (2, 16))
-        assert ext[dec.min_position] == 2
-        right_values = [ext[b] for _, b in dec.left_blocks]
-        assert right_values == [15, 13, 8]
-        assert dec.left_blocks == ((2, 3), (4, 11), (12, 13))
-        assert dec.right_block == (15, 16)
+        mpos, blocks = decompose_blocks(ext, (2, 16))
+        assert ext[mpos] == 2
+        assert [ext[b] for _, b in blocks] == [15, 13, 8, 16]
+        assert blocks == [(2, 3), (4, 11), (12, 13), (15, 16)]
 
     def test_left_part_splits_to_singletons(self):
         # segment "3 2 1 4" of the reversal: left of the minimum, "3 2"
         # cuts into two singleton blocks (3 is the global max, then 2)
         ext = extend((3, 2, 1))
-        dec = decompose_blocks(ext, (1, 4))
-        assert ext[dec.min_position] == 1
-        assert dec.left_blocks == ((1, 1), (2, 2))
-        assert dec.right_block == (4, 4)
+        mpos, blocks = decompose_blocks(ext, (1, 4))
+        assert ext[mpos] == 1
+        assert blocks == [(1, 1), (2, 2), (4, 4)]
 
     def test_min_last_means_no_right_block(self):
         ext = extend((3, 2, 1))
-        dec = decompose_blocks(ext, (1, 2))  # values "3 2"
-        assert ext[dec.min_position] == 2
-        assert dec.left_blocks == ((1, 1),)
-        assert dec.right_block is None
+        # values "3 2": the minimum ends the segment, so no block follows it
+        assert decompose_blocks(ext, (1, 2)) == (2, [(1, 1)])
 
     def test_block_max_at_right_everywhere(self):
         # the invariant the construction relies on, checked explicitly
@@ -161,10 +151,7 @@ class TestDecompose:
                     lo, hi = stack.pop()
                     if lo == hi:
                         continue
-                    dec = decompose_blocks(ext, (lo, hi))
-                    blocks = list(dec.left_blocks)
-                    if dec.right_block:
-                        blocks.append(dec.right_block)
+                    _, blocks = decompose_blocks(ext, (lo, hi))
                     for a, b in blocks:
                         assert ext[b] == max(ext[a : b + 1])
                         stack.append((a, b))
@@ -175,13 +162,10 @@ class TestDecompose:
                 ext = extend(p)
                 for lo in range(1, n + 2):
                     for hi in range(lo, n + 2):
-                        dec = decompose_blocks(ext, (lo, hi))
-                        blocks = list(dec.left_blocks)
-                        if dec.right_block:
-                            blocks.append(dec.right_block)
+                        mpos, blocks = decompose_blocks(ext, (lo, hi))
                         seg = ext[lo : hi + 1]
                         cut = [ext[a : b + 1] for a, b in blocks]
-                        assert ext[dec.min_position] == min(seg)
+                        assert ext[mpos] == min(seg)
                         assert cut == reference_blocks(seg), (p, lo, hi)
 
     def test_segment_bounds_checked(self):
@@ -230,6 +214,14 @@ class TestBuild:
             edges, parent = reference_trees(p)
             assert build_max_weight_tree(p).edges == edges, p[:20]
             assert build_min_decomp(p).parent == parent, p[:20]
+
+    def test_neighbors_ascend(self):
+        # is_maxmin reads the first and last neighbor as the extremes
+        words = [p for n in range(1, 8) for p in all_perms(n)] + [shuffled(500, 5)]
+        for p in words:
+            t = build_max_weight_tree(p)
+            assert all(list(ns) == sorted(ns) for ns in t.neighbors), p[:20]
+            assert MaxminTree(t.node_count, reversed(t.edges)).neighbors == t.neighbors
 
     def test_rejects_non_tree(self):
         with pytest.raises(ValueError, match="edges"):
@@ -312,6 +304,11 @@ class TestWeights:
             for p in all_perms(n):
                 t = build_max_weight_tree(p)
                 assert weight_recursive(t) == weight_via_descent_sums(t), p
+
+    def test_recursion_fits_long_words(self):
+        # components nest 1000 deep here: too deep for one call per component
+        for p in [tuple(range(1, 1001)), zigzag(1000), shuffled(1000, 3)]:
+            assert weight_recursive(build_max_weight_tree(p)) == weight_accelerated(p)
 
     def test_weight_bound(self):
         for n in range(1, 8):

@@ -56,10 +56,7 @@ def block_segments(p):
         a, b = stack.pop()
         segments.append((a, b))
         if a < b:
-            dec = decompose_blocks(ext, (a, b))
-            stack += dec.left_blocks
-            if dec.right_block is not None:
-                stack.append(dec.right_block)
+            stack += decompose_blocks(ext, (a, b))[1]
     return sorted(segments)
 
 
