@@ -6,7 +6,8 @@ Among permutations of length n with d descents, the heaviest have weight
 maxwt(n, d) = d(n-d-1); the ones counted here sit exactly n-d-1 below
 that, at weight (n-d-1)(d-1).  Their minimum decomposition trees have a
 path-shaped stem 1 = x_1 < x_2 < ... < x_{n-d} with the d+1 leaves hanging
-off it, so they can be enumerated stem by stem:
+off it, so they can be enumerated stem by stem.  A stem is the plain
+label tuple (x_1, ..., x_{n-d}), read together with its (n, d):
 
   * a stem is admissible when x_i <= n and its weight deficit
     sum(x_i - i) does not exceed the move-up budget n-d-1;
@@ -20,47 +21,17 @@ The count at (n, d) is the coefficient a_{n-d-1} of the stabilized series
 for d descents, and the paper's theorem equates a_k with T(d+k, d) for
 k <= d only: the region 2d >= n-1.  ``stem_report`` and
 ``bijection_report`` refuse every (n, d) outside it with ``ValueError``
-before enumerating anything.
+before enumerating anything.  ``stem_report`` ends in one ``ok``, and the
+CLI folds the ``pass`` of every bijection report into one; that value alone
+decides the closing ``OK``/``FAILED`` line and the exit code 0/1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .eulerian import DEFAULT_MAX_N, q_eulerian
 from .partitions import t_nk
-
-
-@dataclass(frozen=True)
-class Stem:
-    """
-    Strictly increasing stem labels x_1 < ... < x_{n-d} with x_1 = 1, in
-    the context of permutations of length n with d descents.
-    """
-
-    labels: tuple[int, ...]
-    n: int
-    d: int
-
-    def __post_init__(self):
-        xs = self.labels
-        if len(xs) != self.n - self.d:
-            raise ValueError(f"stem must have {self.n - self.d} labels, got {len(xs)}")
-        if xs[0] != 1:
-            raise ValueError("stem must start at 1")
-        if any(a >= b for a, b in zip(xs, xs[1:])):
-            raise ValueError("stem labels must increase strictly")
-        if xs[-1] > self.n:
-            raise ValueError(f"stem label {xs[-1]} exceeds n={self.n}")
-
-    @property
-    def deficit(self) -> int:
-        """Weight lost relative to the all-bottom stem: sum of x_i - i."""
-        return sum(x - i for i, x in enumerate(self.labels, start=1))
-
-    def is_admissible(self) -> bool:
-        return self.deficit <= self.n - self.d - 1
 
 
 def stable_region(n: int, d: int) -> bool:
@@ -81,61 +52,58 @@ def _check_descents(n: int, d: int) -> None:
         raise ValueError(f"n={n}, d={d} lies outside the region 2d >= n-1")
 
 
-def enumerate_stems(n: int, d: int) -> list[Stem]:
+def enumerate_stems(n: int, d: int) -> list[tuple[int, ...]]:
     """
-    All admissible stems for (n, d), lexicographically.
+    All admissible stems for (n, d) as label tuples, lexicographically.
 
-    >>> [s.labels for s in enumerate_stems(4, 2)]
+    >>> enumerate_stems(4, 2)
     [(1, 2), (1, 3)]
     """
     length = n - d
     if length < 1:
         raise ValueError(f"need at least one non-descent: n={n}, d={d}")
     budget = n - d - 1
-    out: list[Stem] = []
+    out: list[tuple[int, ...]] = []
 
-    def rec(prefix: list[int], deficit: int):
+    def rec(prefix: tuple[int, ...], deficit: int):
         i = len(prefix)
         if i == length:
-            out.append(Stem(tuple(prefix), n, d))
+            out.append(prefix)
             return
         # next label x_{i+1} > x_i, at most n, deficit stays within budget
         lo = prefix[-1] + 1
         hi = min(n, (i + 1) + (budget - deficit))
         for x in range(lo, hi + 1):
-            rec(prefix + [x], deficit + x - (i + 1))
+            rec(prefix + (x,), deficit + x - (i + 1))
 
-    rec([1], 0)
+    rec((1,), 0)
     return out
 
 
-def stem_count(s: Stem) -> int:
+def stem_count(stem: tuple[int, ...], n: int, d: int) -> int:
     """
-    Number of minimum decomposition trees carrying stem s at the target
-    weight: C(n-1 - deficit, d).
+    Number of minimum decomposition trees carrying the admissible stem at
+    the target weight of (n, d): C(n-1 - deficit, d), the deficit being
+    sum(x_i - i).
 
-    >>> stem_count(Stem((1, 2, 3, 4), 9, 5))
+    >>> stem_count((1, 2, 3, 4), 9, 5)
     56
     """
-    if not s.is_admissible():
-        raise ValueError(f"stem {s.labels} exceeds the move-up budget")
-    return math.comb(s.n - 1 - s.deficit, s.d)
+    return math.comb(n - 1 - sum(x - i for i, x in enumerate(stem, start=1)), d)
 
 
-def stem_to_partition(s: Stem) -> tuple[int, ...]:
+def stem_to_partition(stem: tuple[int, ...], n: int, d: int) -> tuple[int, ...]:
     """
-    The partition of n-1 owned by stem s: parts x_i - (i-1) for i from
-    n-d down to 1, padded with 1s so the total is n-1.  Its part count L
-    satisfies C(L, d) = stem_count(s).
+    The partition of n-1 owned by the admissible stem: parts x_i - (i-1)
+    for i from n-d down to 1, padded with 1s so the total is n-1.  Its
+    part count L satisfies C(L, d) = stem_count(stem, n, d).
 
-    >>> stem_to_partition(Stem((1, 2, 3, 6), 9, 5))
+    >>> stem_to_partition((1, 2, 3, 6), 9, 5)
     (3, 1, 1, 1, 1, 1)
     """
-    if not s.is_admissible():
-        raise ValueError(f"stem {s.labels} exceeds the move-up budget")
-    parts = [x - i for i, x in enumerate(s.labels)]  # x_i - (i-1), i 1-based
+    parts = [x - i for i, x in enumerate(stem)]  # x_i - (i-1), i 1-based
     parts.reverse()
-    ones = s.n - 1 - sum(parts)
+    ones = n - 1 - sum(parts)
     if ones >= 0:
         parts.extend([1] * ones)
     else:
@@ -144,10 +112,10 @@ def stem_to_partition(s: Stem) -> tuple[int, ...]:
         for _ in range(-ones):
             dropped = parts.pop()
             if dropped != 1:
-                raise ValueError(f"stem {s.labels} does not map to a partition")
-    assert sum(parts) == s.n - 1
+                raise ValueError(f"stem {stem} does not map to a partition")
+    assert sum(parts) == n - 1
     assert all(a >= b for a, b in zip(parts, parts[1:]))
-    assert math.comb(len(parts), s.d) == stem_count(s)
+    assert math.comb(len(parts), d) == stem_count(stem, n, d)
     return tuple(parts)
 
 
@@ -167,9 +135,9 @@ def stem_report(n: int, d: int) -> dict:
     t_value = t_nk(n - 1, d)
     stems = [
         {
-            "stem": list(s.labels),
-            "count": stem_count(s),
-            "partition": list(stem_to_partition(s)),
+            "stem": list(s),
+            "count": stem_count(s, n, d),
+            "partition": list(stem_to_partition(s, n, d)),
         }
         for s in enumerate_stems(n, d)
     ]

@@ -46,7 +46,6 @@ from .eulerian import (
     DEFAULT_MAX_N,
     LimitExceeded,
     _check_limit,
-    _check_stabilization,
     eulerian_polynomial,
     format_bivariate,
     q_eulerian,
@@ -103,6 +102,13 @@ def _emit(args, result_text: str, payload, csv_text: str = "") -> None:
         print(csv_text, end="" if csv_text.endswith("\n") else "\n")
     else:
         print(result_text)
+
+
+def _verdict(args, lines: list[str], payload: dict) -> int:
+    """Close a check: OK or FAILED, and exit 0 or 1, both from payload["ok"]."""
+    lines.append("OK" if payload["ok"] else "FAILED")
+    _emit(args, "\n".join(lines), payload)
+    return EXIT_OK if payload["ok"] else EXIT_VERIFY_FAILED
 
 
 def _cmd_weight(args) -> int:
@@ -190,9 +196,7 @@ def _cmd_tnk(args) -> int:
             f"computed {m['expected']}, file has {m['found']}"
             for m in report["mismatches"]
         ]
-        lines.append("OK" if report["ok"] else "FAILED")
-        _emit(args, "\n".join(lines), report)
-        return EXIT_OK if report["ok"] else EXIT_VERIFY_FAILED
+        return _verdict(args, lines, report)
     if args.triangle is not None:
         _refuse_ignored(
             "tnk --triangle",
@@ -251,10 +255,7 @@ def _cmd_verify_bijection(args) -> int:
             f"T({r['n'] - 1},{r['d']})={r['t_value']} -> "
             + ("PASS" if r["pass"] else "FAIL")
         )
-    ok = all(r["pass"] for r in reports)
-    lines.append("OK" if ok else "FAILED")
-    _emit(args, "\n".join(lines), {"checks": reports, "ok": ok})
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return _verdict(args, lines, {"checks": reports, "ok": all(r["pass"] for r in reports)})
 
 
 def _cmd_verify_stems(args) -> int:
@@ -265,9 +266,7 @@ def _cmd_verify_stems(args) -> int:
         for r in report["stems"]
     ]
     lines.append(f"total {report['total']}, T({args.n - 1},{args.d}) = {report['t_value']}")
-    lines.append("OK" if report["ok"] else "FAILED")
-    _emit(args, "\n".join(lines), report)
-    return EXIT_OK if report["ok"] else EXIT_VERIFY_FAILED
+    return _verdict(args, lines, report)
 
 
 def _cmd_verify_stabilization(args) -> int:
@@ -275,20 +274,19 @@ def _cmd_verify_stabilization(args) -> int:
     n_max = args.n_max if args.n_max is not None else min(args.max_n, 9)
     ks = [args.k] if args.k is not None else range(4)
     need = args.d + ks[-1] + 1  # the threshold order of the largest k
-    if args.n_max is None and args.d >= 1 and ks[0] >= 0 and n_max < need:
+    if args.d >= 1 and ks[0] >= 0 and n_max < need:
         what = "k up to 3" if args.k is None else f"k = {args.k}"
+        given = "default" if args.n_max is None else "given"
         raise ValueError(
             f"--d {args.d} checks {what}, which needs --n-max {need} or more "
-            f"(default {n_max})"
+            f"({given} {n_max})"
         )
-    for k in ks:  # refuse any k before S_n is enumerated for another
-        _check_stabilization(args.d, k, n_max, args.max_n)
+    # the first k's call refuses a bad d or k and the S_n limit before any work
     checks = []
     for k in ks:
         vals = stabilization_values(args.d, k, n_max, max_n=args.max_n)
         stable = all(c == vals[0][1] for _, c in vals)
         checks.append({"d": args.d, "k": k, "values": vals, "stable": stable})
-    ok = all(c["stable"] for c in checks)
     lines = []
     for c in checks:
         series = ", ".join(f"n={n}:{v}" for n, v in c["values"])
@@ -296,9 +294,7 @@ def _cmd_verify_stabilization(args) -> int:
             f"d={c['d']} k={c['k']}: {series} -> "
             + ("stable" if c["stable"] else "NOT stable")
         )
-    lines.append("OK" if ok else "FAILED")
-    _emit(args, "\n".join(lines), {"checks": checks, "ok": ok})
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return _verdict(args, lines, {"checks": checks, "ok": all(c["stable"] for c in checks)})
 
 
 def build_parser() -> argparse.ArgumentParser:

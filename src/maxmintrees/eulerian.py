@@ -31,8 +31,10 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import permutations as _permutations
+from types import MappingProxyType
 
 from .weights import descents_and_weight
 
@@ -53,9 +55,9 @@ class BivariatePolynomial:
     """
 
     n: int
-    terms: dict[tuple[int, int], int]
+    terms: Mapping[tuple[int, int], int]
 
-    __hash__ = None  # unhashable, as terms is a dict
+    __hash__ = None  # unhashable, as terms is a mapping
 
     def coefficient(self, x_degree: int, q_degree: int) -> int:
         return self.terms.get((x_degree, q_degree), 0)
@@ -155,7 +157,8 @@ def clear_cache() -> None:
 def q_eulerian(n: int, max_n: int = DEFAULT_MAX_N) -> BivariatePolynomial:
     """
     The q-Eulerian polynomial of order n: coefficient of x^d q^w counts
-    permutations with d descents and weight w.  Results are cached per n.
+    permutations with d descents and weight w.  Results are cached per n,
+    so every caller shares one polynomial, whose terms are read-only.
 
     >>> q_eulerian(3).terms == {(0, 0): 1, (1, 1): 1, (1, 0): 3, (2, 0): 1}
     True
@@ -177,7 +180,7 @@ def q_eulerian(n: int, max_n: int = DEFAULT_MAX_N) -> BivariatePolynomial:
     merged: Counter[tuple[int, int]] = Counter()
     for block in blocks:
         merged.update(block)
-    poly = BivariatePolynomial(n, dict(merged))
+    poly = BivariatePolynomial(n, MappingProxyType(dict(merged)))
     assert poly.coefficient_sum() == math.factorial(n)
     _Q_CACHE[n] = poly
     return poly
@@ -190,15 +193,6 @@ def stabilization_values(
     (n, coefficient of x^d q^{maxwt(n,d)-k}) for n from the stabilization
     threshold d+k+1 through n_max.
     """
-    _check_stabilization(d, k, n_max, max_n)
-    return [
-        (n, q_eulerian(n, max_n=max_n).coefficient(d, maxwt(n, d) - k))
-        for n in range(d + k + 1, n_max + 1)
-    ]
-
-
-def _check_stabilization(d: int, k: int, n_max: int, max_n: int) -> None:
-    """Refuse what ``stabilization_values(d, k, n_max, max_n)`` would refuse."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if k < 0:
@@ -207,6 +201,10 @@ def _check_stabilization(d: int, k: int, n_max: int, max_n: int) -> None:
     if n_max < threshold:
         raise ValueError(f"n_max={n_max} is below the threshold {threshold}")
     _check_limit(n_max, max_n)
+    return [
+        (n, q_eulerian(n, max_n=max_n).coefficient(d, maxwt(n, d) - k))
+        for n in range(threshold, n_max + 1)
+    ]
 
 
 def wd_series(d: int, terms: int, max_n: int = DEFAULT_MAX_N) -> tuple[int, ...]:

@@ -1,11 +1,11 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
 import maxmintrees.bijection as bijection
 from maxmintrees.bijection import (
-    Stem,
     bijection_report,
     enumerate_stems,
     stable_region,
@@ -15,9 +15,10 @@ from maxmintrees.bijection import (
     target_weight,
 )
 from maxmintrees.eulerian import q_eulerian, wd_series
+from maxmintrees.mindecomp import build_min_decomp, classify
 from maxmintrees.partitions import enumerate_partitions, t_nk
 from maxmintrees.perms import descent_count
-from maxmintrees.weights import weight_accelerated
+from maxmintrees.weights import descents_and_weight, weight_accelerated
 
 
 class TestRegions:
@@ -104,7 +105,7 @@ class TestVerifyBijection:
 
 class TestStems:
     def test_9_5_is_the_seven_stems(self):
-        assert [s.labels for s in enumerate_stems(9, 5)] == [
+        assert enumerate_stems(9, 5) == [
             (1, 2, 3, 4),
             (1, 2, 3, 5),
             (1, 2, 3, 6),
@@ -116,44 +117,33 @@ class TestStems:
 
     def test_single_nondescent(self):
         for n in range(2, 8):
-            stems = enumerate_stems(n, n - 1)
-            assert [s.labels for s in stems] == [(1,)]
+            assert enumerate_stems(n, n - 1) == [(1,)]
 
     def test_4_2(self):
-        assert [s.labels for s in enumerate_stems(4, 2)] == [(1, 2), (1, 3)]
+        assert enumerate_stems(4, 2) == [(1, 2), (1, 3)]
 
     def test_admissibility_enforced(self):
         for s in enumerate_stems(8, 4):
-            assert s.is_admissible()
-            assert s.labels[0] == 1
-            assert s.labels[-1] <= 8
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="start at 1"):
-            Stem((2, 3), 4, 2)
-        with pytest.raises(ValueError, match="increase"):
-            Stem((1, 1), 4, 2)
-        with pytest.raises(ValueError, match="exceeds"):
-            Stem((1, 5), 4, 2)
-        with pytest.raises(ValueError, match="labels"):
-            Stem((1, 2, 3), 4, 2)
+            assert len(s) == 4 and s[0] == 1 and s[-1] <= 8
+            assert all(a < b for a, b in zip(s, s[1:]))
+            assert sum(x - i for i, x in enumerate(s, start=1)) <= 8 - 4 - 1
 
 
 class TestStemCounts:
     def test_9_5_counts(self):
-        counts = [stem_count(s) for s in enumerate_stems(9, 5)]
+        counts = [stem_count(s, 9, 5) for s in enumerate_stems(9, 5)]
         assert counts == [56, 21, 6, 1, 6, 1, 1]
         assert sum(counts) == 92
 
     def test_explicit_cells(self):
-        assert stem_count(Stem((1, 2, 3, 4), 9, 5)) == 56
-        assert stem_count(Stem((1, 2, 3, 5), 9, 5)) == 21
-        assert stem_count(Stem((1, 3, 4, 5), 9, 5)) == 1
+        assert stem_count((1, 2, 3, 4), 9, 5) == 56
+        assert stem_count((1, 2, 3, 5), 9, 5) == 21
+        assert stem_count((1, 3, 4, 5), 9, 5) == 1
 
 
 class TestStemToPartition:
     def test_9_5_images(self):
-        images = [stem_to_partition(s) for s in enumerate_stems(9, 5)]
+        images = [stem_to_partition(s, 9, 5) for s in enumerate_stems(9, 5)]
         assert images == [
             (1, 1, 1, 1, 1, 1, 1, 1),
             (2, 1, 1, 1, 1, 1, 1),
@@ -167,20 +157,20 @@ class TestStemToPartition:
     def test_part_count_matches_count(self):
         for n, d in ((9, 5), (8, 4), (7, 4), (5, 2)):
             for s in enumerate_stems(n, d):
-                lam = stem_to_partition(s)
+                lam = stem_to_partition(s, n, d)
                 assert sum(lam) == n - 1
-                assert math.comb(len(lam), d) == stem_count(s)
+                assert math.comb(len(lam), d) == stem_count(s, n, d)
 
     def test_boundary_drops_a_one(self):
         # at 2d = n-1 a stem can overshoot by one unit; the image is still
         # a partition of n-1
-        assert stem_to_partition(Stem((1, 2, 5), 5, 2)) == (3, 1)
-        assert stem_to_partition(Stem((1, 3, 4), 5, 2)) == (2, 2)
+        assert stem_to_partition((1, 2, 5), 5, 2) == (3, 1)
+        assert stem_to_partition((1, 3, 4), 5, 2) == (2, 2)
 
     def test_images_cover_high_part_partitions(self):
         # stems map bijectively onto partitions of n-1 with >= d parts
         for n, d in ((9, 5), (6, 3), (5, 2)):
-            images = {stem_to_partition(s) for s in enumerate_stems(n, d)}
+            images = {stem_to_partition(s, n, d) for s in enumerate_stems(n, d)}
             expected = {
                 lam for lam in enumerate_partitions(n - 1) if len(lam) >= d
             }
@@ -231,13 +221,36 @@ class TestThreeWayAgreement:
 def test_report_fails_when_the_stem_map_is_not_injective(monkeypatch):
     # every stem to the all-ones partition: counts and totals stay right,
     # but the map stops being injective once there are two stems
-    monkeypatch.setattr(bijection, "stem_to_partition", lambda s: (1,) * (s.n - 1))
+    monkeypatch.setattr(bijection, "stem_to_partition", lambda s, n, d: (1,) * (n - 1))
     stems = stem_report(7, 4)
     assert len(stems["stems"]) > 1 and stems["total"] == stems["t_value"]
     assert not stems["ok"]
     r = bijection_report(7, 4)
     assert r["brute_count"] == r["stem_total"] == r["t_value"]
     assert r["pass"] is False
+
+
+def test_each_stem_carries_its_count_of_permutations():
+    # the stem argument held against brute force stem by stem, not in total:
+    # group the target-weight permutations by the stem of their minimum
+    # decomposition, which must be a path, one of the enumerated stems, and
+    # carry exactly stem_count of them
+    pairs = 0
+    for n in range(2, 9):
+        by_stem = {d: Counter() for d in range(1, n) if stable_region(n, d)}
+        for p in itertools.permutations(range(1, n + 1)):
+            d, w = descents_and_weight(p)
+            if d in by_stem and w == target_weight(n, d):
+                t = build_min_decomp(p)
+                stem = tuple(sorted(classify(t)[0]))
+                assert all(t.parent[b] == a for a, b in zip(stem, stem[1:])), (p, stem)
+                by_stem[d][stem] += 1
+        for d, counts in by_stem.items():
+            stems = enumerate_stems(n, d)
+            assert set(counts) <= set(stems), (n, d)
+            assert counts == {s: stem_count(s, n, d) for s in stems}, (n, d)
+            pairs += 1
+    assert pairs == 19
 
 
 def test_theorem_in_series_form():

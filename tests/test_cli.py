@@ -489,7 +489,7 @@ class TestVerify:
 
     def test_bijection_fails_when_the_stem_map_is_not_injective(self, capsys, monkeypatch):
         # every stem to one partition: the totals still agree, the map does not
-        monkeypatch.setattr(bijection, "stem_to_partition", lambda s: (1,) * (s.n - 1))
+        monkeypatch.setattr(bijection, "stem_to_partition", lambda s, n, d: (1,) * (n - 1))
         code, out, _ = run(capsys, "verify", "bijection", "--n", "7", "--d", "4")
         assert code == 1
         assert out.splitlines() == [
@@ -560,7 +560,12 @@ class TestVerify:
         assert err == "error: --d 5 checks k = 4, which needs --n-max 10 or more (default 8)\n"
         # a value the user gave is named as given
         code, _, err = run(capsys, "verify", "stabilization", "--d", "6", "--n-max", "9")
-        assert code == 2 and err == "error: n_max=9 is below the threshold 10\n"
+        assert code == 2
+        assert err == "error: --d 6 checks k up to 3, which needs --n-max 10 or more (given 9)\n"
+        # an --n-max both below the threshold and above --max-n is an input error
+        code, _, err = run(capsys, "verify", "stabilization", "--d", "6", "--n-max", "9",
+                           "--max-n", "8")
+        assert code == 2 and err.startswith("error: --d 6 checks k up to 3,")
 
     def test_stabilization(self, capsys):
         code, out, _ = run(

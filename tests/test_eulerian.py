@@ -142,6 +142,14 @@ class TestQEulerian:
         with pytest.raises(LimitExceeded):
             q_eulerian(12)
 
+    def test_cached_terms_are_read_only(self):
+        # every caller shares the cached polynomial, so no caller may write to it
+        poly = q_eulerian(5)
+        with pytest.raises(TypeError):
+            poly.terms[(1, 0)] = 999
+        assert q_eulerian(5) is poly
+        assert q_eulerian(5).coefficient_sum() == math.factorial(5)
+
     def test_sorted_terms_order(self):
         ts = q_eulerian(4).sorted_terms()
         assert ts == [
