@@ -1,11 +1,12 @@
 """
 Minimum decomposition trees.
 
-The minimum decomposition of a permutation is read off the same block walk
-as the max-weight tree (``trees.block_walk``), but connects each segment
-minimum to the minimum of every block instead of the maximum.  The result
-is naturally rooted at the global minimum 1, and every node's label is
-smaller than all labels below it.
+The minimum decomposition of a permutation is the tree that the block split
+itself builds (``trees.min_decomp_parents``): each segment minimum is the
+parent of the minimum of every block it splits off.  The result is
+naturally rooted at the global minimum 1, and every node's label is
+smaller than all labels below it.  The max-weight tree is read off the
+same parent array.
 
 Leaves (childless nodes) are exactly the descent values of the permutation
 plus the appended n+1; the remaining nodes form the stem.  The weight of
@@ -15,13 +16,10 @@ of leaves below each, minus n.
 
 from __future__ import annotations
 
-import math
-from itertools import permutations as _permutations
 from typing import Sequence
 
-from .eulerian import DEFAULT_MAX_N, _check_limit
 from .perms import Permutation, extend
-from .trees import block_walk
+from .trees import min_decomp_parents
 
 
 class MinDecompTree:
@@ -104,10 +102,7 @@ def build_min_decomp(p: Permutation) -> MinDecompTree:
     >>> build_min_decomp((1, 3, 2)).edges
     ((1, 2), (2, 3), (2, 4))
     """
-    parent = [0] * (len(p) + 2)
-    for seg_min, low, _ in block_walk(extend(p)):
-        parent[low] = seg_min
-    return MinDecompTree(parent)
+    return MinDecompTree(min_decomp_parents(extend(p)))
 
 
 def classify(t: MinDecompTree) -> tuple[frozenset[int], frozenset[int]]:
@@ -157,15 +152,3 @@ def move_up(t: MinDecompTree, leaf: int) -> MinDecompTree:
     new_parent = list(t.parent)
     new_parent[leaf] = t.parent[parent]
     return MinDecompTree(new_parent)
-
-
-def verify_injectivity(n: int, limit: int = DEFAULT_MAX_N) -> bool:
-    """
-    True when p -> build_min_decomp(p) is injective over all of S_n,
-    compared by canonical parent arrays.
-    """
-    _check_limit(n, limit)
-    seen: set[tuple[int, ...]] = set()
-    for p in _permutations(range(1, n + 1)):
-        seen.add(build_min_decomp(p).parent)
-    return len(seen) == math.factorial(n)

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .eulerian import LimitExceeded
+from .perms import _ascii_int
 
 # p(60) = 966,467 partitions; T(60, 30) already takes seconds to enumerate
 MAX_PARTITION_N = 60
@@ -157,7 +158,7 @@ def read_triangle_csv(text: str) -> list[tuple[int, int, int]]:
             )
         for k, f in enumerate(fields):
             try:
-                cells.append((n, k, int(f)))
+                cells.append((n, k, _ascii_int(f)))
             except ValueError:
                 raise ValueError(f"line {lineno}: non-integer entry {f!r}") from None
         n += 1
@@ -181,7 +182,7 @@ def read_bfile(text: str) -> list[tuple[int, int, int]]:
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 'index value', got {line!r}")
         try:
-            idx, value = int(fields[0]), int(fields[1])
+            idx, value = _ascii_int(fields[0]), _ascii_int(fields[1])
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer field in {line!r}") from None
         if expected_idx is not None and idx != expected_idx:

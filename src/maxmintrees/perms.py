@@ -60,6 +60,13 @@ def validate_permutation(values: Iterable[int]) -> Permutation:
     return word
 
 
+def _ascii_int(tok: str) -> int:
+    """int(tok) for tokens that match -?[0-9]+ only."""
+    if not re.fullmatch(r"-?[0-9]+", tok):
+        raise ValueError(f"not an ASCII decimal integer: {tok!r}")
+    return int(tok)
+
+
 def parse_permutation(text: str) -> Permutation:
     """
     Parse a one-line permutation from whitespace- or comma-separated labels,
@@ -85,9 +92,7 @@ def parse_permutation(text: str) -> Permutation:
         values = []
         for pos, tok in enumerate(tokens, start=1):
             try:
-                if not re.fullmatch(r"-?[0-9]+", tok):
-                    raise ValueError
-                values.append(int(tok))
+                values.append(_ascii_int(tok))
             except ValueError:
                 raise ValueError(f"non-integer token {tok!r} at position {pos}") from None
     return validate_permutation(values)

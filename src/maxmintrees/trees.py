@@ -16,9 +16,10 @@ built by recursive block decomposition of the extended word:
   4. connect m to the maximum of each block, then recurse inside each
      block.
 
-``block_walk`` runs this split once and both trees are read off it: joining
-each block at its maximum gives the heaviest tree the construction can
-produce, joining it at its minimum the minimum decomposition.  The weight
+``min_decomp_parents`` runs this split once and returns the minimum
+decomposition: each block's minimum hangs under its segment's minimum.
+The labels under a node v are exactly v's block, so the max-weight tree
+joins each node's parent to the largest label under it.  The weight
 functions here are the slow, trusted references that the faster algorithms
 in :mod:`maxmintrees.weights` and :mod:`maxmintrees.mindecomp` are checked
 against.
@@ -26,7 +27,7 @@ against.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .perms import ExtendedPermutation, Permutation, extend
 
@@ -45,6 +46,8 @@ class MaxminTree:
     __slots__ = ("node_count", "edges", "neighbors")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]]):
+        if node_count < 1:
+            raise ValueError(f"a tree needs at least one node, got {node_count}")
         canonical = sorted((a, b) if a < b else (b, a) for a, b in edges)
         if len(canonical) != node_count - 1:
             raise ValueError(
@@ -58,19 +61,18 @@ class MaxminTree:
             nbrs[a].append(b)
             nbrs[b].append(a)
         # connectivity: n-1 edges + connected  =>  acyclic
-        if node_count > 0:
-            seen = [False] * (node_count + 1)
-            stack = [1]
-            seen[1] = True
-            reached = 1
-            while stack:
-                for u in nbrs[stack.pop()]:
-                    if not seen[u]:
-                        seen[u] = True
-                        reached += 1
-                        stack.append(u)
-            if reached != node_count:
-                raise ValueError("edges do not form a connected tree")
+        seen = [False] * (node_count + 1)
+        stack = [1]
+        seen[1] = True
+        reached = 1
+        while stack:
+            for u in nbrs[stack.pop()]:
+                if not seen[u]:
+                    seen[u] = True
+                    reached += 1
+                    stack.append(u)
+        if reached != node_count:
+            raise ValueError("edges do not form a connected tree")
         self.node_count = node_count
         self.edges = tuple(canonical)
         # each node meets its smaller neighbors (edges (a, v), by a) before its
@@ -125,16 +127,18 @@ def decompose_blocks(
     return mpos, blocks
 
 
-def block_walk(ext: ExtendedPermutation) -> Iterator[tuple[int, int, int]]:
+def min_decomp_parents(ext: ExtendedPermutation) -> list[int]:
     """
-    One (segment minimum, block minimum, block maximum) letter triple per
-    block of the recursive split of positions 1..n+1, in no set order.  A
-    block's minimum is the segment minimum of its own ``decompose_blocks``
-    call, or its only letter.
+    The minimum decomposition of the recursive split of positions 1..n+1,
+    as a parent array indexed by label: every block's minimum hangs under
+    its segment's minimum, and the root 1 has parent 0.  A block's minimum
+    is the segment minimum of its own ``decompose_blocks`` call, or its
+    only letter.
 
-    >>> sorted(block_walk(extend((2, 1, 3))))
-    [(1, 2, 2), (1, 3, 4), (3, 4, 4)]
+    >>> min_decomp_parents(extend((2, 1, 3)))
+    [0, 0, 1, 1, 3]
     """
+    parent = [0] * (len(ext) - 1)
     stack = [(1, len(ext) - 2, 0)]  # the whole word has no segment minimum
     while stack:
         a, b, seg_min = stack.pop()
@@ -143,20 +147,26 @@ def block_walk(ext: ExtendedPermutation) -> Iterator[tuple[int, int, int]]:
             mpos, blocks = decompose_blocks(ext, (a, b))
             low = ext[mpos]
             stack += [(c, d, low) for c, d in blocks]
-        if seg_min:
-            # every block carries its maximum at its right end
-            assert ext[b] == max(ext[a : b + 1]), (ext, (a, b))
-            yield seg_min, low, ext[b]
+        parent[low] = seg_min
+    return parent
 
 
 def build_max_weight_tree(p: Permutation) -> MaxminTree:
     """
-    The max-weight maxmin tree of p, on nodes 1..n+1.
+    The max-weight maxmin tree of p, on nodes 1..n+1: each node's parent in
+    the minimum decomposition joined to the largest label under the node.
 
     >>> build_max_weight_tree((2, 1, 3)).edges
     ((1, 2), (1, 4), (3, 4))
     """
-    edges = ((seg_min, top) for seg_min, _, top in block_walk(extend(p)))
+    parent = min_decomp_parents(extend(p))
+    # children exceed their parents, so descending label order finishes
+    # every node's largest label before its parent reads it
+    top = list(range(len(parent)))
+    for v in range(len(parent) - 1, 1, -1):
+        if top[v] > top[parent[v]]:
+            top[parent[v]] = top[v]
+    edges = ((parent[v], top[v]) for v in range(2, len(parent)))
     return MaxminTree(len(p) + 1, edges)
 
 

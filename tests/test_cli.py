@@ -365,6 +365,14 @@ class TestTnk:
         code, _, err = run(capsys, "tnk", "--crosscheck", str(f))
         assert code == 2 and "line 2" in err
 
+    def test_crosscheck_signed_entry_exit_2(self, capsys, tmp_path):
+        # '+1' is no integer in a triangle file, as it is none in PERM
+        f = tmp_path / "t.csv"
+        f.write_text("+1\n1,1\n2,3,1\n")
+        code, out, err = run(capsys, "tnk", "--crosscheck", str(f))
+        assert code == 2 and out == ""
+        assert err == "error: line 1: non-integer entry '+1'\n"
+
     @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
     def test_crosscheck_unreadable_exit_2(self, capsys, tmp_path, name):
         path = tmp_path / name

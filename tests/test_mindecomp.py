@@ -3,13 +3,11 @@ import math
 
 import pytest
 
-from maxmintrees.eulerian import LimitExceeded
 from maxmintrees.mindecomp import (
     MinDecompTree,
     build_min_decomp,
     classify,
     move_up,
-    verify_injectivity,
     weight_via_leaves,
 )
 from maxmintrees.perms import descent_values
@@ -168,21 +166,6 @@ class TestMoveUp:
             assert weight_via_leaves(MinDecompTree(back)) == weight_via_leaves(t)
 
 
-class TestInjectivity:
-    def test_tiny(self):
-        assert verify_injectivity(1)
-
-    def test_n3(self):
-        assert verify_injectivity(3)
-
-    def test_n7(self):
-        assert verify_injectivity(7)
-
-    def test_limit_guard(self):
-        with pytest.raises(LimitExceeded, match="limit"):
-            verify_injectivity(9, limit=8)
-
-
 class TestSerialization:
     def test_json_shape(self):
         t = build_min_decomp((1, 3, 2))
@@ -194,8 +177,9 @@ class TestSerialization:
         }
 
     def test_distinct_permutations_distinct_parents(self):
-        trees = {build_min_decomp(p).parent for p in all_perms(5)}
-        assert len(trees) == math.factorial(5)
+        for n in range(1, 8):
+            trees = {build_min_decomp(p).parent for p in all_perms(n)}
+            assert len(trees) == math.factorial(n), n
 
     def test_rejects_bad_parent(self):
         with pytest.raises(ValueError, match="parent"):

@@ -179,6 +179,31 @@ class TestCrosscheck:
         with pytest.raises(ValueError, match="line 2"):
             crosscheck_triangle(f)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("+1\n1,1\n2,3,1\n", "line 1: non-integer entry '+1'"),
+            ("1\n1,1\n\u0662,3,1\n", "line 3: non-integer entry '\u0662'"),
+            ("1\n1,1_0\n", "line 2: non-integer entry '1_0'"),
+        ],
+        ids=["plus", "arabic-indic", "underscore"],
+    )
+    def test_csv_reads_only_ascii_decimals(self, tmp_path, text, message):
+        # int() alone reads all three; files follow the PERM label rule -?[0-9]+
+        f = tmp_path / "t.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError) as info:
+            crosscheck_triangle(f, fmt="csv")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("line", ["1 1_0", "+1 1", "1 \u0661"])
+    def test_bfile_reads_only_ascii_decimals(self, tmp_path, line):
+        f = tmp_path / "b.txt"
+        f.write_text(f"0 1\n{line}\n")
+        with pytest.raises(ValueError) as info:
+            crosscheck_triangle(f, fmt="bfile")
+        assert str(info.value) == f"line 2: non-integer field in {line!r}"
+
 
 def test_binomial_identity_backstop():
     # sum over partitions of C(parts, k) summed over k equals the row sum

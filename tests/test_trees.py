@@ -224,6 +224,9 @@ class TestBuild:
             assert MaxminTree(t.node_count, reversed(t.edges)).neighbors == t.neighbors
 
     def test_rejects_non_tree(self):
+        for node_count in (0, -1):
+            with pytest.raises(ValueError, match="at least one node"):
+                MaxminTree(node_count, [])
         with pytest.raises(ValueError, match="edges"):
             MaxminTree(3, [(1, 2)])
         with pytest.raises(ValueError, match="connected"):
