@@ -15,6 +15,9 @@ OUT+ is text|json|csv, LIMITS is [--max-n N] [--threads T]):
     verify stems --n N --d D [--output OUT]
     verify stabilization --d D [--k K] [--n-max N] [--output OUT] LIMITS
 
+PERM is the word as one argument, or - to read it from standard input,
+which lifts the operating system's limit on the length of one argument.
+
 argparse refuses any other option with exit 2 before any work, with the
 usage of the command that does not take it.  Where one parser serves
 several modes (tnk, verify bijection), an option the chosen mode would
@@ -62,6 +65,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_LIMIT = 3
+
+_PERM_HELP = "permutation, e.g. '1 3 2', or - to read it from standard input"
 
 
 # tree kind -> (DOT graph type, edge operator): maxweight trees are
@@ -111,8 +116,21 @@ def _verdict(args, lines: list[str], payload: dict) -> int:
     return EXIT_OK if payload["ok"] else EXIT_VERIFY_FAILED
 
 
+def _perm_text(perm: str) -> str:
+    """PERM as given, or all of standard input when PERM is '-'."""
+    if perm != "-":
+        return perm
+    if sys.stdin is None:  # the interpreter started with no standard input
+        raise ValueError("cannot read PERM from standard input: it is closed")
+    try:
+        return sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValueError(f"cannot read PERM from standard input: {reason}") from None
+
+
 def _cmd_weight(args) -> int:
-    p = parse_permutation(args.perm)
+    p = parse_permutation(_perm_text(args.perm))
     if args.algo == "mindecomp":
         w = weight_via_leaves(build_min_decomp(p))
     else:
@@ -136,7 +154,7 @@ def _cmd_weight(args) -> int:
 
 
 def _cmd_tree(args) -> int:
-    p = parse_permutation(args.perm)
+    p = parse_permutation(_perm_text(args.perm))
     build = build_max_weight_tree if args.kind == "maxweight" else build_min_decomp
     t = build(p)
     if args.format == "dot":
@@ -319,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     w = sub.add_parser("weight", parents=[text_json], help="weight of a permutation")
-    w.add_argument("perm", help="permutation, e.g. '1 3 2'")
+    w.add_argument("perm", help=_PERM_HELP)
     w.add_argument("--algo", choices=("mindecomp", "range", "fast"), default="fast",
                    help="mindecomp: leaves of the minimum decomposition tree; "
                    "range and fast: one linear pass (default fast)")
@@ -328,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.set_defaults(func=_cmd_weight, _parser=w)
 
     t = sub.add_parser("tree", parents=[text_json], help="build a tree from a permutation")
-    t.add_argument("perm")
+    t.add_argument("perm", help=_PERM_HELP)
     t.add_argument("--kind", choices=("maxweight", "mindecomp"), default="maxweight")
     t.add_argument("--format", choices=("dot", "json"), default="json")
     t.set_defaults(func=_cmd_tree, _parser=t)

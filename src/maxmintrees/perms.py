@@ -14,15 +14,27 @@ The extended word of sigma adds sentinels so that scanning algorithms never
 run off either end: value n+2 at position 0, sigma at positions 1..n, the
 appended maximum n+1 at position n+1, and 0 at position n+2.  Indexing the
 extended tuple by k directly reads position k.
+
+``parse_permutation`` reads a word's text in slices of about 64 Ki
+characters, each cut just after a separator, and turns every slice's
+tokens into labels before it reads the next; so a long word never holds
+all of its token strings at once, and its peak memory is about what the
+labels and the result tuple need.  Every error names the global 1-based
+position of the token or label at fault.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Permutation = tuple[int, ...]
 ExtendedPermutation = tuple[int, ...]
+
+# parse_permutation reads its text this many characters at a time, so the
+# token strings of a long word never all exist at once
+_SLICE_CHARS = 1 << 16
+_SEPARATOR = re.compile(r"[\s,]")  # \s matches what str.split() splits on
 
 
 def validate_permutation(values: Iterable[int]) -> Permutation:
@@ -67,6 +79,19 @@ def _ascii_int(tok: str) -> int:
     return int(tok)
 
 
+def _token_slices(text: str) -> Iterator[list[str]]:
+    """
+    The tokens of text, one list per slice of about _SLICE_CHARS characters;
+    each slice ends just after a separator, so no token straddles two.
+    """
+    start = 0
+    while start < len(text):
+        cut = _SEPARATOR.search(text, start + _SLICE_CHARS - 1)
+        end = cut.end() if cut else len(text)
+        yield text[start:end].replace(",", " ").split()
+        start = end
+
+
 def parse_permutation(text: str) -> Permutation:
     """
     Parse a one-line permutation from whitespace- or comma-separated labels,
@@ -77,24 +102,25 @@ def parse_permutation(text: str) -> Permutation:
     >>> parse_permutation("2,1,3")
     (2, 1, 3)
     """
-    tokens = text.replace(",", " ").split()
-    if not tokens:
-        raise ValueError("empty permutation text")
     # int() also reads 1_0, +1 and non-ASCII digits; in ASCII text without
     # '_' or '+' it reads exactly the tokens that match -?[0-9]+
-    values = None
-    if text.isascii() and "_" not in text and "+" not in text:
-        try:
-            values = list(map(int, tokens))
-        except ValueError:
-            pass
-    if values is None:
-        values = []
-        for pos, tok in enumerate(tokens, start=1):
+    fast = text.isascii() and "_" not in text and "+" not in text
+    values: list[int] = []
+    for tokens in _token_slices(text):
+        done = len(values)
+        if fast:
+            try:
+                values += map(int, tokens)
+                continue
+            except ValueError:
+                pass  # a token of this slice fails below too, naming its position
+        for pos, tok in enumerate(tokens, start=done + 1):
             try:
                 values.append(_ascii_int(tok))
             except ValueError:
                 raise ValueError(f"non-integer token {tok!r} at position {pos}") from None
+    if not values:
+        raise ValueError("empty permutation text")
     return validate_permutation(values)
 
 

@@ -43,7 +43,7 @@ class MaxminTree:
     separately by :func:`is_maxmin`.
     """
 
-    __slots__ = ("node_count", "edges", "neighbors")
+    __slots__ = ("node_count", "edges", "_neighbors")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]]):
         if node_count < 1:
@@ -54,30 +54,36 @@ class MaxminTree:
                 f"a tree on {node_count} nodes needs {node_count - 1} edges, "
                 f"got {len(canonical)}"
             )
-        nbrs: list[list[int]] = [[] for _ in range(node_count + 1)]
+        if canonical and (canonical[0][0] < 1 or max(b for _, b in canonical) > node_count):
+            a, b = next(e for e in canonical if e[0] < 1 or e[1] > node_count)
+            raise ValueError(f"edge ({a}, {b}) leaves the label range")
+        # n-1 edges without a cycle form a connected tree; union-find with
+        # path halving finds a cycle as an edge inside one component
+        root = list(range(node_count + 1))
         for a, b in canonical:
-            if not (1 <= a <= node_count and 1 <= b <= node_count):
-                raise ValueError(f"edge ({a}, {b}) leaves the label range")
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        # connectivity: n-1 edges + connected  =>  acyclic
-        seen = [False] * (node_count + 1)
-        stack = [1]
-        seen[1] = True
-        reached = 1
-        while stack:
-            for u in nbrs[stack.pop()]:
-                if not seen[u]:
-                    seen[u] = True
-                    reached += 1
-                    stack.append(u)
-        if reached != node_count:
-            raise ValueError("edges do not form a connected tree")
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a == b:
+                raise ValueError("edges do not form a connected tree")
+            root[a] = b
         self.node_count = node_count
         self.edges = tuple(canonical)
-        # each node meets its smaller neighbors (edges (a, v), by a) before its
-        # larger ones (edges (v, b), by b), so every list is already ascending
-        self.neighbors = tuple(tuple(ns) for ns in nbrs)
+        self._neighbors = None
+
+    @property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor labels of every node, indexed by label; built on first read."""
+        if self._neighbors is None:
+            nbrs: list[list[int]] = [[] for _ in range(self.node_count + 1)]
+            for a, b in self.edges:
+                nbrs[a].append(b)
+                nbrs[b].append(a)
+            # each node meets its smaller neighbors (edges (a, v), by a) before
+            # its larger ones (edges (v, b), by b), so every list is ascending
+            self._neighbors = tuple(tuple(ns) for ns in nbrs)
+        return self._neighbors
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MaxminTree):

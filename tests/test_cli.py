@@ -1,4 +1,6 @@
 import argparse
+import errno
+import io
 import json
 import os
 import random
@@ -16,6 +18,7 @@ import maxmintrees.eulerian as eulerian
 import maxmintrees.partitions as partitions
 from maxmintrees.cli import build_parser, main
 from maxmintrees.partitions import t_triangle
+from maxmintrees.weights import descents_and_weight
 
 EXAMPLE_15_TEXT = "1 12 15 9 10 5 7 11 6 4 13 3 8 2 14"
 
@@ -167,6 +170,79 @@ class TestWeight:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 141
         assert err == b""
+
+
+class UnreadableStdin:
+    def read(self):
+        raise OSError(errno.EIO, "Input/output error")
+
+
+class TestStdin:
+    @pytest.mark.parametrize(
+        "argv",
+        [("weight",), ("weight", "--algo", "mindecomp", "--explain"), ("weight", "--output", "json"),
+         ("tree",), ("tree", "--kind", "mindecomp", "--format", "dot")],
+    )
+    def test_dash_reads_the_word_from_stdin(self, capsys, monkeypatch, argv):
+        expected = run(capsys, *argv[:1], EXAMPLE_15_TEXT, *argv[1:])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"  {EXAMPLE_15_TEXT}\n"))
+        code, out, err = run(capsys, *argv[:1], "-", *argv[1:])
+        if "json" in argv:  # the envelope echoes PERM and the elapsed time
+            assert result_text(out) == result_text(expected[1])
+        else:
+            assert (code, out, err) == expected
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "stdin, message",
+        [
+            (lambda: None, "cannot read PERM from standard input: it is closed"),
+            (UnreadableStdin, "cannot read PERM from standard input: Input/output error"),
+            (lambda: io.TextIOWrapper(io.BytesIO(b"2 \xff 1"), encoding="utf-8"),
+             "cannot read PERM from standard input: 'utf-8' codec can't decode "
+             "byte 0xff in position 2: invalid start byte"),
+            (lambda: io.StringIO(" \n"), "empty permutation text"),
+            (lambda: io.StringIO("1 1"), "duplicate label 1 at position 2"),
+        ],
+        ids=["closed", "io-error", "undecodable", "blank", "duplicate"],
+    )
+    @pytest.mark.parametrize("command", ["weight", "tree"])
+    def test_bad_stdin_exits_2(self, capsys, monkeypatch, command, stdin, message):
+        monkeypatch.setattr(sys, "stdin", stdin())
+        assert_refused(*run(capsys, command, "-"), f"error: {message}")
+
+    def test_piped_word_above_the_argument_limit(self):
+        # Linux refuses to exec one argument above 128 KiB (E2BIG); a pipe has no limit
+        word = list(range(1, 100_001))
+        random.Random(9).shuffle(word)
+        text = " ".join(map(str, word)) + "\n"
+        assert len(text.encode()) > 128 * 1024
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxmintrees.cli", "weight", "-"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            input=text,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"{descents_and_weight(tuple(word))[1]}\n"
+
+    def test_undecodable_stdin_exits_2_without_a_traceback(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxmintrees.cli", "tree", "-"],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "utf-8:strict"},
+            input=b"1 \xfe 2",
+            capture_output=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == (
+            b"error: cannot read PERM from standard input: 'utf-8' codec can't decode "
+            b"byte 0xfe in position 2: invalid start byte\n"
+        )
 
 
 class TestTree:

@@ -1,8 +1,13 @@
 import itertools
+import random
+import re
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from maxmintrees import perms
 from maxmintrees.perms import (
     descent_count,
     descent_positions,
@@ -95,6 +100,121 @@ class TestParse:
 
     def test_non_ascii_whitespace_still_separates(self):
         assert parse_permutation("2\u20031\u00a03") == (2, 1, 3)
+
+
+def parse_whole_text(text):
+    """The one-shot parse: every token of the text first, then the labels."""
+    tokens = text.replace(",", " ").split()
+    if not tokens:
+        raise ValueError("empty permutation text")
+    values = []
+    for pos, tok in enumerate(tokens, start=1):
+        if not re.fullmatch(r"-?[0-9]+", tok):
+            raise ValueError(f"non-integer token {tok!r} at position {pos}")
+        values.append(int(tok))
+    return validate_permutation(values)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+SLICE_SIZES = (1, 2, 3, 5, 8)
+
+
+class TestSlices:
+    """parse_permutation reads its text in slices; shrink them to a few characters."""
+
+    @pytest.mark.parametrize("size", SLICE_SIZES)
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("10 2 3 4 5 6 7 8 9 1", (10, 2, 3, 4, 5, 6, 7, 8, 9, 1)),
+            ("10,2,3,4,5,6,7,8,9,1", (10, 2, 3, 4, 5, 6, 7, 8, 9, 1)),
+            ("10\t2\t\t3\n4\n\n5 ,6,, 7\r\n8\u2003 9\u00a01", (10, 2, 3, 4, 5, 6, 7, 8, 9, 1)),
+            (",\n 12  11 10 9 8 7 6 5 4 3 2 1 \t,", tuple(range(12, 0, -1))),
+            ("1", (1,)),
+        ],
+    )
+    def test_tokens_across_slice_boundaries(self, monkeypatch, size, text, expected):
+        monkeypatch.setattr(perms, "_SLICE_CHARS", size)
+        assert parse_permutation(text) == expected
+
+    @pytest.mark.parametrize("size", SLICE_SIZES)
+    @pytest.mark.parametrize("text", ["", " ", ",", "\t\n ,,\r\n", "\u2003 \u00a0,"])
+    def test_empty_and_whitespace_only(self, monkeypatch, size, text):
+        monkeypatch.setattr(perms, "_SLICE_CHARS", size)
+        with pytest.raises(ValueError) as exc:
+            parse_permutation(text)
+        assert str(exc.value) == "empty permutation text"
+
+    @pytest.mark.parametrize("size", SLICE_SIZES)
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 2 3 4 5 6 x 7", "non-integer token 'x' at position 7"),
+            ("1,2,3,4,5,6,7,3.5", "non-integer token '3.5' at position 8"),
+            ("1 2 3 4 5 6 7 1_0 9 8", "non-integer token '1_0' at position 8"),
+            ("2 1 3 4 5 6 7 +8", "non-integer token '+8' at position 8"),
+            ("1 2 3 4 5 6 \u0667", "non-integer token '\u0667' at position 7"),
+            ("1 2 3 4 5 6 7 y 9 z", "non-integer token 'y' at position 8"),
+            ("1 2 3 4 5 6 7 1 9 x", "non-integer token 'x' at position 10"),
+            ("1 2 3 4 5 6 7 8 9 100", "label 100 out of range [1, 10] at position 10"),
+            ("1 2 3 4 5 6 7 8 -9", "label -9 out of range [1, 9] at position 9"),
+            ("1 2 3 4 5 6 7 8 9 10 11 12 5", "duplicate label 5 at position 13"),
+        ],
+    )
+    def test_faults_after_the_first_slice(self, monkeypatch, size, text, message):
+        monkeypatch.setattr(perms, "_SLICE_CHARS", size)
+        assert outcome(parse_permutation, text) == outcome(parse_whole_text, text)
+        assert outcome(parse_permutation, text) == f"ValueError: {message}"
+
+    def test_random_texts_match_the_one_shot_parse(self, monkeypatch):
+        rng = random.Random(7)
+        pieces = ["1", "2", "3", "4", "5", "12", "x", "-1", "+2", "1_0", "\u0663",
+                  " ", ",", "\t", "\n", "  ", ", "]
+        for _ in range(400):
+            text = "".join(rng.choices(pieces, k=rng.randint(0, 14)))
+            size = rng.choice(SLICE_SIZES)
+            monkeypatch.setattr(perms, "_SLICE_CHARS", size)
+            assert outcome(parse_permutation, text) == outcome(parse_whole_text, text), (text, size)
+
+    @given(
+        st.permutations(list(range(1, 40))).flatmap(
+            lambda p: st.tuples(
+                st.just(p),
+                st.lists(st.sampled_from([" ", ",", "\t", "\n", " , ", "\r\n", "  "]),
+                         min_size=len(p) + 1, max_size=len(p) + 1),
+            )
+        ),
+        st.integers(1, 12),
+    )
+    def test_chunked_parse_equals_split(self, word_and_separators, size):
+        word, seps = word_and_separators
+        text = seps[0] + "".join(str(v) + sep for v, sep in zip(word, seps[1:]))
+        with mock.patch.object(perms, "_SLICE_CHARS", size):
+            parsed = parse_permutation(text)
+        assert parsed == tuple(map(int, text.replace(",", " ").split())) == tuple(word)
+
+    @pytest.mark.parametrize("separator", [" ", ",", "\n"])
+    def test_peak_memory_stays_under_64_bytes_per_letter(self, separator):
+        # the token list of the whole text alone would take about 60 bytes
+        # per letter on top of the 45 that the result needs
+        n = 200_000
+        word = list(range(1, n + 1))
+        random.Random(3).shuffle(word)
+        text = separator.join(map(str, word))
+        tracemalloc.start()
+        try:
+            parsed = parse_permutation(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == tuple(word)
+        assert peak / n < 64, f"{peak / n:.1f} bytes per letter"
 
 
 class TestDescents:

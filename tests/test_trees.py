@@ -231,6 +231,38 @@ class TestBuild:
             MaxminTree(3, [(1, 2)])
         with pytest.raises(ValueError, match="connected"):
             MaxminTree(4, [(1, 2), (1, 2), (3, 4)])
+        with pytest.raises(ValueError, match="connected"):
+            MaxminTree(3, [(2, 2), (1, 3)])
+        # a label outside 1..node_count is named before any cycle is seen
+        with pytest.raises(ValueError, match=r"edge \(3, 9\) leaves the label range"):
+            MaxminTree(4, [(1, 2), (1, 2), (9, 3)])
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) leaves the label range"):
+            MaxminTree(3, [(2, 0), (0, 2)])
+
+    def test_accepts_exactly_the_connected_edge_sets(self):
+        # every multiset of n-1 edges on up to 5 nodes, against a graph search
+        for n in range(1, 6):
+            pairs = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
+            for edges in itertools.combinations_with_replacement(pairs, n - 1):
+                reached, stack = {1}, [1]
+                while stack:
+                    v = stack.pop()
+                    for a, b in edges:
+                        for u in ((b,) if a == v else ()) + ((a,) if b == v else ()):
+                            if u not in reached:
+                                reached.add(u)
+                                stack.append(u)
+                if len(reached) == n:
+                    assert MaxminTree(n, edges).edges == tuple(sorted(edges))
+                else:
+                    with pytest.raises(ValueError, match="connected"):
+                        MaxminTree(n, edges)
+
+    def test_neighbors_are_built_on_first_read(self):
+        t = build_max_weight_tree((2, 1, 3))
+        assert t._neighbors is None
+        assert t.neighbors == ((), (2, 4), (1,), (4,), (1, 3))
+        assert t.neighbors is t.neighbors
 
 
 # -------------------------------------------------------------- predicates
