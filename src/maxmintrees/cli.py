@@ -206,8 +206,9 @@ def _cmd_tnk(args) -> int:
         )
         try:
             report = crosscheck_triangle(args.crosscheck, fmt=args.file_format or "auto")
-        except OSError as exc:
-            raise ValueError(f"cannot read {args.crosscheck}: {exc.strerror}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ValueError(f"cannot read {args.crosscheck}: {reason}") from None
         lines = [f"checked {report['checked']} cells"]
         lines += [
             f"MISMATCH at (n={m['n']}, k={m['k']}): "

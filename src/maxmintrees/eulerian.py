@@ -62,26 +62,12 @@ class BivariatePolynomial:
     def coefficient(self, x_degree: int, q_degree: int) -> int:
         return self.terms.get((x_degree, q_degree), 0)
 
-    def coefficient_sum(self) -> int:
-        return sum(self.terms.values())
-
     def max_x_degree(self) -> int:
         return max(x for x, _ in self.terms)
-
-    def max_q_degree(self, x_degree: int) -> int:
-        """Highest q-degree present at the given x-degree; -1 when absent."""
-        return max((q for x, q in self.terms if x == x_degree), default=-1)
 
     def q_coefficients(self, x_degree: int) -> dict[int, int]:
         """q_degree -> coefficient at the given x-degree."""
         return {q: c for (x, q), c in self.terms.items() if x == x_degree}
-
-    def at_q_one(self) -> list[int]:
-        """Coefficient list by x-degree after setting q = 1."""
-        out = [0] * (self.max_x_degree() + 1)
-        for (x, _), c in self.terms.items():
-            out[x] += c
-        return out
 
     def sorted_terms(self) -> list[tuple[int, int, int]]:
         """(x, q, c) triples sorted by x ascending, then q descending."""
@@ -180,8 +166,8 @@ def q_eulerian(n: int, max_n: int = DEFAULT_MAX_N) -> BivariatePolynomial:
     merged: Counter[tuple[int, int]] = Counter()
     for block in blocks:
         merged.update(block)
+    assert sum(merged.values()) == math.factorial(n)
     poly = BivariatePolynomial(n, MappingProxyType(dict(merged)))
-    assert poly.coefficient_sum() == math.factorial(n)
     _Q_CACHE[n] = poly
     return poly
 

@@ -108,9 +108,6 @@ class PartitionTriangle:
     def n_max(self) -> int:
         return len(self.rows) - 1
 
-    def cell(self, n: int, k: int) -> int:
-        return self.rows[n][k]
-
     def csv_text(self) -> str:
         return "\n".join(",".join(str(c) for c in row) for row in self.rows) + "\n"
 
@@ -209,7 +206,7 @@ def crosscheck_triangle(file: str | Path, fmt: str = "auto") -> dict:
     b-file).  A file without cells is refused: a check that compares
     nothing must not pass.
     """
-    text = Path(file).read_text()
+    text = Path(file).read_text(encoding="utf-8")
     if fmt == "auto":
         fmt = "csv"
         for line in text.splitlines():

@@ -449,9 +449,16 @@ class TestTnk:
         assert code == 2 and out == ""
         assert err == "error: line 1: non-integer entry '+1'\n"
 
-    @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
-    def test_crosscheck_unreadable_exit_2(self, capsys, tmp_path, name):
+    # a file is read as UTF-8 whatever the locale
+    @pytest.mark.parametrize(
+        "name, data",
+        [("missing.csv", None), (".", None), ("t.csv", b"\xff\n1,1\n")],
+        ids=["missing", "directory", "not-utf-8"],
+    )
+    def test_crosscheck_unreadable_exit_2(self, capsys, tmp_path, name, data):
         path = tmp_path / name
+        if data is not None:
+            path.write_bytes(data)
         code, out, err = run(capsys, "tnk", "--crosscheck", str(path))
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot read {path}: ")

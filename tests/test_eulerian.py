@@ -19,6 +19,12 @@ from maxmintrees.eulerian import (
 
 from expected_values import E3, E4, E5, E6
 
+
+def at_q_one(poly):
+    """Coefficient list by x-degree after setting q = 1."""
+    return [sum(poly.q_coefficients(d).values()) for d in range(poly.max_x_degree() + 1)]
+
+
 # ---------------------------------------------------------------- oracles
 
 def eulerian_recurrence(n):
@@ -82,11 +88,11 @@ class TestQEulerian:
 
     def test_q_one_matches_eulerian(self):
         for n in range(1, 8):
-            assert q_eulerian(n).at_q_one() == eulerian_polynomial(n)
+            assert at_q_one(q_eulerian(n)) == eulerian_polynomial(n)
 
     def test_coefficient_sum_is_factorial(self):
         for n in range(1, 8):
-            assert q_eulerian(n).coefficient_sum() == math.factorial(n)
+            assert sum(q_eulerian(n).terms.values()) == math.factorial(n)
 
     def test_extreme_x_degrees(self):
         for n in range(2, 8):
@@ -98,11 +104,11 @@ class TestQEulerian:
         for n in range(3, 8):
             poly = q_eulerian(n)
             for d in range(1, n - 1):
-                assert poly.max_q_degree(d) == maxwt(n, d), (n, d)
+                assert max(poly.q_coefficients(d)) == maxwt(n, d), (n, d)
 
     def test_symmetry_at_q_one(self):
         for n in range(2, 8):
-            coeffs = q_eulerian(n).at_q_one()
+            coeffs = at_q_one(q_eulerian(n))
             assert coeffs == coeffs[::-1]
 
     def test_pool_result_equals_in_process_result(self, monkeypatch):
@@ -134,7 +140,7 @@ class TestQEulerian:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         clear_cache()
         try:
-            assert q_eulerian(6).coefficient_sum() == math.factorial(6)
+            assert sum(q_eulerian(6).terms.values()) == math.factorial(6)
         finally:
             clear_cache()
 
@@ -148,7 +154,7 @@ class TestQEulerian:
         with pytest.raises(TypeError):
             poly.terms[(1, 0)] = 999
         assert q_eulerian(5) is poly
-        assert q_eulerian(5).coefficient_sum() == math.factorial(5)
+        assert sum(q_eulerian(5).terms.values()) == math.factorial(5)
 
     def test_sorted_terms_order(self):
         ts = q_eulerian(4).sorted_terms()
@@ -251,7 +257,7 @@ class TestPolynomialBasics:
         poly = BivariatePolynomial(3, dict(E3))
         assert poly.coefficient(1, 1) == 1
         assert poly.coefficient(1, 5) == 0
-        assert poly.max_q_degree(9) == -1
+        assert poly.q_coefficients(9) == {}
 
     def test_equal_by_order_and_terms_and_unhashable(self):
         poly = BivariatePolynomial(3, dict(E3))

@@ -93,7 +93,7 @@ class TestTriangle:
         assert t_triangle(0).rows == ((1,),)
 
     def test_cell_10_5(self):
-        assert t_triangle(10).cell(10, 5) == 590
+        assert t_triangle(10).rows[10][5] == 590
 
     def test_full_table(self):
         tri = t_triangle(10)
@@ -103,7 +103,7 @@ class TestTriangle:
         tri = t_triangle(8)
         for n in range(9):
             for k in range(n + 1):
-                assert tri.cell(n, k) == t_nk(n, k)
+                assert tri.rows[n][k] == t_nk(n, k)
 
     def test_stable_region(self):
         # cell (n, k) feeds the stabilized series when 2k >= n: the
@@ -117,7 +117,7 @@ class TestTriangle:
         tri = t_triangle(6)
         cells = read_triangle_csv(tri.csv_text())
         assert cells == [
-            (n, k, tri.cell(n, k)) for n in range(7) for k in range(n + 1)
+            (n, k, tri.rows[n][k]) for n in range(7) for k in range(n + 1)
         ]
 
 
