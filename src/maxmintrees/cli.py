@@ -26,6 +26,9 @@ exhaustive S_n guard.  --threads is checked to be at least 1
 but ignored: the S_n enumeration picks its own process count.  JSON output
 wraps the payload in an envelope carrying the command echo, parameters,
 elapsed time and tool version; payloads are deterministic for fixed inputs.
+The envelope is written in bounded batches as it is encoded, byte for byte
+as json.dumps(envelope, indent=2) prints it, so no whole JSON document is
+held in memory.
 
 --algo fast and --algo range run the one linear weight pass; --algo
 mindecomp reads the weight off the minimum decomposition tree.
@@ -42,6 +45,7 @@ import json
 import os
 import sys
 import time
+from itertools import islice
 
 from . import __version__
 from .bijection import bijection_report, stable_region, stem_report
@@ -67,6 +71,9 @@ EXIT_INPUT_ERROR = 2
 EXIT_LIMIT = 3
 
 _PERM_HELP = "permutation, e.g. '1 3 2', or - to read it from standard input"
+
+# encoder pieces joined into one write of a JSON envelope
+_JSON_BATCH = 8192
 
 
 # tree kind -> (DOT graph type, edge operator): maxweight trees are
@@ -102,7 +109,14 @@ def _emit(args, result_text: str, payload, csv_text: str = "") -> None:
             "elapsed_s": round(time.perf_counter() - args._t0, 6),
             "version": __version__,
         }
-        print(json.dumps(envelope, indent=2))
+        # the indenting encoder is pure Python and lists every piece before
+        # json.dumps joins them; writing bounded batches keeps the document
+        # out of memory.  print, not sys.stdout.write: with fd 1 closed
+        # sys.stdout is None, and print then writes nothing
+        pieces = json.JSONEncoder(indent=2).iterencode(envelope)
+        while chunk := "".join(islice(pieces, _JSON_BATCH)):
+            print(chunk, end="")
+        print()
     elif args.output == "csv":
         print(csv_text, end="" if csv_text.endswith("\n") else "\n")
     else:
@@ -137,7 +151,7 @@ def _cmd_weight(args) -> int:
         w = weight_accelerated(p)
     details = range_details(p) if args.explain else []
     if args.output == "json":
-        payload: dict = {"n": len(p), "perm": list(p), "algo": args.algo, "weight": w}
+        payload: dict = {"n": len(p), "perm": p, "algo": args.algo, "weight": w}
         if args.explain:
             payload["ranges"] = details
         _emit(args, "", payload)
@@ -159,9 +173,9 @@ def _cmd_tree(args) -> int:
     t = build(p)
     if args.format == "dot":
         dot = _dot(t, args.kind)
-        _emit(args, dot, {"perm": list(p), "dot": dot} if args.output == "json" else None)
+        _emit(args, dot, {"perm": p, "dot": dot} if args.output == "json" else None)
     elif args.output == "json":
-        _emit(args, "", {"perm": list(p), **t.json_dict()})
+        _emit(args, "", {"perm": p, **t.json_dict()})
     else:
         _emit(args, json.dumps(t.json_dict()), None)
     return EXIT_OK
@@ -244,7 +258,7 @@ def _cmd_tnk(args) -> int:
         "n": args.n,
         "k": args.k,
         "value": value,
-        "contributions": [{"partition": list(lam), "count": c} for lam, c in contrib],
+        "contributions": [{"partition": lam, "count": c} for lam, c in contrib],
     }
     lines = [str(value)] + [f"{''.join(map(str, lam))} : {c}" for lam, c in contrib]
     _emit(args, "\n".join(lines), payload)

@@ -695,6 +695,95 @@ class TestThreads:
         assert err == f"error: --threads must be at least 1, got {threads}\n"
 
 
+class RecordingStdout(io.StringIO):
+    """A stdout that keeps the length of every non-empty write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, s):
+        if s:
+            self.writes.append(len(s))
+        return super().write(s)
+
+
+def run_cli_process(*argv, **popen):
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.Popen(
+        [sys.executable, "-m", "maxmintrees.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        **popen,
+    )
+
+
+class TestJsonStream:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weight", EXAMPLE_15_TEXT],
+            ["weight", EXAMPLE_15_TEXT, "--explain"],
+            ["tree", EXAMPLE_15_TEXT, "--format", "json"],
+            ["tree", EXAMPLE_15_TEXT, "--kind", "mindecomp", "--format", "dot"],
+            ["eulerian", "5"],
+            ["eulerian", "5", "--q"],
+            ["wd", "2"],
+            ["tnk", "12", "4"],
+            ["tnk", "12", "4", "--contributions"],
+            ["tnk", "--triangle", "6"],
+            ["tnk", "--crosscheck", "TRIANGLE"],
+            ["verify", "bijection", "--n-max", "5"],
+            ["verify", "stems", "--n", "6", "--d", "3"],
+            ["verify", "stabilization", "--d", "1", "--k", "1", "--n-max", "6"],
+        ],
+        ids=["weight", "weight-explain", "tree-json", "tree-dot", "eulerian", "eulerian-q",
+             "wd", "tnk", "tnk-contributions", "tnk-triangle", "tnk-crosscheck",
+             "bijection", "stems", "stabilization"],
+    )
+    def test_envelope_is_byte_identical_to_json_dumps(self, capsys, tmp_path, argv):
+        triangle = tmp_path / "triangle.csv"
+        triangle.write_text(t_triangle(6).csv_text())
+        argv = [str(triangle) if a == "TRIANGLE" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--output", "json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_envelope_arrives_in_bounded_writes(self, monkeypatch):
+        stdout = RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["tnk", "33", "11", "--contributions", "--output", "json"]) == 0
+        out = stdout.getvalue()
+        pieces = json.JSONEncoder(indent=2).iterencode(json.loads(out))
+        bound = cli._JSON_BATCH * max(map(len, pieces))
+        # one write of the whole document would exceed the bound
+        assert len(out) > bound
+        assert len(stdout.writes) > 1 and max(stdout.writes) <= bound
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_closed_stdout_exits_0_quietly(self, output):
+        # with fd 1 closed at start-up the interpreter sets sys.stdout to None
+        proc = run_cli_process(
+            "eulerian", "5", "--q", "--output", output,
+            stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
+        )
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+
+    def test_reader_closing_the_pipe_mid_stream_exits_141_quietly(self):
+        # the document (about 3.1 MB) is far above the pipe buffer, so the
+        # reader closes its end while the envelope is still being written
+        proc = run_cli_process(
+            "tnk", "39", "13", "--contributions", "--output", "json",
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
+
+
 @pytest.mark.parametrize(
     "argv",
     [["eulerian", "3"], ["wd", "1"], ["verify", "bijection", "--n-max", "3"],
