@@ -145,11 +145,14 @@ def _perm_text(perm: str) -> str:
 
 def _cmd_weight(args) -> int:
     p = parse_permutation(_perm_text(args.perm))
+    details = range_details(p) if args.explain else []
     if args.algo == "mindecomp":
         w = weight_via_leaves(build_min_decomp(p))
+    elif args.explain:
+        # the rows hold the stack pass's ranges: read the weight off them
+        w = sum(r["descents"] for r in details) - len(p)
     else:
         w = weight_accelerated(p)
-    details = range_details(p) if args.explain else []
     if args.output == "json":
         payload: dict = {"n": len(p), "perm": p, "algo": args.algo, "weight": w}
         if args.explain:

@@ -16,6 +16,7 @@ import maxmintrees.bijection as bijection
 import maxmintrees.cli as cli
 import maxmintrees.eulerian as eulerian
 import maxmintrees.partitions as partitions
+import maxmintrees.weights as weights
 from maxmintrees.cli import build_parser, main
 from maxmintrees.partitions import t_triangle
 from maxmintrees.weights import descents_and_weight
@@ -96,6 +97,40 @@ class TestWeight:
         assert lines[0] == "0"
         assert len(lines) == 3  # two non-descents
 
+    @pytest.mark.parametrize("algo", ["fast", "range", "mindecomp"])
+    def test_explain_runs_the_stack_pass_once(self, capsys, monkeypatch, algo):
+        calls = []
+        ranges = weights._subtree_ranges
+
+        def counted(ext):
+            calls.append(len(ext))
+            return ranges(ext)
+
+        monkeypatch.setattr(weights, "_subtree_ranges", counted)
+        for output in ("text", "json"):
+            code, _, _ = run(
+                capsys, "weight", EXAMPLE_15_TEXT, "--algo", algo, "--explain", "--output", output
+            )
+            assert code == 0
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("algo", ["fast", "range", "mindecomp"])
+    def test_explained_weight_equals_the_plain_weight(self, capsys, algo):
+        rng = random.Random(23)
+        words = [EXAMPLE_15_TEXT]
+        for n in [1, 2, 3, *rng.sample(range(4, 301), 20), 300]:
+            word = list(range(1, n + 1))
+            rng.shuffle(word)
+            words.append(" ".join(map(str, word)))
+        for text in words:
+            plain = run(capsys, "weight", text)[1]
+            explained = run(capsys, "weight", text, "--algo", algo, "--explain")[1]
+            assert explained.splitlines()[0] == plain.strip(), text
+            envelope = json.loads(
+                run(capsys, "weight", text, "--algo", algo, "--explain", "--output", "json")[1]
+            )
+            assert envelope["result"]["weight"] == int(plain), text
+
     def test_algos_agree(self, capsys):
         results = []
         for algo in ("mindecomp", "range", "fast"):
@@ -125,8 +160,9 @@ class TestWeight:
     def test_long_word_needs_only_the_standard_library(self):
         # a fresh interpreter, so that modules other tests import do not count;
         # multiprocessing aliases the main module as __mp_main__.  No pool
-        # starts here, not even for S_8 with --threads 2, so neither
-        # concurrent.futures nor multiprocessing loads.
+        # starts here: S_7 is the largest order enumerated in-process, and
+        # --threads 2 does not change that, so neither concurrent.futures
+        # nor multiprocessing loads.
         script = (
             "import random, sys\n"
             "before = set(sys.modules)\n"
@@ -137,7 +173,7 @@ class TestWeight:
             "assert cli.main(['weight', perm]) == 0\n"
             "assert cli.main(['weight', perm, '--explain']) == 0\n"
             "assert cli.main(['tnk', '8', '5']) == 0\n"
-            "assert cli.main(['eulerian', '8', '--q', '--threads', '2']) == 0\n"
+            "assert cli.main(['eulerian', '7', '--q', '--threads', '2']) == 0\n"
             "new = set(sys.modules) - before\n"
             "loaded = {m.partition('.')[0] for m in new if not m.startswith('__')}\n"
             "print(sorted(loaded - set(sys.stdlib_module_names) - {'maxmintrees'}))\n"

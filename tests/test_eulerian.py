@@ -25,6 +25,26 @@ def at_q_one(poly):
     return [sum(poly.q_coefficients(d).values()) for d in range(poly.max_x_degree() + 1)]
 
 
+def record_pools(monkeypatch):
+    """Let q_eulerian build real pools, and list the worker count of each."""
+    built = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return built
+
+
+def refuse_pools(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
 # ---------------------------------------------------------------- oracles
 
 def eulerian_recurrence(n):
@@ -113,16 +133,9 @@ class TestQEulerian:
 
     def test_pool_result_equals_in_process_result(self, monkeypatch):
         reference = dict(q_eulerian(6).terms)
-        built = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                built.append(max_workers)
-                super().__init__(max_workers)
-
+        built = record_pools(monkeypatch)
         monkeypatch.setattr(eulerian, "_POOL_MIN_N", 5)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(eulerian, "_usable_cpus", lambda: 2)
         clear_cache()
         try:
             assert q_eulerian(6).terms == reference
@@ -130,19 +143,45 @@ class TestQEulerian:
             clear_cache()
         assert built == [2]
 
-    @pytest.mark.parametrize("cpus", [1, None])
-    def test_one_cpu_never_builds_a_pool(self, monkeypatch, cpus):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a process pool was built")
+    def test_pool_starts_at_order_8(self, monkeypatch):
+        built = record_pools(monkeypatch)
+        monkeypatch.setattr(eulerian, "_usable_cpus", lambda: 2)
+        clear_cache()
+        try:
+            q_eulerian(7)
+            assert built == []
+            q_eulerian(8)
+        finally:
+            clear_cache()
+        assert built == [2]
 
+    def test_one_cpu_never_builds_a_pool(self, monkeypatch):
+        refuse_pools(monkeypatch)
         monkeypatch.setattr(eulerian, "_POOL_MIN_N", 5)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(eulerian, "_usable_cpus", lambda: 1)
         clear_cache()
         try:
             assert sum(q_eulerian(6).terms.values()) == math.factorial(6)
         finally:
             clear_cache()
+
+    def test_affinity_of_one_cpu_never_builds_a_pool(self, monkeypatch):
+        # the host has two CPUs, but the process may run on one of them
+        refuse_pools(monkeypatch)
+        monkeypatch.setattr(eulerian, "_POOL_MIN_N", 5)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        clear_cache()
+        try:
+            assert sum(q_eulerian(6).terms.values()) == math.factorial(6)
+        finally:
+            clear_cache()
+
+    @pytest.mark.parametrize("host, usable", [(3, 3), (None, 1)])
+    def test_usable_cpus_without_an_affinity_mask(self, monkeypatch, host, usable):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: host)
+        assert eulerian._usable_cpus() == usable
 
     def test_limit(self):
         with pytest.raises(LimitExceeded):
