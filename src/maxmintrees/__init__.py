@@ -4,11 +4,15 @@ two-kind partition triangle.
 
 The library builds the max-weight maxmin tree and the minimum
 decomposition tree of a permutation, computes the permutation weight by
-five mutually checking routes, enumerates the symmetric group into exact
-bivariate (descents, weight) polynomials, extracts their stabilized
+five mutually checking routes, counts the symmetric group by (descents,
+weight) into the q-Eulerian polynomials, extracts their stabilized
 coefficient series, and verifies the correspondence between
 near-maximal-weight permutations and the two-kind partition counts
 T(n, k) (OEIS A256193).
+
+The library returns values, never text: ``q_eulerian`` returns a
+read-only mapping (descents, weight) -> count, and every output format
+(text, JSON, CSV, DOT) is rendered by the command line, ``maxmintrees.cli``.
 
 The public contract is ``__all__``: the names the command line calls and
 the ones README.md documents.  The building blocks behind them (the block
@@ -21,10 +25,8 @@ __version__ = "0.1.0"
 from .bijection import bijection_report, stable_region, stem_report
 from .eulerian import (
     DEFAULT_MAX_N,
-    BivariatePolynomial,
     LimitExceeded,
     eulerian_polynomial,
-    format_bivariate,
     maxwt,
     q_eulerian,
     stabilization_values,
@@ -48,7 +50,6 @@ from .trees import (
 from .weights import descents_and_weight, range_details, weight_accelerated
 
 __all__ = [
-    "BivariatePolynomial",
     "DEFAULT_MAX_N",
     "LimitExceeded",
     "MaxminTree",
@@ -60,7 +61,6 @@ __all__ = [
     "crosscheck_triangle",
     "descents_and_weight",
     "eulerian_polynomial",
-    "format_bivariate",
     "maxwt",
     "parse_permutation",
     "q_eulerian",

@@ -169,7 +169,7 @@ def bijection_report(n: int, d: int, max_n: int = DEFAULT_MAX_N) -> dict:
     """
     _check_descents(n, d)
     w = target_weight(n, d)
-    brute = q_eulerian(n, max_n=max_n).coefficient(d, w)
+    brute = q_eulerian(n, max_n=max_n).get((d, w), 0)
     stems = stem_report(n, d)
     return {
         "n": n,

@@ -30,6 +30,9 @@ The envelope is written in bounded batches as it is encoded, byte for byte
 as json.dumps(envelope, indent=2) prints it, so no whole JSON document is
 held in memory.
 
+Every output format (text, JSON, CSV, DOT) is rendered here, from the
+values the library returns.
+
 --algo fast and --algo range run the one linear weight pass; --algo
 mindecomp reads the weight off the minimum decomposition tree.
 
@@ -45,7 +48,7 @@ import json
 import os
 import sys
 import time
-from itertools import islice
+from itertools import groupby, islice
 
 from . import __version__
 from .bijection import bijection_report, stable_region, stem_report
@@ -54,7 +57,6 @@ from .eulerian import (
     LimitExceeded,
     _check_limit,
     eulerian_polynomial,
-    format_bivariate,
     q_eulerian,
     stabilization_values,
     wd_series,
@@ -87,6 +89,35 @@ def _dot(tree, kind: str) -> str:
     lines += [f"  {a} {op} {b};" for a, b in tree.edges]
     lines.append("}")
     return "\n".join(lines)
+
+
+def _tree_json(tree, kind: str) -> dict:
+    """Nodes 1..n+1 and the sorted edges; a minimum decomposition adds its root and leaves."""
+    edges = tree.edges
+    out = {"nodes": list(range(1, len(edges) + 2)), "edges": [list(e) for e in edges]}
+    if kind == "mindecomp":
+        out.update(root=1, leaves=sorted(tree.leaves()))
+    return out
+
+
+def _format_bivariate(terms) -> str:
+    """((x, q), c) terms, x ascending and q descending, as "1 + x(q + 3) + x^2"."""
+
+    def q_term(q: int, c: int) -> str:
+        if q == 0:
+            return str(c)
+        qs = "q" if q == 1 else f"q^{q}"
+        return qs if c == 1 else f"{c}{qs}"
+
+    parts = []
+    for x, group in groupby(terms, key=lambda t: t[0][0]):
+        inner = " + ".join(q_term(q, c) for (_, q), c in group)
+        if x == 0:
+            parts.append(inner)
+        else:
+            xs = "x" if x == 1 else f"x^{x}"
+            parts.append(xs if inner == "1" else f"{xs}({inner})")
+    return " + ".join(parts)
 
 
 def _refuse_ignored(mode: str, options: dict) -> None:
@@ -178,17 +209,23 @@ def _cmd_tree(args) -> int:
         dot = _dot(t, args.kind)
         _emit(args, dot, {"perm": p, "dot": dot} if args.output == "json" else None)
     elif args.output == "json":
-        _emit(args, "", {"perm": p, **t.json_dict()})
+        _emit(args, "", {"perm": p, **_tree_json(t, args.kind)})
     else:
-        _emit(args, json.dumps(t.json_dict()), None)
+        _emit(args, json.dumps(_tree_json(t, args.kind)), None)
     return EXIT_OK
 
 
 def _cmd_eulerian(args) -> int:
     if args.q:
-        poly = q_eulerian(args.n, max_n=args.max_n)
-        payload = poly.json_dict()
-        _emit(args, format_bivariate(poly), payload, "\n".join(poly.csv_rows()))
+        # x ascending, q descending: the one order of every rendering
+        terms = sorted(q_eulerian(args.n, max_n=args.max_n).items(),
+                       key=lambda t: (t[0][0], -t[0][1]))
+        _emit(
+            args,
+            _format_bivariate(terms),
+            {"n": args.n, "terms": [{"x": x, "q": q, "c": c} for (x, q), c in terms]},
+            "x,q,c\n" + "\n".join(f"{x},{q},{c}" for (x, q), c in terms),
+        )
     else:
         coeffs = eulerian_polynomial(args.n, max_n=args.max_n)
         payload = {"n": args.n, "coefficients": coeffs}
@@ -239,12 +276,13 @@ def _cmd_tnk(args) -> int:
             {**nk, "--contributions": args.contributions,
              "--file-format": args.file_format},
         )
-        tri = t_triangle(args.triangle)
+        rows = t_triangle(args.triangle).rows
+        cells = [list(map(str, row)) for row in rows]
         _emit(
             args,
-            "\n".join(" ".join(str(c) for c in row) for row in tri.rows),
-            tri.json_dict(),
-            tri.csv_text(),
+            "\n".join(map(" ".join, cells)),
+            {"n_max": args.triangle, "rows": [list(row) for row in rows]},
+            "".join(",".join(row) + "\n" for row in cells),
         )
         return EXIT_OK
     if args.n is None or args.k is None:
@@ -263,7 +301,7 @@ def _cmd_tnk(args) -> int:
         "value": value,
         "contributions": [{"partition": lam, "count": c} for lam, c in contrib],
     }
-    lines = [str(value)] + [f"{''.join(map(str, lam))} : {c}" for lam, c in contrib]
+    lines = [str(value)] + [f"{'+'.join(map(str, lam))} : {c}" for lam, c in contrib]
     _emit(args, "\n".join(lines), payload)
     return EXIT_OK
 
@@ -298,7 +336,7 @@ def _cmd_verify_stems(args) -> int:
     report = stem_report(args.n, args.d)
     lines = [
         f"{' '.join(map(str, r['stem']))}: {r['count']}  "
-        f"(partition {''.join(map(str, r['partition']))})"
+        f"(partition {'+'.join(map(str, r['partition']))})"
         for r in report["stems"]
     ]
     lines.append(f"total {report['total']}, T({args.n - 1},{args.d}) = {report['t_value']}")

@@ -8,8 +8,9 @@ come from exhaustive enumeration of S_n.
 
 The q-Eulerian polynomial of order n counts the symmetric group S_n by
 (descents, weight): the coefficient of x^d q^w is the number of
-permutations with d descents and weight w.  All arithmetic is exact
-integers.
+permutations with d descents and weight w.  ``q_eulerian`` returns it as
+a read-only mapping (d, w) -> count with no zero entries; the command line
+renders it.  All arithmetic is exact integers.
 
 For fixed d, the coefficients at q-degree maxwt(n, d) - k stop depending
 on n once n reaches d + k + 1; ``stabilization_values`` lists them from
@@ -40,7 +41,6 @@ import math
 import os
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import permutations as _permutations
 from types import MappingProxyType
 
@@ -55,45 +55,6 @@ _POOL_MIN_N = 8
 
 class LimitExceeded(RuntimeError):
     """An exhaustive enumeration was refused because n exceeds the limit."""
-
-
-@dataclass(frozen=True)
-class BivariatePolynomial:
-    """
-    Nonnegative integer polynomial in x and q, stored as a sparse map
-    (x_degree, q_degree) -> coefficient with no zero entries.
-    """
-
-    n: int
-    terms: Mapping[tuple[int, int], int]
-
-    __hash__ = None  # unhashable, as terms is a mapping
-
-    def coefficient(self, x_degree: int, q_degree: int) -> int:
-        return self.terms.get((x_degree, q_degree), 0)
-
-    def max_x_degree(self) -> int:
-        return max(x for x, _ in self.terms)
-
-    def q_coefficients(self, x_degree: int) -> dict[int, int]:
-        """q_degree -> coefficient at the given x-degree."""
-        return {q: c for (x, q), c in self.terms.items() if x == x_degree}
-
-    def sorted_terms(self) -> list[tuple[int, int, int]]:
-        """(x, q, c) triples sorted by x ascending, then q descending."""
-        return sorted(
-            ((x, q, c) for (x, q), c in self.terms.items()),
-            key=lambda t: (t[0], -t[1]),
-        )
-
-    def json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [{"x": x, "q": q, "c": c} for x, q, c in self.sorted_terms()],
-        }
-
-    def csv_rows(self) -> list[str]:
-        return ["x,q,c"] + [f"{x},{q},{c}" for x, q, c in self.sorted_terms()]
 
 
 def maxwt(n: int, d: int) -> int:
@@ -150,20 +111,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_Q_CACHE: dict[int, BivariatePolynomial] = {}
+_Q_CACHE: dict[int, Mapping[tuple[int, int], int]] = {}
 
 
 def clear_cache() -> None:
     _Q_CACHE.clear()
 
 
-def q_eulerian(n: int, max_n: int = DEFAULT_MAX_N) -> BivariatePolynomial:
+def q_eulerian(n: int, max_n: int = DEFAULT_MAX_N) -> Mapping[tuple[int, int], int]:
     """
-    The q-Eulerian polynomial of order n: coefficient of x^d q^w counts
-    permutations with d descents and weight w.  Results are cached per n,
-    so every caller shares one polynomial, whose terms are read-only.
+    The q-Eulerian polynomial of order n as a mapping (d, w) -> count of
+    the permutations with d descents and weight w, zero counts omitted.
+    Results are cached per n, so every caller shares one read-only mapping.
 
-    >>> q_eulerian(3).terms == {(0, 0): 1, (1, 1): 1, (1, 0): 3, (2, 0): 1}
+    >>> q_eulerian(3) == {(0, 0): 1, (1, 1): 1, (1, 0): 3, (2, 0): 1}
     True
     """
     _check_limit(n, max_n)
@@ -184,8 +145,7 @@ def q_eulerian(n: int, max_n: int = DEFAULT_MAX_N) -> BivariatePolynomial:
     for block in blocks:
         merged.update(block)
     assert sum(merged.values()) == math.factorial(n)
-    poly = BivariatePolynomial(n, MappingProxyType(dict(merged)))
-    _Q_CACHE[n] = poly
+    poly = _Q_CACHE[n] = MappingProxyType(dict(merged))
     return poly
 
 
@@ -205,7 +165,7 @@ def stabilization_values(
         raise ValueError(f"n_max={n_max} is below the threshold {threshold}")
     _check_limit(n_max, max_n)
     return [
-        (n, q_eulerian(n, max_n=max_n).coefficient(d, maxwt(n, d) - k))
+        (n, q_eulerian(n, max_n=max_n).get((d, maxwt(n, d) - k), 0))
         for n in range(threshold, n_max + 1)
     ]
 
@@ -227,32 +187,7 @@ def wd_series(d: int, terms: int, max_n: int = DEFAULT_MAX_N) -> tuple[int, ...]
             f"{terms} terms of the d={d} series need n={d + terms}, above the limit {max_n}"
         )
     return tuple(
-        q_eulerian(d + k + 1, max_n=max_n).coefficient(d, maxwt(d + k + 1, d) - k)
+        q_eulerian(d + k + 1, max_n=max_n).get((d, maxwt(d + k + 1, d) - k), 0)
         for k in range(terms)
     )
 
-
-def format_bivariate(poly: BivariatePolynomial) -> str:
-    """
-    Human-readable rendering, x-degrees ascending and q-degrees descending:
-    "1 + x(q + 3) + x^2".
-    """
-
-    def q_term(q: int, c: int) -> str:
-        if q == 0:
-            return str(c)
-        qs = "q" if q == 1 else f"q^{q}"
-        return qs if c == 1 else f"{c}{qs}"
-
-    parts = []
-    for x in range(poly.max_x_degree() + 1):
-        qc = poly.q_coefficients(x)
-        if not qc:
-            continue
-        inner = " + ".join(q_term(q, qc[q]) for q in sorted(qc, reverse=True))
-        if x == 0:
-            parts.append(inner)
-        else:
-            xs = "x" if x == 1 else f"x^{x}"
-            parts.append(xs if inner == "1" else f"{xs}({inner})")
-    return " + ".join(parts)

@@ -62,14 +62,6 @@ class MinDecompTree:
     def __repr__(self) -> str:
         return f"MinDecompTree(parent={list(self.parent)})"
 
-    def json_dict(self) -> dict:
-        return {
-            "nodes": list(range(1, len(self.parent))),
-            "edges": [list(e) for e in self.edges],
-            "root": 1,
-            "leaves": sorted(self.leaves()),
-        }
-
 
 def build_min_decomp(p: Permutation) -> MinDecompTree:
     """

@@ -22,9 +22,8 @@ the mismatching cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .eulerian import LimitExceeded
 from .perms import _ascii_int
@@ -98,21 +97,10 @@ def t_nk(n: int, k: int) -> int:
     return sum(math.comb(len(lam), k) for lam in enumerate_partitions(n))
 
 
-@dataclass(frozen=True)
-class PartitionTriangle:
+class PartitionTriangle(NamedTuple):
     """Rows n = 0..n_max of T(n, k), k = 0..n."""
 
     rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_max(self) -> int:
-        return len(self.rows) - 1
-
-    def csv_text(self) -> str:
-        return "\n".join(",".join(str(c) for c in row) for row in self.rows) + "\n"
-
-    def json_dict(self) -> dict:
-        return {"n_max": self.n_max, "rows": [list(r) for r in self.rows]}
 
 
 def t_triangle(n_max: int) -> PartitionTriangle:

@@ -96,12 +96,6 @@ class MaxminTree:
     def __repr__(self) -> str:
         return f"MaxminTree({self.node_count}, {list(self.edges)})"
 
-    def json_dict(self) -> dict:
-        return {
-            "nodes": list(range(1, self.node_count + 1)),
-            "edges": [list(e) for e in self.edges],
-        }
-
 
 def decompose_blocks(
     ext: ExtendedPermutation, segment: tuple[int, int]

@@ -1,9 +1,19 @@
-"""Hand-checked expected values shared by several test modules."""
+"""Hand-checked expected values and small helpers shared by several test modules."""
 
 
 def terms_from(x_map):
     """{x: {q: c}} -> sparse (x, q) -> c dict."""
     return {(x, q): c for x, qs in x_map.items() for q, c in qs.items() if c}
+
+
+def q_coefficients(poly, x_degree):
+    """q-degree -> coefficient at one x-degree of a (x, q) -> c mapping."""
+    return {q: c for (x, q), c in poly.items() if x == x_degree}
+
+
+def triangle_csv(rows):
+    """Triangle rows as the CSV text that ``tnk --crosscheck`` reads."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 # bivariate (descents, weight) polynomials for orders 3..6

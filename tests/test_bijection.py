@@ -35,14 +35,14 @@ class TestRegions:
 
 class TestCounts:
     def test_5_2_2(self):
-        assert q_eulerian(5).coefficient(2, 2) == 11
+        assert q_eulerian(5)[2, 2] == 11
 
     def test_3_1_1(self):
-        assert q_eulerian(3).coefficient(1, 1) == 1
+        assert q_eulerian(3)[1, 1] == 1
 
     def test_identity_class(self):
         for n in range(1, 7):
-            assert q_eulerian(n).coefficient(0, 0) == 1
+            assert q_eulerian(n)[0, 0] == 1
 
     def test_against_direct_enumeration(self):
         n, d, w = 6, 3, 4
@@ -51,7 +51,7 @@ class TestCounts:
             for p in itertools.permutations(range(1, n + 1))
             if descent_count(p) == d and weight_accelerated(p) == w
         )
-        assert q_eulerian(n).coefficient(d, w) == direct == 16
+        assert q_eulerian(n)[d, w] == direct == 16
 
 
 class TestVerifyBijection:
@@ -67,7 +67,7 @@ class TestVerifyBijection:
     def test_fails_outside_region(self, monkeypatch):
         # (4, 1) sits outside 2d >= n-1, where the counts differ (7 vs 6);
         # both reports refuse it before enumerating anything
-        assert q_eulerian(4).coefficient(1, target_weight(4, 1)) == 7
+        assert q_eulerian(4)[1, target_weight(4, 1)] == 7
         assert t_nk(3, 1) == 6
 
         def refuse(*args, **kwargs):

@@ -21,6 +21,8 @@ from maxmintrees.cli import build_parser, main
 from maxmintrees.partitions import t_triangle
 from maxmintrees.weights import descents_and_weight
 
+from expected_values import triangle_csv
+
 EXAMPLE_15_TEXT = "1 12 15 9 10 5 7 11 6 4 13 3 8 2 14"
 
 
@@ -64,7 +66,7 @@ def faulty_triangle(tmp_path):
     rows[3][1] += 1
     rows[4][4] += 1
     f = tmp_path / "faulty.csv"
-    f.write_text("\n".join(",".join(map(str, r)) for r in rows) + "\n")
+    f.write_text(triangle_csv(rows))
     return f
 
 
@@ -190,6 +192,21 @@ class TestWeight:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
 
+    def test_start_imports_neither_dataclasses_nor_inspect(self):
+        # a fresh interpreter without site, whose start-up hooks may load
+        # either module; inspect pulls in ast, dis and tokenize on every start
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            f"import sys; sys.path.insert(0, {str(src)!r})\n"
+            "import maxmintrees.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_reader_closing_the_pipe_exits_141_quietly(self):
         # the output (about 270 kB) outgrows the pipe buffer, so the write
         # is still pending when the reader closes its end
@@ -287,10 +304,6 @@ class TestTree:
         assert code == 0
         assert json.loads(out) == {"nodes": [1, 2], "edges": [[1, 2]]}
 
-    def test_maxweight_json_213(self, capsys):
-        code, out, _ = run(capsys, "tree", "2 1 3", "--format", "json")
-        assert json.loads(out)["edges"] == [[1, 2], [1, 4], [3, 4]]
-
     def test_mindecomp_dot_contains_12_15(self, capsys):
         code, out, _ = run(
             capsys, "tree", EXAMPLE_15_TEXT, "--kind", "mindecomp", "--format", "dot"
@@ -324,11 +337,18 @@ class TestTree:
             code, out, _ = run(capsys, "tree", "2 1 3", "--kind", kind, "--format", "json")
             assert code == 0 and out == expected
 
-    def test_mindecomp_json_annotations(self, capsys):
-        code, out, _ = run(capsys, "tree", "1 3 2", "--kind", "mindecomp")
-        payload = json.loads(out)
-        assert payload["root"] == 1
-        assert payload["leaves"] == [3, 4]
+    @pytest.mark.parametrize(
+        "kind, perm, tree",
+        [("maxweight", "2 1 3", '{"nodes": [1, 2, 3, 4], "edges": [[1, 2], [1, 4], [3, 4]]}'),
+         ("mindecomp", "1 3 2", '{"nodes": [1, 2, 3, 4], "edges": [[1, 2], [2, 3], [2, 4]], '
+                                '"root": 1, "leaves": [3, 4]}')],
+    )
+    def test_json_bytes(self, capsys, kind, perm, tree):
+        code, out, _ = run(capsys, "tree", perm, "--kind", kind)
+        assert code == 0 and out == tree + "\n"
+        code, out, _ = run(capsys, "tree", perm, "--kind", kind, "--output", "json")
+        perm_json = "[" + perm.replace(" ", ", ") + "]"
+        assert code == 0 and result_text(out) == f'{{"perm": {perm_json}, {tree[1:]}'
 
 
 class TestEulerian:
@@ -336,14 +356,27 @@ class TestEulerian:
         code, out, _ = run(capsys, "eulerian", "4")
         assert code == 0 and out.strip() == "1 11 11 1"
 
-    def test_q_text(self, capsys):
-        code, out, _ = run(capsys, "eulerian", "4", "--q")
-        assert out.strip() == "1 + x(q^2 + 3q + 7) + x^2(q^2 + 4q + 6) + x^3"
+    @pytest.mark.parametrize(
+        "n, text",
+        [("3", "1 + x(q + 3) + x^2"),
+         ("4", "1 + x(q^2 + 3q + 7) + x^2(q^2 + 4q + 6) + x^3")],
+    )
+    def test_q_text(self, capsys, n, text):
+        code, out, _ = run(capsys, "eulerian", n, "--q")
+        assert code == 0 and out == text + "\n"
 
     def test_q_csv(self, capsys):
-        code, out, _ = run(capsys, "eulerian", "3", "--q", "--output", "csv")
-        assert out.splitlines()[0] == "x,q,c"
-        assert "1,0,3" in out.splitlines()
+        # x ascending, then q descending
+        code, out, _ = run(capsys, "eulerian", "4", "--q", "--output", "csv")
+        assert code == 0
+        assert out == "x,q,c\n0,0,1\n1,2,1\n1,1,3\n1,0,7\n2,2,1\n2,1,4\n2,0,6\n3,0,1\n"
+
+    def test_q_json(self, capsys):
+        code, out, _ = run(capsys, "eulerian", "3", "--q", "--output", "json")
+        assert code == 0 and result_text(out) == (
+            '{"n": 3, "terms": [{"x": 0, "q": 0, "c": 1}, {"x": 1, "q": 1, "c": 1}, '
+            '{"x": 1, "q": 0, "c": 3}, {"x": 2, "q": 0, "c": 1}]}'
+        )
 
     def test_limit_exit_3(self, capsys):
         code, _, err = run(capsys, "eulerian", "12")
@@ -383,7 +416,12 @@ class TestTnk:
         code, out, _ = run(capsys, "tnk", "8", "5", "--contributions")
         lines = out.strip().splitlines()
         assert lines[0] == "92"
-        assert "11111111 : 56" in lines
+        assert "1+1+1+1+1+1+1+1 : 56" in lines
+
+    def test_contributions_separate_the_parts(self, capsys):
+        # (11, 1) contributes C(2, 1) = 2; run together it would read as 1+1+1
+        code, out, _ = run(capsys, "tnk", "12", "1", "--contributions")
+        assert code == 0 and out.splitlines()[:4] == ["399", "12 : 1", "11+1 : 2", "10+2 : 2"]
 
     def test_contributions_enumerate_the_partitions_once(self, capsys, monkeypatch):
         original, calls = partitions.enumerate_partitions, []
@@ -404,17 +442,29 @@ class TestTnk:
         assert code == 2 and out == ""
         assert err == "error: T(3, -1) undefined for negative arguments\n"
 
-    def test_triangle_csv(self, capsys):
-        code, out, _ = run(capsys, "tnk", "--triangle", "4", "--output", "csv")
-        assert out.splitlines()[-1] == "5,12,11,5,1"
+    @pytest.mark.parametrize(
+        "output, expected",
+        [("text", "1\n1 1\n2 3 1\n3 6 4 1\n"),
+         ("csv", "1\n1,1\n2,3,1\n3,6,4,1\n")],
+    )
+    def test_triangle_bytes(self, capsys, output, expected):
+        code, out, _ = run(capsys, "tnk", "--triangle", "3", "--output", output)
+        assert code == 0 and out == expected
+
+    def test_triangle_json(self, capsys):
+        code, out, _ = run(capsys, "tnk", "--triangle", "3", "--output", "json")
+        assert code == 0
+        assert result_text(out) == '{"n_max": 3, "rows": [[1], [1, 1], [2, 3, 1], [3, 6, 4, 1]]}'
 
     def test_missing_args(self, capsys):
         code, _, err = run(capsys, "tnk")
         assert code == 2
 
     def test_crosscheck_ok(self, capsys, tmp_path):
+        # the triangle's own CSV output reads back cell for cell
+        _, csv, _ = run(capsys, "tnk", "--triangle", "6", "--output", "csv")
         f = tmp_path / "t.csv"
-        f.write_text(t_triangle(6).csv_text())
+        f.write_text(csv)
         code, out, _ = run(capsys, "tnk", "--crosscheck", str(f))
         assert code == 0 and out.strip().endswith("OK")
 
@@ -446,7 +496,7 @@ class TestTnk:
             '{"n": 3, "k": 1, "expected": 6, "found": 7}, '
             '{"n": 4, "k": 4, "expected": 1, "found": 2}]}'
         )
-        f.write_text(t_triangle(6).csv_text())
+        f.write_text(triangle_csv(t_triangle(6).rows))
         code, out, _ = run(capsys, "tnk", "--crosscheck", str(f), "--output", "json")
         assert code == 0
         assert result_text(out) == '{"checked": 28, "ok": true, "mismatches": []}'
@@ -573,7 +623,7 @@ def test_partition_enumeration_is_refused_with_exit_3(capsys, argv):
          "triangle-file-format", "nk-file-format", "nk-csv", "crosscheck-csv"],
 )
 def test_ignored_arguments_are_refused(capsys, tmp_path, monkeypatch, argv, message):
-    (tmp_path / "t.csv").write_text(t_triangle(6).csv_text())
+    (tmp_path / "t.csv").write_text(triangle_csv(t_triangle(6).rows))
     monkeypatch.chdir(tmp_path)
     assert_refused(*run_to_exit(capsys, *argv), message)
 
@@ -655,7 +705,7 @@ class TestVerify:
     def test_stems(self, capsys):
         code, out, _ = run(capsys, "verify", "stems", "--n", "9", "--d", "5")
         assert code == 0
-        assert "1 2 3 4: 56" in out
+        assert "1 2 3 4: 56  (partition 1+1+1+1+1+1+1+1)" in out.splitlines()
         assert "total 92, T(8,5) = 92" in out
 
     def test_csv_refused_before_computing(self, capsys, monkeypatch):
@@ -778,7 +828,7 @@ class TestJsonStream:
     )
     def test_envelope_is_byte_identical_to_json_dumps(self, capsys, tmp_path, argv):
         triangle = tmp_path / "triangle.csv"
-        triangle.write_text(t_triangle(6).csv_text())
+        triangle.write_text(triangle_csv(t_triangle(6).rows))
         argv = [str(triangle) if a == "TRIANGLE" else a for a in argv]
         code, out, err = run(capsys, *argv, "--output", "json")
         assert (code, err) == (0, "")
@@ -881,7 +931,7 @@ def fuzz_argv(rng, parser, files):
 
 def test_fuzzed_argv_keep_the_exit_contract(capsys, tmp_path):
     good = tmp_path / "triangle.csv"
-    good.write_text(t_triangle(6).csv_text())
+    good.write_text(triangle_csv(t_triangle(6).rows))
     files = [str(good), str(tmp_path / "missing.csv"), str(tmp_path)]
     parser = build_parser()
     rng = random.Random(7)

@@ -6,23 +6,22 @@ import pytest
 
 import maxmintrees.eulerian as eulerian
 from maxmintrees.eulerian import (
-    BivariatePolynomial,
     LimitExceeded,
     clear_cache,
     eulerian_polynomial,
-    format_bivariate,
     maxwt,
     q_eulerian,
     stabilization_values,
     wd_series,
 )
+from maxmintrees.partitions import t_nk
 
-from expected_values import E3, E4, E5, E6
+from expected_values import E3, E4, E5, E6, q_coefficients
 
 
 def at_q_one(poly):
     """Coefficient list by x-degree after setting q = 1."""
-    return [sum(poly.q_coefficients(d).values()) for d in range(poly.max_x_degree() + 1)]
+    return [sum(q_coefficients(poly, d).values()) for d in range(max(x for x, _ in poly) + 1)]
 
 
 def record_pools(monkeypatch):
@@ -96,15 +95,14 @@ class TestEulerianPolynomial:
 
 class TestQEulerian:
     def test_order_three(self):
-        assert q_eulerian(3).terms == E3
+        assert q_eulerian(3) == E3
 
     def test_order_four_x1(self):
-        poly = q_eulerian(4)
-        assert poly.q_coefficients(1) == {2: 1, 1: 3, 0: 7}
+        assert q_coefficients(q_eulerian(4), 1) == {2: 1, 1: 3, 0: 7}
 
     def test_orders_three_to_six(self):
         for n, expected in ((3, E3), (4, E4), (5, E5), (6, E6)):
-            assert q_eulerian(n).terms == expected, n
+            assert q_eulerian(n) == expected, n
 
     def test_q_one_matches_eulerian(self):
         for n in range(1, 8):
@@ -112,19 +110,19 @@ class TestQEulerian:
 
     def test_coefficient_sum_is_factorial(self):
         for n in range(1, 8):
-            assert sum(q_eulerian(n).terms.values()) == math.factorial(n)
+            assert sum(q_eulerian(n).values()) == math.factorial(n)
 
     def test_extreme_x_degrees(self):
         for n in range(2, 8):
             poly = q_eulerian(n)
-            assert poly.q_coefficients(0) == {0: 1}
-            assert poly.q_coefficients(n - 1) == {0: 1}
+            assert q_coefficients(poly, 0) == {0: 1}
+            assert q_coefficients(poly, n - 1) == {0: 1}
 
     def test_top_q_degree_is_maxwt(self):
         for n in range(3, 8):
             poly = q_eulerian(n)
             for d in range(1, n - 1):
-                assert max(poly.q_coefficients(d)) == maxwt(n, d), (n, d)
+                assert max(q_coefficients(poly, d)) == maxwt(n, d), (n, d)
 
     def test_symmetry_at_q_one(self):
         for n in range(2, 8):
@@ -132,13 +130,13 @@ class TestQEulerian:
             assert coeffs == coeffs[::-1]
 
     def test_pool_result_equals_in_process_result(self, monkeypatch):
-        reference = dict(q_eulerian(6).terms)
+        reference = dict(q_eulerian(6))
         built = record_pools(monkeypatch)
         monkeypatch.setattr(eulerian, "_POOL_MIN_N", 5)
         monkeypatch.setattr(eulerian, "_usable_cpus", lambda: 2)
         clear_cache()
         try:
-            assert q_eulerian(6).terms == reference
+            assert q_eulerian(6) == reference
         finally:
             clear_cache()
         assert built == [2]
@@ -161,7 +159,7 @@ class TestQEulerian:
         monkeypatch.setattr(eulerian, "_usable_cpus", lambda: 1)
         clear_cache()
         try:
-            assert sum(q_eulerian(6).terms.values()) == math.factorial(6)
+            assert sum(q_eulerian(6).values()) == math.factorial(6)
         finally:
             clear_cache()
 
@@ -173,7 +171,7 @@ class TestQEulerian:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         clear_cache()
         try:
-            assert sum(q_eulerian(6).terms.values()) == math.factorial(6)
+            assert sum(q_eulerian(6).values()) == math.factorial(6)
         finally:
             clear_cache()
 
@@ -188,21 +186,24 @@ class TestQEulerian:
             q_eulerian(12)
 
     def test_cached_terms_are_read_only(self):
-        # every caller shares the cached polynomial, so no caller may write to it
+        # every caller shares the cached mapping, so no caller may write to it
         poly = q_eulerian(5)
         with pytest.raises(TypeError):
-            poly.terms[(1, 0)] = 999
+            poly[(1, 0)] = 999
         assert q_eulerian(5) is poly
-        assert sum(q_eulerian(5).terms.values()) == math.factorial(5)
+        assert sum(q_eulerian(5).values()) == math.factorial(5)
 
-    def test_sorted_terms_order(self):
-        ts = q_eulerian(4).sorted_terms()
-        assert ts == [
-            (0, 0, 1),
-            (1, 2, 1), (1, 1, 3), (1, 0, 7),
-            (2, 2, 1), (2, 1, 4), (2, 0, 6),
-            (3, 0, 1),
-        ]
+    def test_lookup_of_present_and_absent_terms(self):
+        poly = q_eulerian(3)
+        assert poly[1, 1] == 1
+        assert (1, 5) not in poly and poly.get((1, 5), 0) == 0
+        assert q_coefficients(poly, 9) == {}
+
+    def test_equal_by_terms_and_unhashable(self):
+        poly = q_eulerian(3)
+        assert poly == E3 and poly != {**E3, (0, 0): 2} and poly != q_eulerian(4)
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(poly)
 
 
 class TestStabilization:
@@ -217,8 +218,8 @@ class TestStabilization:
 
     def test_below_threshold_not_included(self):
         # one step below the threshold the coefficient differs (25 vs 31)
-        assert q_eulerian(5).coefficient(2, maxwt(5, 2) - 3) == 25
-        assert q_eulerian(6).coefficient(2, maxwt(6, 2) - 3) == 31
+        assert q_eulerian(5)[2, maxwt(5, 2) - 3] == 25
+        assert q_eulerian(6)[2, maxwt(6, 2) - 3] == 31
 
     def test_range_validation(self):
         with pytest.raises(ValueError, match="threshold"):
@@ -246,6 +247,13 @@ class TestWdSeries:
     def test_w4_head(self):
         assert wd_series(4, 4) == (1, 6, 22, 63)
 
+    def test_first_correction_beyond_the_theorem(self):
+        # a conjecture (README, "Beyond the paper"), checked here by
+        # enumeration through d = 3, orders 4, 6 and 8
+        ds = range(1, 4)
+        diffs = [wd_series(d, d + 2)[d + 1] - t_nk(2 * d + 1, d) for d in ds]
+        assert diffs == [2 ** (d + 2) - 2 * d - 5 for d in ds] == [1, 7, 21]
+
     def test_single_term(self):
         for d in range(1, 6):
             assert wd_series(d, 1) == (1,)
@@ -262,49 +270,3 @@ class TestWdSeries:
         with pytest.raises(ValueError, match="d must be >= 1, got 0"):
             wd_series(0, 2)
 
-
-class TestFormatting:
-    def test_order_three(self):
-        assert format_bivariate(q_eulerian(3)) == "1 + x(q + 3) + x^2"
-
-    def test_order_four(self):
-        assert (
-            format_bivariate(q_eulerian(4))
-            == "1 + x(q^2 + 3q + 7) + x^2(q^2 + 4q + 6) + x^3"
-        )
-
-    def test_json_round_shape(self):
-        d = q_eulerian(3).json_dict()
-        assert d == {
-            "n": 3,
-            "terms": [
-                {"x": 0, "q": 0, "c": 1},
-                {"x": 1, "q": 1, "c": 1},
-                {"x": 1, "q": 0, "c": 3},
-                {"x": 2, "q": 0, "c": 1},
-            ],
-        }
-
-    def test_csv_rows(self):
-        rows = q_eulerian(3).csv_rows()
-        assert rows[0] == "x,q,c"
-        assert "1,1,1" in rows
-
-
-class TestPolynomialBasics:
-    def test_coefficient_lookup(self):
-        poly = BivariatePolynomial(3, dict(E3))
-        assert poly.coefficient(1, 1) == 1
-        assert poly.coefficient(1, 5) == 0
-        assert poly.q_coefficients(9) == {}
-
-    def test_equal_by_order_and_terms_and_unhashable(self):
-        poly = BivariatePolynomial(3, dict(E3))
-        assert poly == BivariatePolynomial(3, dict(E3)) == q_eulerian(3)
-        assert poly != BivariatePolynomial(4, dict(E3))
-        assert poly != BivariatePolynomial(3, {**E3, (0, 0): 2})
-        assert poly != dict(E3) and poly.__eq__(dict(E3)) is NotImplemented
-        # no generated __hash__ that would fail only on reaching the dict
-        assert BivariatePolynomial.__hash__ is None
-        with pytest.raises(TypeError, match="unhashable type: 'BivariatePolynomial'"):
-            hash(poly)

@@ -8,7 +8,6 @@ import maxmintrees
 import maxmintrees.cli as cli
 
 PUBLIC = [
-    "BivariatePolynomial",
     "DEFAULT_MAX_N",
     "LimitExceeded",
     "MaxminTree",
@@ -20,7 +19,6 @@ PUBLIC = [
     "crosscheck_triangle",
     "descents_and_weight",
     "eulerian_polynomial",
-    "format_bivariate",
     "maxwt",
     "parse_permutation",
     "q_eulerian",

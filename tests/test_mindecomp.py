@@ -186,15 +186,6 @@ class TestMoveUp:
 
 
 class TestSerialization:
-    def test_json_shape(self):
-        t = build_min_decomp((1, 3, 2))
-        assert t.json_dict() == {
-            "nodes": [1, 2, 3, 4],
-            "edges": [[1, 2], [2, 3], [2, 4]],
-            "root": 1,
-            "leaves": [3, 4],
-        }
-
     def test_distinct_permutations_distinct_parents(self):
         for n in range(1, 8):
             trees = {build_min_decomp(p).parent for p in all_perms(n)}

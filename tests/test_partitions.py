@@ -15,7 +15,7 @@ from maxmintrees.partitions import (
     t_triangle,
 )
 
-from expected_values import T85_CONTRIBUTIONS, TRIANGLE_10
+from expected_values import T85_CONTRIBUTIONS, TRIANGLE_10, triangle_csv
 
 
 class TestEnumerate:
@@ -115,7 +115,7 @@ class TestTriangle:
 
     def test_csv_round_trip(self):
         tri = t_triangle(6)
-        cells = read_triangle_csv(tri.csv_text())
+        cells = read_triangle_csv(triangle_csv(tri.rows))
         assert cells == [
             (n, k, tri.rows[n][k]) for n in range(7) for k in range(n + 1)
         ]
@@ -124,14 +124,14 @@ class TestTriangle:
 class TestCrosscheck:
     def test_clean_csv(self, tmp_path):
         f = tmp_path / "triangle.csv"
-        f.write_text(t_triangle(10).csv_text())
+        f.write_text(triangle_csv(t_triangle(10).rows))
         assert crosscheck_triangle(f) == {"checked": 66, "ok": True, "mismatches": []}
 
     def test_injected_fault_named(self, tmp_path):
         rows = [list(r) for r in t_triangle(5).rows]
         rows[4][2] += 1
         f = tmp_path / "bad.csv"
-        f.write_text("\n".join(",".join(map(str, r)) for r in rows) + "\n")
+        f.write_text(triangle_csv(rows))
         report = crosscheck_triangle(f)
         assert not report["ok"] and report["checked"] == 21
         assert report["mismatches"] == [{"n": 4, "k": 2, "expected": 11, "found": 12}]
@@ -155,7 +155,7 @@ class TestCrosscheck:
     @pytest.mark.parametrize("fmt", ["auto", "csv"])
     def test_csv_comment_lines(self, tmp_path, fmt):
         f = tmp_path / "triangle.csv"
-        f.write_text("# T(n,k)\n" + t_triangle(4).csv_text() + "# rows 0..4\n")
+        f.write_text("# T(n,k)\n" + triangle_csv(t_triangle(4).rows) + "# rows 0..4\n")
         assert crosscheck_triangle(f, fmt) == {"checked": 15, "ok": True, "mismatches": []}
 
     def test_bfile_gap_rejected(self, tmp_path):

@@ -355,13 +355,6 @@ class TestWeights:
 # -------------------------------------------------------------- interfaces
 
 class TestSerialization:
-    def test_json_shape(self):
-        t = build_max_weight_tree((2, 1, 3))
-        assert t.json_dict() == {
-            "nodes": [1, 2, 3, 4],
-            "edges": [[1, 2], [1, 4], [3, 4]],
-        }
-
     def test_edges_sorted(self):
         t = build_max_weight_tree(EXAMPLE_15)
         assert list(t.edges) == sorted(t.edges)
