@@ -27,12 +27,12 @@ they run: from order ``_POOL_MIN_N`` on, with more than one CPU that the
 process may run on, they fan out over a process pool with one process per
 such CPU, at most n.  The cutoff is the measured break-even: wall / CPU
 seconds of q_eulerian(n) in a fresh process on 2 cores, Python 3.11.7,
-medians of 4 interleaved runs, the CPU including the pool's workers:
+medians of 10 interleaved runs, the CPU including the pool's workers:
 
     order   in-process     pooled
-    7       0.026 / 0.026  0.058 / 0.079   stays in-process
-    8       0.206 / 0.206  0.157 / 0.263   pool
-    9       2.21 / 2.21    1.29 / 2.44     pool
+    7       0.017 / 0.017  0.048 / 0.062   stays in-process
+    8       0.169 / 0.169  0.135 / 0.219   pool (lower wall in 10 of 10 runs)
+    9       1.62 / 1.62    0.985 / 1.77    pool
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from .weights import descents_and_weight
 
 DEFAULT_MAX_N = 11
 
-# the smallest order at which the pool wins: on 2 cores, order 7 took 0.026 s
-# in-process against 0.058 s pooled, order 8 took 0.206 s against 0.157 s
+# the smallest order at which the pool wins: on 2 cores, order 7 took 0.017 s
+# in-process against 0.048 s pooled, order 8 took 0.169 s against 0.135 s
 _POOL_MIN_N = 8
 
 

@@ -15,15 +15,20 @@ where
 The appended maximum n+1 always counts as a descent; the back sentinel 0
 makes that fall out of the plain comparison ext[k] > ext[k+1].
 
-Two routes find these ranges.  The scanning route looks for j, m, M and L
-from each non-descent (quadratic worst case, fast in practice on short
-words) and is the oracle: ``descents_and_weight``, the per-permutation
-kernel of the S_n enumeration, carries these scans inline in one flat
-function.  ``weight_accelerated`` and ``range_details`` take every range
-from one left-to-right monotonic-stack pass, O(n) per word, that yields
-the ranges as it finds them rather than listing them.  The tests hold the
-two routes equal to each other, to ``trees.subtree`` and to the segments
-of the block split in ``trees.decompose_blocks``.
+Two routes find these ranges.  The scanning route is the oracle:
+``descents_and_weight``, the per-permutation kernel of the S_n
+enumeration, carries it inline in one flat function.  From each
+non-descent i it scans right for j and m, then walks left from m - 1
+while the values stay in [sigma_i, sigma_m), counting descents as it
+goes.  Positions i..m-1 all hold values in that interval, so the walk
+stops exactly at max(M, L) and counts the range's descents without a
+prefix array (quadratic worst case, fast in practice on short words).
+``weight_accelerated`` and ``range_details`` take every range from one
+left-to-right monotonic-stack pass, O(n) per word, that yields the ranges
+as it finds them rather than listing them, and count each range's
+descents from prefix sums.  The tests hold the two routes equal to each
+other, to ``trees.subtree`` and to the segments of the block split in
+``trees.decompose_blocks``.
 """
 
 from __future__ import annotations
@@ -53,25 +58,27 @@ def descents_and_weight(p: Permutation) -> tuple[int, int]:
     This is the scanning range algorithm fused with the descent count:
     quadratic on long rising runs, fast on the short words of the
     symmetric-group enumeration, whose per-permutation kernel it is.  Each
-    non-descent scans right for j and m, then left for M and L.  It is also
-    the oracle the linear routes are tested against.
+    descent is tallied where it is skipped.  Each non-descent i with value
+    v scans right for j and m, then walks left from m - 1 while the values
+    lie in [v, sigma_m), adding one for every descent it passes; the walk
+    stops at max(M, L), the first value below v or above sigma_m.  m
+    itself is always a descent and lies in every one of the n - d ranges,
+    so it is left out of the walk: the weight, the range descents summed
+    minus n, is the walk counts summed minus d.  It is also the oracle the
+    linear routes are tested against.
 
     >>> descents_and_weight((2, 1, 3))
     (1, 0)
     """
     n = len(p)
     ext = (n + 2, *p, n + 1, 0)
-    P = [0] * (n + 2)  # P[k]: descent positions in 1..k
-    c = 0
-    for k in range(1, n + 2):
-        if ext[k] > ext[k + 1]:
-            c += 1
-        P[k] = c
+    d = 0
     total = 0
     for i, v in enumerate(p, 1):
         m = i + 1
         best = ext[m]
         if v > best:
+            d += 1
             continue
         # j and m: scan right while values exceed v, keeping the argmax
         k = m + 1
@@ -82,14 +89,17 @@ def descents_and_weight(p: Permutation) -> tuple[int, int]:
                 m = k
             k += 1
             w = ext[k]
-        M = m - 1
-        while ext[M] < best:
-            M -= 1
-        L = i - 1
-        while L and ext[L] > v:
-            L -= 1
-        total += P[m] - P[M if M > L else L]
-    return P[n], total - n
+        # walk left to max(M, L); u is the value right of position x
+        u = best
+        x = m - 1
+        w = ext[x]
+        while v <= w < best:
+            if w > u:
+                total += 1
+            u = w
+            x -= 1
+            w = ext[x]
+    return d, total - d
 
 
 def _subtree_ranges(ext: Sequence[int]) -> Iterator[tuple[int, int, int]]:

@@ -105,11 +105,12 @@ class TestQEulerian:
             assert q_eulerian(n) == expected, n
 
     def test_q_one_matches_eulerian(self):
-        for n in range(1, 8):
+        # orders 8 and 9 run on the process pool wherever two CPUs are usable
+        for n in range(1, 10):
             assert at_q_one(q_eulerian(n)) == eulerian_polynomial(n)
 
     def test_coefficient_sum_is_factorial(self):
-        for n in range(1, 8):
+        for n in range(1, 10):
             assert sum(q_eulerian(n).values()) == math.factorial(n)
 
     def test_extreme_x_degrees(self):

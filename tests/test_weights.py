@@ -151,8 +151,8 @@ class TestKernel:
                 assert descents_and_weight(p) == tree_descents_and_weight(p), p
 
     def test_long_scans_against_subtree_ranges(self):
-        # the increasing, decreasing and zigzag words make the inline j, m,
-        # M and L scans run long
+        # the increasing, decreasing and zigzag words make the kernel's right
+        # scan for j and m and its left walk to max(M, L) run long
         rng = random.Random(3)
         words = [shuffled(rng.randint(1, 400), seed) for seed in range(300)]
         words += [tuple(range(1, 2001)), tuple(range(2000, 0, -1)), zigzag(2000)]
