@@ -10,7 +10,8 @@ coefficient series, and verifies the correspondence between
 near-maximal-weight permutations and the two-kind partition counts
 T(n, k) (OEIS A256193).
 
-The library returns values, never text: ``q_eulerian`` returns a
+The library returns values, never text: ``build_min_decomp`` returns the
+minimum decomposition as its parent tuple, ``q_eulerian`` returns a
 read-only mapping (descents, weight) -> count, and every output format
 (text, JSON, CSV, DOT) is rendered by the command line, ``maxmintrees.cli``.
 
@@ -32,7 +33,7 @@ from .eulerian import (
     stabilization_values,
     wd_series,
 )
-from .mindecomp import MinDecompTree, build_min_decomp, weight_via_leaves
+from .mindecomp import build_min_decomp, weight_via_leaves
 from .partitions import (
     PartitionTriangle,
     crosscheck_triangle,
@@ -53,7 +54,6 @@ __all__ = [
     "DEFAULT_MAX_N",
     "LimitExceeded",
     "MaxminTree",
-    "MinDecompTree",
     "PartitionTriangle",
     "bijection_report",
     "build_max_weight_tree",

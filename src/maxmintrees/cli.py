@@ -22,13 +22,13 @@ argparse refuses any other option with exit 2 before any work, with the
 usage of the command that does not take it.  Where one parser serves
 several modes (tnk, verify bijection), an option the chosen mode would
 ignore is refused as an input error too.  --max-n (at least 1) moves the
-exhaustive S_n guard.  --threads is checked to be at least 1
-but ignored: the S_n enumeration picks its own process count.  JSON output
-wraps the payload in an envelope carrying the command echo, parameters,
-elapsed time and tool version; payloads are deterministic for fixed inputs.
-The envelope is written in bounded batches as it is encoded, byte for byte
-as json.dumps(envelope, indent=2) prints it, so no whole JSON document is
-held in memory.
+exhaustive S_n guard, which eulerian meets with --q only.  --threads is
+checked to be at least 1 but ignored: the S_n enumeration picks its own
+process count.  JSON output wraps the payload in an envelope carrying the
+command echo, parameters, elapsed time and tool version; payloads are
+deterministic for fixed inputs.  The envelope is written in bounded batches
+as it is encoded, byte for byte as json.dumps(envelope, indent=2) prints it,
+so no whole JSON document is held in memory.
 
 Every output format (text, JSON, CSV, DOT) is rendered here, from the
 values the library returns.
@@ -61,7 +61,7 @@ from .eulerian import (
     stabilization_values,
     wd_series,
 )
-from .mindecomp import build_min_decomp, weight_via_leaves
+from .mindecomp import build_min_decomp, leaves, weight_via_leaves
 from .partitions import crosscheck_triangle, t_nk, t_nk_contributions, t_triangle
 from .perms import parse_permutation
 from .trees import build_max_weight_tree
@@ -83,20 +83,19 @@ _JSON_BATCH = 8192
 _DOT_STYLE = {"maxweight": ("graph", "--"), "mindecomp": ("digraph", "->")}
 
 
-def _dot(tree, kind: str) -> str:
+def _dot(edges, kind: str) -> str:
     graph, op = _DOT_STYLE[kind]
     lines = [f"{graph} {kind} {{"]
-    lines += [f"  {a} {op} {b};" for a, b in tree.edges]
+    lines += [f"  {a} {op} {b};" for a, b in edges]
     lines.append("}")
     return "\n".join(lines)
 
 
-def _tree_json(tree, kind: str) -> dict:
+def _tree_json(edges, leaves=None) -> dict:
     """Nodes 1..n+1 and the sorted edges; a minimum decomposition adds its root and leaves."""
-    edges = tree.edges
     out = {"nodes": list(range(1, len(edges) + 2)), "edges": [list(e) for e in edges]}
-    if kind == "mindecomp":
-        out.update(root=1, leaves=sorted(tree.leaves()))
+    if leaves is not None:
+        out.update(root=1, leaves=sorted(leaves))
     return out
 
 
@@ -203,15 +202,18 @@ def _cmd_weight(args) -> int:
 
 def _cmd_tree(args) -> int:
     p = parse_permutation(_perm_text(args.perm))
-    build = build_max_weight_tree if args.kind == "maxweight" else build_min_decomp
-    t = build(p)
+    if args.kind == "maxweight":
+        edges, tips = build_max_weight_tree(p).edges, None
+    else:
+        parent = build_min_decomp(p)
+        edges, tips = [(parent[v], v) for v in range(2, len(parent))], leaves(parent)
     if args.format == "dot":
-        dot = _dot(t, args.kind)
+        dot = _dot(edges, args.kind)
         _emit(args, dot, {"perm": p, "dot": dot} if args.output == "json" else None)
     elif args.output == "json":
-        _emit(args, "", {"perm": p, **_tree_json(t, args.kind)})
+        _emit(args, "", {"perm": p, **_tree_json(edges, tips)})
     else:
-        _emit(args, json.dumps(_tree_json(t, args.kind)), None)
+        _emit(args, json.dumps(_tree_json(edges, tips)), None)
     return EXIT_OK
 
 
@@ -227,7 +229,7 @@ def _cmd_eulerian(args) -> int:
             "x,q,c\n" + "\n".join(f"{x},{q},{c}" for (x, q), c in terms),
         )
     else:
-        coeffs = eulerian_polynomial(args.n, max_n=args.max_n)
+        coeffs = eulerian_polynomial(args.n)
         payload = {"n": args.n, "coefficients": coeffs}
         _emit(
             args,
@@ -387,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="output format (default text)")
     limits = argparse.ArgumentParser(add_help=False)
     limits.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, metavar="N",
-                        help=f"largest S_n to enumerate, >= 1 (default {DEFAULT_MAX_N})")
+                        help=f"largest S_n to enumerate, >= 1 (default {DEFAULT_MAX_N}); "
+                        "eulerian reads it with --q only")
     limits.add_argument("--threads", type=int, default=1, metavar="T",
                         help="ignored: the enumeration picks its own process count (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)

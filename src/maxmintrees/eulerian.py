@@ -54,7 +54,7 @@ _POOL_MIN_N = 8
 
 
 class LimitExceeded(RuntimeError):
-    """An exhaustive enumeration was refused because n exceeds the limit."""
+    """A computation was refused because n exceeds its limit."""
 
 
 def maxwt(n: int, d: int) -> int:
@@ -76,15 +76,20 @@ def _check_limit(n: int, max_n: int) -> None:
         raise ValueError(f"n must be positive, got {n}")
 
 
-def eulerian_polynomial(n: int, max_n: int = DEFAULT_MAX_N) -> list[int]:
+def eulerian_polynomial(n: int) -> list[int]:
     """
     Coefficient list of the Eulerian polynomial: entry d counts the
-    permutations of length n with d descents.
+    permutations of length n with d descents.  The recurrence enumerates
+    nothing, so no S_n limit applies; an order above 1000 is refused, since
+    from order 1559 on a coefficient passes Python's 4300-digit int -> str limit.
 
     >>> eulerian_polynomial(4)
     [1, 11, 11, 1]
     """
-    _check_limit(n, max_n)
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if n > 1000:
+        raise LimitExceeded(f"n={n} exceeds the Eulerian polynomial limit 1000")
     row = [1]
     for m in range(2, n + 1):
         # A(m, k) = (k+1) A(m-1, k) + (m-k) A(m-1, k-1)

@@ -40,7 +40,7 @@ from maxmintrees.eulerian import (
     stabilization_values,
     wd_series,
 )
-from maxmintrees.mindecomp import MinDecompTree, build_min_decomp, weight_via_leaves
+from maxmintrees.mindecomp import build_min_decomp, leaves, weight_via_leaves
 from maxmintrees.partitions import enumerate_partitions, t_nk, t_nk_contributions, t_triangle
 from maxmintrees.perms import descent_count, descent_values
 from maxmintrees.trees import (
@@ -226,12 +226,12 @@ def test_10_structural_properties():
             max_weight_by_d = {}
             for p in itertools.permutations(range(1, n + 1)):
                 md = build_min_decomp(p)
-                seen_parents.add(md.parent)
-                kids = ref.children(md.parent)
-                leaves = md.leaves()
-                stem = frozenset(range(1, top + 1)) - leaves
+                seen_parents.add(md)
+                kids = ref.children(md)
+                tips = leaves(md)
+                stem = frozenset(range(1, top + 1)) - tips
                 # leaves are the descent values plus the appended node
-                assert leaves == descent_values(p) | {top}, p
+                assert tips == descent_values(p) | {top}, p
                 # max-weight subtrees equal decomposition descendants
                 mx = build_max_weight_tree(p)
                 for v in range(1, top + 1):
@@ -241,13 +241,13 @@ def test_10_structural_properties():
                 if w > max_weight_by_d.get(d, -1):
                     max_weight_by_d[d] = w
                 # moving a leaf up one stem level sheds exactly one unit
-                for leaf in leaves:
-                    parent = md.parent[leaf]
+                for leaf in tips:
+                    parent = md[leaf]
                     if parent == 1 or len(kids[parent]) < 2:
                         continue
-                    moved = list(md.parent)
-                    moved[leaf] = md.parent[parent]
-                    assert weight_via_leaves(MinDecompTree(moved)) == w - 1, (p, leaf)
+                    moved = list(md)
+                    moved[leaf] = md[parent]
+                    assert weight_via_leaves(moved) == w - 1, (p, leaf)
                 # near-max-weight decompositions have path-shaped stems
                 if d >= 1 and stable_region(n, d) and w == (n - d - 1) * (d - 1):
                     stem_kids = [

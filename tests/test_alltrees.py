@@ -123,7 +123,7 @@ def test_fibers_of_permutations(m):
     by_parent = fibers(m)
     seen = set()
     for p in itertools.permutations(range(1, m)):
-        parent = build_min_decomp(p).parent
+        parent = build_min_decomp(p)
         fiber = by_parent.get(parent, [])
         assert fiber, p
         seen.add(parent)

@@ -15,7 +15,7 @@ from maxmintrees.bijection import (
     target_weight,
 )
 from maxmintrees.eulerian import q_eulerian, wd_series
-from maxmintrees.mindecomp import build_min_decomp
+from maxmintrees.mindecomp import build_min_decomp, leaves
 from maxmintrees.partitions import enumerate_partitions, t_nk
 from maxmintrees.perms import descent_count
 from maxmintrees.weights import descents_and_weight, weight_accelerated
@@ -241,10 +241,10 @@ def test_each_stem_carries_its_count_of_permutations():
         for p in itertools.permutations(range(1, n + 1)):
             d, w = descents_and_weight(p)
             if d in by_stem and w == target_weight(n, d):
-                t = build_min_decomp(p)
-                leaves = t.leaves()
-                stem = tuple(v for v in range(1, n + 2) if v not in leaves)
-                assert all(t.parent[b] == a for a, b in zip(stem, stem[1:])), (p, stem)
+                parent = build_min_decomp(p)
+                tips = leaves(parent)
+                stem = tuple(v for v in range(1, n + 2) if v not in tips)
+                assert all(parent[b] == a for a, b in zip(stem, stem[1:])), (p, stem)
                 by_stem[d][stem] += 1
         for d, counts in by_stem.items():
             stems = enumerate_stems(n, d)

@@ -2,6 +2,7 @@ import argparse
 import errno
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -379,8 +380,17 @@ class TestEulerian:
         )
 
     def test_limit_exit_3(self, capsys):
-        code, _, err = run(capsys, "eulerian", "12")
-        assert code == 3 and "limit" in err
+        # --max-n guards the enumeration of --q; the plain recurrence refuses
+        # only an order above 1000, before computing anything
+        code, out, err = run(capsys, "eulerian", "12", "--q")
+        assert code == 3 and out == "" and "exhaustive limit 11" in err
+        code, out, err = run(capsys, "eulerian", "1001")
+        assert code == 3 and out == ""
+        assert err == "error: n=1001 exceeds the Eulerian polynomial limit 1000\n"
+
+    def test_plain_order_beyond_the_enumeration_limit(self, capsys):
+        code, out, _ = run(capsys, "eulerian", "30")
+        assert code == 0 and sum(map(int, out.split())) == math.factorial(30)
 
     def test_json_deterministic(self, capsys):
         _, out1, _ = run(capsys, "eulerian", "5", "--q", "--output", "json")

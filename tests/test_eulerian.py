@@ -88,9 +88,14 @@ class TestEulerianPolynomial:
             assert eulerian_polynomial(n) == eulerian_recurrence(n)
 
     def test_limit(self):
-        with pytest.raises(LimitExceeded):
-            eulerian_polynomial(12)
-        assert eulerian_polynomial(4, max_n=4) == [1, 11, 11, 1]
+        # the recurrence enumerates nothing: only the size of its numbers
+        # bounds the order
+        assert sum(eulerian_polynomial(30)) == math.factorial(30)
+        assert len(eulerian_polynomial(1000)) == 1000
+        with pytest.raises(LimitExceeded, match="limit 1000"):
+            eulerian_polynomial(1001)
+        with pytest.raises(ValueError):
+            eulerian_polynomial(0)
 
 
 class TestQEulerian:

@@ -11,7 +11,6 @@ PUBLIC = [
     "DEFAULT_MAX_N",
     "LimitExceeded",
     "MaxminTree",
-    "MinDecompTree",
     "PartitionTriangle",
     "bijection_report",
     "build_max_weight_tree",

@@ -1,16 +1,10 @@
 import itertools
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import children_reference as ref
-from maxmintrees.mindecomp import (
-    MinDecompTree,
-    _leaf_counts,
-    build_min_decomp,
-    weight_via_leaves,
-)
+from maxmintrees.mindecomp import _leaf_counts, build_min_decomp, leaves, weight_via_leaves
 from maxmintrees.perms import descent_values
 from maxmintrees.trees import build_max_weight_tree, subtree, weight_recursive
 
@@ -21,16 +15,16 @@ def all_perms(n):
     return itertools.permutations(range(1, n + 1))
 
 
-def stem_and_leaves(t):
-    leaves = t.leaves()
-    return frozenset(range(1, len(t.parent))) - leaves, leaves
+def stem_and_leaves(parent):
+    tips = leaves(parent)
+    return frozenset(range(1, len(parent))) - tips, tips
 
 
-def moved_up(t, leaf):
-    """t with ``leaf`` reattached to its grandparent, validated by the constructor."""
-    moved = list(t.parent)
-    moved[leaf] = t.parent[t.parent[leaf]]
-    return MinDecompTree(moved)
+def moved_up(parent, leaf):
+    """The parent tuple with ``leaf`` reattached to its grandparent."""
+    moved = list(parent)
+    moved[leaf] = parent[parent[leaf]]
+    return tuple(moved)
 
 
 # every valid parent array on 1..40 labels: parent[v] anywhere in 1..v-1,
@@ -42,8 +36,7 @@ parent_arrays = st.integers(1, 40).flatmap(
 
 class TestBuild:
     def test_15_example_edges(self):
-        t = build_min_decomp(EXAMPLE_15)
-        kids = ref.children(t.parent)
+        kids = ref.children(build_min_decomp(EXAMPLE_15))
         assert {v: kids[v] for v in range(1, 17) if kids[v]} == {
             1: [2],
             2: [3, 4, 12, 14],
@@ -58,43 +51,43 @@ class TestBuild:
 
     def test_identity_is_path(self):
         for n in range(1, 8):
-            t = build_min_decomp(tuple(range(1, n + 1)))
-            assert t.parent == (0, 0) + tuple(range(1, n + 1))
+            parent = build_min_decomp(tuple(range(1, n + 1)))
+            assert parent == (0, 0) + tuple(range(1, n + 1))
 
     def test_reversal_is_star(self):
         for n in range(2, 8):
-            t = build_min_decomp(tuple(range(n, 0, -1)))
-            assert t.parent == (0, 0) + (1,) * n
+            parent = build_min_decomp(tuple(range(n, 0, -1)))
+            assert parent == (0, 0) + (1,) * n
 
     def test_parents_always_smaller(self):
         for n in range(1, 8):
             for p in all_perms(n):
-                t = build_min_decomp(p)
-                assert all(t.parent[v] < v for v in range(2, n + 2))
+                parent = build_min_decomp(p)
+                assert type(parent) is tuple  # hashable, as the sets below need
+                assert parent[:2] == (0, 0), p
+                assert all(1 <= parent[v] < v for v in range(2, n + 2)), p
 
 
 class TestStemAndLeaves:
     def test_identity(self):
         n = 5
-        stem, leaves = stem_and_leaves(build_min_decomp(tuple(range(1, n + 1))))
+        stem, tips = stem_and_leaves(build_min_decomp(tuple(range(1, n + 1))))
         assert stem == frozenset(range(1, n + 1))
-        assert leaves == frozenset({n + 1})
+        assert tips == frozenset({n + 1})
 
     def test_15_example(self):
-        leaves = build_min_decomp(EXAMPLE_15).leaves()
-        assert leaves == {15, 13, 10, 11, 6, 8, 16}
+        assert leaves(build_min_decomp(EXAMPLE_15)) == {15, 13, 10, 11, 6, 8, 16}
 
     def test_reversal(self):
         n = 6
-        stem, leaves = stem_and_leaves(build_min_decomp(tuple(range(n, 0, -1))))
+        stem, tips = stem_and_leaves(build_min_decomp(tuple(range(n, 0, -1))))
         assert stem == frozenset({1})
-        assert leaves == frozenset(range(2, n + 2))
+        assert tips == frozenset(range(2, n + 2))
 
     def test_leaves_are_descent_values_plus_top(self):
         for n in range(1, 8):
             for p in all_perms(n):
-                leaves = build_min_decomp(p).leaves()
-                assert leaves == descent_values(p) | {n + 1}, p
+                assert leaves(build_min_decomp(p)) == descent_values(p) | {n + 1}, p
 
 
 class TestWeightViaLeaves:
@@ -123,7 +116,7 @@ class TestDescendantsMatchSubtrees:
         # everything below it in the minimum decomposition
         for n in range(1, 7):
             for p in all_perms(n):
-                kids = ref.children(build_min_decomp(p).parent)
+                kids = ref.children(build_min_decomp(p))
                 mx = build_max_weight_tree(p)
                 for v in range(1, n + 2):
                     assert ref.descendants(kids, v) | {v} == subtree(mx, v), (p, v)
@@ -133,11 +126,10 @@ class TestParentPass:
     @settings(max_examples=200, deadline=None)
     @given(parent_arrays)
     def test_matches_children_lists(self, parent):
-        t = MinDecompTree(parent)
         kids = ref.children(parent)
-        assert t.leaves() == ref.leaves(kids)
+        assert leaves(parent) == ref.leaves(kids)
         assert _leaf_counts(parent)[1:] == ref.leaf_counts(kids)[1:]
-        assert weight_via_leaves(t) == ref.weight(kids)
+        assert weight_via_leaves(parent) == ref.weight(kids)
 
 
 class TestMoveUp:
@@ -148,55 +140,39 @@ class TestMoveUp:
         assert (before, after) == (1, 0)
 
     def test_reattaches_to_grandparent(self):
-        assert moved_up(build_min_decomp((1, 3, 2)), 3).parent[3] == 1
-
-    def test_leaf_under_root_cannot_move(self):
-        # the root's parent 0 is no label, so the constructor refuses
-        t = build_min_decomp((3, 2, 1))  # star at 1
-        with pytest.raises(ValueError, match="parent of 4 must lie in 1..3, got 0"):
-            moved_up(t, 4)
+        assert moved_up(build_min_decomp((1, 3, 2)), 3)[3] == 1
 
     def test_path_leaf_still_moves(self):
         # legal even when the result is no permutation's decomposition
         t = build_min_decomp((1, 2, 3))
-        assert moved_up(t, 4).parent[4] == 2
+        assert moved_up(t, 4)[4] == 2
 
     def test_drop_by_one_whenever_stem_is_preserved(self):
         for n in range(2, 7):
             for p in all_perms(n):
                 t = build_min_decomp(p)
-                kids = ref.children(t.parent)
+                kids = ref.children(t)
                 w = weight_via_leaves(t)
-                for leaf in t.leaves():
-                    parent = t.parent[leaf]
+                for leaf in leaves(t):
+                    parent = t[leaf]
                     if parent == 1 or len(kids[parent]) < 2:
                         continue
                     assert weight_via_leaves(moved_up(t, leaf)) == w - 1, (p, leaf)
 
     def test_reverse_restores(self):
         t = build_min_decomp((2, 1, 4, 3))
-        for leaf in t.leaves():
-            parent = t.parent[leaf]
+        for leaf in leaves(t):
+            parent = t[leaf]
             if parent == 1:
                 continue
-            back = list(moved_up(t, leaf).parent)
+            back = list(moved_up(t, leaf))
             back[leaf] = parent
-            assert MinDecompTree(back) == t
-            assert weight_via_leaves(MinDecompTree(back)) == weight_via_leaves(t)
+            assert tuple(back) == t
+            assert weight_via_leaves(back) == weight_via_leaves(t)
 
 
 class TestSerialization:
     def test_distinct_permutations_distinct_parents(self):
         for n in range(1, 8):
-            trees = {build_min_decomp(p).parent for p in all_perms(n)}
+            trees = {build_min_decomp(p) for p in all_perms(n)}
             assert len(trees) == math.factorial(n), n
-
-    def test_rejects_bad_parent(self):
-        with pytest.raises(ValueError, match="parent"):
-            MinDecompTree((0, 0, 3))  # parent of 2 must be 1
-
-    def test_keeps_only_the_parent_array(self):
-        t = build_min_decomp((1, 3, 2))
-        assert MinDecompTree.__slots__ == ("parent",)
-        with pytest.raises(AttributeError):
-            t.children = ()

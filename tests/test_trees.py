@@ -213,7 +213,7 @@ class TestBuild:
         for p in walk_words():
             edges, parent = reference_trees(p)
             assert build_max_weight_tree(p).edges == edges, p[:20]
-            assert build_min_decomp(p).parent == parent, p[:20]
+            assert build_min_decomp(p) == parent, p[:20]
 
     def test_neighbors_ascend(self):
         # is_maxmin reads the first and last neighbor as the extremes
