@@ -1,6 +1,7 @@
 import argparse
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,9 @@ import maxmintrees.eulerian as eulerian
 import maxmintrees.partitions as partitions
 import maxmintrees.weights as weights
 from maxmintrees.cli import build_parser, main
+from maxmintrees.mindecomp import build_min_decomp
 from maxmintrees.partitions import t_triangle
+from maxmintrees.perms import descent_values
 from maxmintrees.weights import descents_and_weight
 
 from expected_values import triangle_csv
@@ -328,6 +331,20 @@ class TestTree:
         code, out, _ = run(capsys, "tree", perm, "--kind", kind, "--format", "dot")
         assert code == 0 and out == dot
 
+    def test_mindecomp_json_on_every_small_word(self, capsys):
+        # the edges are the parent tuple's pairs (parent[v], v) in the order of v,
+        # and the leaves are the descent values plus the appended node
+        for n in range(1, 6):
+            for p in itertools.permutations(range(1, n + 1)):
+                parent = build_min_decomp(p)
+                code, out, _ = run(capsys, "tree", " ".join(map(str, p)), "--kind", "mindecomp")
+                assert code == 0 and json.loads(out) == {
+                    "nodes": list(range(1, n + 2)),
+                    "edges": [[parent[v], v] for v in range(2, n + 2)],
+                    "root": 1,
+                    "leaves": sorted(descent_values(p) | {n + 1}),
+                }, p
+
     def test_json_format_builds_no_dot(self, capsys, monkeypatch):
         def refuse(tree):
             raise AssertionError("DOT text built for --format json")
@@ -391,6 +408,15 @@ class TestEulerian:
     def test_plain_order_beyond_the_enumeration_limit(self, capsys):
         code, out, _ = run(capsys, "eulerian", "30")
         assert code == 0 and sum(map(int, out.split())) == math.factorial(30)
+
+    def test_largest_plain_order_prints_every_coefficient(self, capsys):
+        # at the limit the largest coefficient still fits Python's int -> str
+        # digit limit, in text and in JSON
+        code, out, _ = run(capsys, "eulerian", "1000")
+        coeffs = [int(c) for c in out.split()]
+        assert code == 0 and len(coeffs) == 1000 and sum(coeffs) == math.factorial(1000)
+        code, out, _ = run(capsys, "eulerian", "1000", "--output", "json")
+        assert code == 0 and json.loads(out)["result"]["coefficients"] == coeffs
 
     def test_json_deterministic(self, capsys):
         _, out1, _ = run(capsys, "eulerian", "5", "--q", "--output", "json")
