@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 
-from .eulerian import DEFAULT_MAX_N, q_eulerian
+from .eulerian import q_eulerian
 from .partitions import t_nk
 
 
@@ -155,7 +155,7 @@ def stem_report(n: int, d: int) -> dict:
     }
 
 
-def bijection_report(n: int, d: int, max_n: int = DEFAULT_MAX_N) -> dict:
+def bijection_report(n: int, d: int) -> dict:
     """
     Per-(n, d) verification record: the number of permutations of length n
     with d descents and weight (n-d-1)(d-1) by exhaustive enumeration, the
@@ -169,7 +169,7 @@ def bijection_report(n: int, d: int, max_n: int = DEFAULT_MAX_N) -> dict:
     """
     _check_descents(n, d)
     w = target_weight(n, d)
-    brute = q_eulerian(n, max_n=max_n).get((d, w), 0)
+    brute = q_eulerian(n).get((d, w), 0)
     stems = stem_report(n, d)
     return {
         "n": n,

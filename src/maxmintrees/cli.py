@@ -2,18 +2,18 @@
 Command-line front end.
 
 Subcommands, each with only the options it reads (OUT is text|json,
-OUT+ is text|json|csv, LIMITS is [--max-n N] [--threads T]):
+OUT+ is text|json|csv):
 
     weight PERM [--algo mindecomp|range|fast] [--explain] [--output OUT]
     tree PERM [--kind maxweight|mindecomp] [--format dot|json] [--output OUT]
-    eulerian N [--q] [--output OUT+] LIMITS
-    wd D [--terms K] [--output OUT+] LIMITS
+    eulerian N [--q] [--output OUT+] [--threads T]
+    wd D [--terms K] [--output OUT+] [--threads T]
     tnk N K [--contributions] [--output OUT]
     tnk --triangle N [--output OUT+]
     tnk --crosscheck FILE [--file-format auto|csv|bfile] [--output OUT]
-    verify bijection (--n N --d D | --n-max N) [--output OUT] LIMITS
+    verify bijection (--n N --d D | --n-max N) [--output OUT] [--threads T]
     verify stems --n N --d D [--output OUT]
-    verify stabilization --d D [--k K] [--n-max N] [--output OUT] LIMITS
+    verify stabilization --d D [--k K] [--n-max N] [--output OUT] [--threads T]
 
 PERM is the word as one argument, or - to read it from standard input,
 which lifts the operating system's limit on the length of one argument.
@@ -21,14 +21,14 @@ which lifts the operating system's limit on the length of one argument.
 argparse refuses any other option with exit 2 before any work, with the
 usage of the command that does not take it.  Where one parser serves
 several modes (tnk, verify bijection), an option the chosen mode would
-ignore is refused as an input error too.  --max-n (at least 1) moves the
-exhaustive S_n guard, which eulerian meets with --q only.  --threads is
-checked to be at least 1 but ignored: the S_n enumeration picks its own
-process count.  JSON output wraps the payload in an envelope carrying the
-command echo, parameters, elapsed time and tool version; payloads are
-deterministic for fixed inputs.  The envelope is written in bounded batches
-as it is encoded, byte for byte as json.dumps(envelope, indent=2) prints it,
-so no whole JSON document is held in memory.
+ignore is refused as an input error too.  The exhaustive S_n enumeration,
+which eulerian runs with --q only, is refused above the fixed order 11.
+--threads is checked to be at least 1 but ignored: the S_n enumeration
+picks its own process count.  JSON output wraps the payload in an envelope
+carrying the command echo, parameters, elapsed time and tool version;
+payloads are deterministic for fixed inputs.  The envelope is written in
+bounded batches as it is encoded, byte for byte as json.dumps(envelope,
+indent=2) prints it, so no whole JSON document is held in memory.
 
 Every output format (text, JSON, CSV, DOT) is rendered here, from the
 values the library returns.
@@ -53,7 +53,6 @@ from itertools import groupby, islice
 from . import __version__
 from .bijection import bijection_report, stable_region, stem_report
 from .eulerian import (
-    DEFAULT_MAX_N,
     LimitExceeded,
     _check_limit,
     eulerian_polynomial,
@@ -220,8 +219,7 @@ def _cmd_tree(args) -> int:
 def _cmd_eulerian(args) -> int:
     if args.q:
         # x ascending, q descending: the one order of every rendering
-        terms = sorted(q_eulerian(args.n, max_n=args.max_n).items(),
-                       key=lambda t: (t[0][0], -t[0][1]))
+        terms = sorted(q_eulerian(args.n).items(), key=lambda t: (t[0][0], -t[0][1]))
         _emit(
             args,
             _format_bivariate(terms),
@@ -241,7 +239,7 @@ def _cmd_eulerian(args) -> int:
 
 
 def _cmd_wd(args) -> int:
-    coeffs = wd_series(args.d, args.terms, max_n=args.max_n)
+    coeffs = wd_series(args.d, args.terms)
     _emit(
         args,
         ",".join(str(c) for c in coeffs),
@@ -319,10 +317,10 @@ def _cmd_verify_bijection(args) -> int:
         if args.n_max < 2:
             raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
         # the sweep's largest S_n is S_{n_max}: refuse it before any work
-        _check_limit(args.n_max, args.max_n)
+        _check_limit(args.n_max)
         pairs = [(n, d) for n in range(2, args.n_max + 1) for d in range(1, n)
                  if stable_region(n, d)]
-    reports = [bijection_report(n, d, max_n=args.max_n) for n, d in pairs]
+    reports = [bijection_report(n, d) for n, d in pairs]
     lines = []
     for r in reports:
         lines.append(
@@ -347,7 +345,7 @@ def _cmd_verify_stems(args) -> int:
 
 def _cmd_verify_stabilization(args) -> int:
     # the default sweep stops at order 9 so a bare invocation stays interactive
-    n_max = args.n_max if args.n_max is not None else min(args.max_n, 9)
+    n_max = args.n_max if args.n_max is not None else 9
     ks = [args.k] if args.k is not None else range(4)
     need = args.d + ks[-1] + 1  # the threshold order of the largest k
     if args.d >= 1 and ks[0] >= 0 and n_max < need:
@@ -360,7 +358,7 @@ def _cmd_verify_stabilization(args) -> int:
     # the first k's call refuses a bad d or k and the S_n limit before any work
     checks = []
     for k in ks:
-        vals = stabilization_values(args.d, k, n_max, max_n=args.max_n)
+        vals = stabilization_values(args.d, k, n_max)
         stable = all(c == vals[0][1] for _, c in vals)
         checks.append({"d": args.d, "k": k, "values": vals, "stable": stable})
     lines = []
@@ -387,12 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     with_csv = argparse.ArgumentParser(add_help=False)
     with_csv.add_argument("--output", choices=("text", "json", "csv"), default="text",
                           help="output format (default text)")
-    limits = argparse.ArgumentParser(add_help=False)
-    limits.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, metavar="N",
-                        help=f"largest S_n to enumerate, >= 1 (default {DEFAULT_MAX_N}); "
-                        "eulerian reads it with --q only")
-    limits.add_argument("--threads", type=int, default=1, metavar="T",
-                        help="ignored: the enumeration picks its own process count (>= 1)")
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1, metavar="T",
+                         help="ignored: the enumeration picks its own process count (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     w = sub.add_parser("weight", parents=[text_json], help="weight of a permutation")
@@ -410,13 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--format", choices=("dot", "json"), default="json")
     t.set_defaults(func=_cmd_tree, _parser=t)
 
-    e = sub.add_parser("eulerian", parents=[with_csv, limits],
+    e = sub.add_parser("eulerian", parents=[with_csv, threads],
                        help="Eulerian polynomial of order n")
     e.add_argument("n", type=int)
     e.add_argument("--q", action="store_true", help="bivariate (descents, weight) version")
     e.set_defaults(func=_cmd_eulerian, _parser=e)
 
-    d = sub.add_parser("wd", parents=[with_csv, limits],
+    d = sub.add_parser("wd", parents=[with_csv, threads],
                        help="stabilized coefficient series")
     d.add_argument("d", type=int)
     d.add_argument("--terms", type=int, default=6)
@@ -437,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification")
     modes = v.add_subparsers(dest="what", required=True)
-    b = modes.add_parser("bijection", parents=[text_json, limits],
+    b = modes.add_parser("bijection", parents=[text_json, threads],
                          help="brute force, stems and T(n-1, d) agree")
     b.add_argument("--n", type=int)
     b.add_argument("--d", type=int)
@@ -451,12 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_verify_stems, _parser=s)
 
     # no abbreviations here, or --n would be read as --n-max
-    z = modes.add_parser("stabilization", parents=[text_json, limits], allow_abbrev=False,
+    z = modes.add_parser("stabilization", parents=[text_json, threads], allow_abbrev=False,
                          help="coefficients stop depending on n")
     z.add_argument("--d", type=int, required=True)
     z.add_argument("--k", type=int, help="check only this k (default 0..3)")
     z.add_argument("--n-max", type=int, dest="n_max",
-                   help="last order to check (default the smaller of --max-n and 9)")
+                   help="last order to check (default 9)")
     z.set_defaults(func=_cmd_verify_stabilization, _parser=z)
     return parser
 
@@ -467,10 +462,9 @@ def main(argv: list[str] | None = None) -> int:
         args._parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     args._t0 = time.perf_counter()
     try:
-        for flag, dest in (("--threads", "threads"), ("--max-n", "max_n")):
-            value = vars(args).get(dest, 1)  # 1 where the command lacks the option
-            if value < 1:
-                raise ValueError(f"{flag} must be at least 1, got {value}")
+        threads = vars(args).get("threads", 1)  # 1 where the command lacks the option
+        if threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {threads}")
         return args.func(args)
     except BrokenPipeError:
         # the reader closed stdout: point it at devnull so the interpreter's

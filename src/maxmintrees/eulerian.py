@@ -46,6 +46,7 @@ from types import MappingProxyType
 
 from .weights import descents_and_weight
 
+# the largest S_n that q_eulerian enumerates: order 11 is 39916800 permutations
 DEFAULT_MAX_N = 11
 
 # the smallest order at which the pool wins: on 2 cores, order 7 took 0.017 s
@@ -69,9 +70,9 @@ def maxwt(n: int, d: int) -> int:
     return d * (n - d - 1)
 
 
-def _check_limit(n: int, max_n: int) -> None:
-    if n > max_n:
-        raise LimitExceeded(f"n={n} exceeds the exhaustive limit {max_n}")
+def _check_limit(n: int) -> None:
+    if n > DEFAULT_MAX_N:
+        raise LimitExceeded(f"n={n} exceeds the exhaustive limit {DEFAULT_MAX_N}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
 
@@ -123,7 +124,7 @@ def clear_cache() -> None:
     _Q_CACHE.clear()
 
 
-def q_eulerian(n: int, max_n: int = DEFAULT_MAX_N) -> Mapping[tuple[int, int], int]:
+def q_eulerian(n: int) -> Mapping[tuple[int, int], int]:
     """
     The q-Eulerian polynomial of order n as a mapping (d, w) -> count of
     the permutations with d descents and weight w, zero counts omitted.
@@ -132,7 +133,7 @@ def q_eulerian(n: int, max_n: int = DEFAULT_MAX_N) -> Mapping[tuple[int, int], i
     >>> q_eulerian(3) == {(0, 0): 1, (1, 1): 1, (1, 0): 3, (2, 0): 1}
     True
     """
-    _check_limit(n, max_n)
+    _check_limit(n)
     cached = _Q_CACHE.get(n)
     if cached is not None:
         return cached
@@ -154,9 +155,7 @@ def q_eulerian(n: int, max_n: int = DEFAULT_MAX_N) -> Mapping[tuple[int, int], i
     return poly
 
 
-def stabilization_values(
-    d: int, k: int, n_max: int, max_n: int = DEFAULT_MAX_N
-) -> list[tuple[int, int]]:
+def stabilization_values(d: int, k: int, n_max: int) -> list[tuple[int, int]]:
     """
     (n, coefficient of x^d q^{maxwt(n,d)-k}) for n from the stabilization
     threshold d+k+1 through n_max.
@@ -168,14 +167,14 @@ def stabilization_values(
     threshold = d + k + 1
     if n_max < threshold:
         raise ValueError(f"n_max={n_max} is below the threshold {threshold}")
-    _check_limit(n_max, max_n)
+    _check_limit(n_max)
     return [
-        (n, q_eulerian(n, max_n=max_n).get((d, maxwt(n, d) - k), 0))
+        (n, q_eulerian(n).get((d, maxwt(n, d) - k), 0))
         for n in range(threshold, n_max + 1)
     ]
 
 
-def wd_series(d: int, terms: int, max_n: int = DEFAULT_MAX_N) -> tuple[int, ...]:
+def wd_series(d: int, terms: int) -> tuple[int, ...]:
     """
     The first ``terms`` stabilized coefficients (a_0, ..., a_{terms-1}) for
     descent count d, each read at its threshold order n = d+k+1.
@@ -187,12 +186,13 @@ def wd_series(d: int, terms: int, max_n: int = DEFAULT_MAX_N) -> tuple[int, ...]
         raise ValueError(f"d must be >= 1, got {d}")
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
-    if d + terms > max_n:
+    if d + terms > DEFAULT_MAX_N:
         raise LimitExceeded(
-            f"{terms} terms of the d={d} series need n={d + terms}, above the limit {max_n}"
+            f"{terms} terms of the d={d} series need n={d + terms}, "
+            f"above the limit {DEFAULT_MAX_N}"
         )
     return tuple(
-        q_eulerian(d + k + 1, max_n=max_n).get((d, maxwt(d + k + 1, d) - k), 0)
+        q_eulerian(d + k + 1).get((d, maxwt(d + k + 1, d) - k), 0)
         for k in range(terms)
     )
 

@@ -397,8 +397,8 @@ class TestEulerian:
         )
 
     def test_limit_exit_3(self, capsys):
-        # --max-n guards the enumeration of --q; the plain recurrence refuses
-        # only an order above 1000, before computing anything
+        # --q enumerates S_n, refused above the fixed order 11; the plain
+        # recurrence refuses only an order above 1000, before computing anything
         code, out, err = run(capsys, "eulerian", "12", "--q")
         assert code == 3 and out == "" and "exhaustive limit 11" in err
         code, out, err = run(capsys, "eulerian", "1001")
@@ -496,6 +496,11 @@ class TestTnk:
         code, _, err = run(capsys, "tnk")
         assert code == 2
 
+    def test_triangle_negative_exit_2(self, capsys):
+        code, out, err = run(capsys, "tnk", "--triangle", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: n_max must be >= 0, got -1\n"
+
     def test_crosscheck_ok(self, capsys, tmp_path):
         # the triangle's own CSV output reads back cell for cell
         _, csv, _ = run(capsys, "tnk", "--triangle", "6", "--output", "csv")
@@ -562,6 +567,13 @@ class TestTnk:
         f.write_text("1\n1,2,3\n")
         code, _, err = run(capsys, "tnk", "--crosscheck", str(f))
         assert code == 2 and "line 2" in err
+
+    def test_crosscheck_bfile_extra_field_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "t.b"
+        f.write_text("0 1\n1 1 7\n")
+        code, out, err = run(capsys, "tnk", "--crosscheck", str(f), "--file-format", "bfile")
+        assert code == 2 and out == ""
+        assert err == "error: line 2: expected 'index value', got '1 1 7'\n"
 
     def test_crosscheck_signed_entry_exit_2(self, capsys, tmp_path):
         # '+1' is no integer in a triangle file, as it is none in PERM
@@ -651,12 +663,21 @@ def test_partition_enumeration_is_refused_with_exit_3(capsys, argv):
         (["tnk", "8", "5", "--output", "csv"], "error: tnk N K ignores --output csv"),
         (["tnk", "--crosscheck", "t.csv", "--output", "csv"],
          "error: tnk --crosscheck ignores --output csv"),
+        (["eulerian", "6", "--max-n", "3"],
+         "maxmintrees eulerian: error: unrecognized arguments: --max-n 3"),
+        (["wd", "2", "--max-n", "3"],
+         "maxmintrees wd: error: unrecognized arguments: --max-n 3"),
+        (["verify", "bijection", "--n-max", "3", "--max-n", "3"],
+         "maxmintrees verify bijection: error: unrecognized arguments: --max-n 3"),
+        (["verify", "stabilization", "--d", "1", "--max-n", "3"],
+         "maxmintrees verify stabilization: error: unrecognized arguments: --max-n 3"),
     ],
     ids=["triangle-nk", "crosscheck-nk", "triangle-contributions",
          "crosscheck-contributions", "bijection-pair-n-max", "bijection-pair-k",
          "bijection-sweep-n", "stems-k", "stems-n-max", "stabilization-n",
          "weight-max-n", "tree-threads", "weight-csv", "tnk-max-n", "stems-threads",
-         "triangle-file-format", "nk-file-format", "nk-csv", "crosscheck-csv"],
+         "triangle-file-format", "nk-file-format", "nk-csv", "crosscheck-csv",
+         "eulerian-max-n", "wd-max-n", "bijection-max-n", "stabilization-max-n"],
 )
 def test_ignored_arguments_are_refused(capsys, tmp_path, monkeypatch, argv, message):
     (tmp_path / "t.csv").write_text(triangle_csv(t_triangle(6).rows))
@@ -725,9 +746,9 @@ class TestVerify:
             raise AssertionError("verified a pair before refusing the sweep")
 
         monkeypatch.setattr(cli, "bijection_report", refuse)
-        code, out, err = run(capsys, "verify", "bijection", "--n-max", "10", "--max-n", "9")
+        code, out, err = run(capsys, "verify", "bijection", "--n-max", "12")
         assert code == 3 and out == ""
-        assert err == "error: n=10 exceeds the exhaustive limit 9\n"
+        assert err == "error: n=12 exceeds the exhaustive limit 11\n"
 
     def test_bijection_sweep_needs_bound(self, capsys):
         code, _, err = run(capsys, "verify", "bijection")
@@ -767,18 +788,13 @@ class TestVerify:
         assert err == (
             "error: --d 6 checks k up to 3, which needs --n-max 10 or more (default 9)\n"
         )
-        code, _, err = run(capsys, "verify", "stabilization", "--d", "5", "--k", "4",
-                           "--max-n", "8")
+        code, _, err = run(capsys, "verify", "stabilization", "--d", "5", "--k", "4")
         assert code == 2
-        assert err == "error: --d 5 checks k = 4, which needs --n-max 10 or more (default 8)\n"
+        assert err == "error: --d 5 checks k = 4, which needs --n-max 10 or more (default 9)\n"
         # a value the user gave is named as given
         code, _, err = run(capsys, "verify", "stabilization", "--d", "6", "--n-max", "9")
         assert code == 2
         assert err == "error: --d 6 checks k up to 3, which needs --n-max 10 or more (given 9)\n"
-        # an --n-max both below the threshold and above --max-n is an input error
-        code, _, err = run(capsys, "verify", "stabilization", "--d", "6", "--n-max", "9",
-                           "--max-n", "8")
-        assert code == 2 and err.startswith("error: --d 6 checks k up to 3,")
 
     def test_stabilization(self, capsys):
         code, out, _ = run(
@@ -906,22 +922,9 @@ class TestJsonStream:
         assert err == b""
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["eulerian", "3"], ["wd", "1"], ["verify", "bijection", "--n-max", "3"],
-     ["verify", "stabilization", "--d", "1"]],
-    ids=["eulerian", "wd", "bijection", "stabilization"],
-)
-@pytest.mark.parametrize("max_n", ["0", "-5"])
-def test_max_n_below_one_exit_2(capsys, argv, max_n):
-    code, out, err = run(capsys, *argv, "--max-n", max_n)
-    assert code == 2 and out == ""
-    assert err == f"error: --max-n must be at least 1, got {max_n}\n"
-
-
-# a size whose default would enumerate S_11; the fuzz cases always give it,
-# bounded
-FUZZ_BOUNDED = {"--max-n": 8}
+# --terms defaults to 6, which makes wd 5 enumerate S_11; the fuzz cases
+# always give it, at most 2, so wd D enumerates S_9 at most
+FUZZ_BOUNDED = {"--terms": 2}
 
 
 def fuzz_value(rng, action, flag, files):

@@ -167,6 +167,13 @@ class TestCrosscheck:
         with pytest.raises(ValueError, match="line 2: negative index -1"):
             crosscheck_triangle(f, fmt="bfile")
 
+    def test_unknown_format(self, tmp_path):
+        f = tmp_path / "triangle.csv"
+        f.write_text(triangle_csv(t_triangle(4).rows))
+        with pytest.raises(ValueError) as info:
+            crosscheck_triangle(f, fmt="xml")
+        assert str(info.value) == "unknown triangle format 'xml'"
+
     def test_malformed_csv_reports_line(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("1\n1,1\n2,3\n")
