@@ -832,6 +832,19 @@ class TestThreads:
         assert code == 2 and out == ""
         assert err == f"error: --threads must be at least 1, got {threads}\n"
 
+    # the other commands that share the --threads parser refuse it the same way
+    @pytest.mark.parametrize(
+        "argv",
+        [["wd", "1"], ["verify", "bijection", "--n-max", "3"],
+         ["verify", "stabilization", "--d", "1"]],
+        ids=["wd", "bijection", "stabilization"],
+    )
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_threads_below_one_exit_2_on_every_command(self, capsys, argv, threads):
+        code, out, err = run(capsys, *argv, "--threads", threads)
+        assert code == 2 and out == ""
+        assert err == f"error: --threads must be at least 1, got {threads}\n"
+
 
 class RecordingStdout(io.StringIO):
     """A stdout that keeps the length of every non-empty write."""
