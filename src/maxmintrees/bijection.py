@@ -13,9 +13,10 @@ label tuple (x_1, ..., x_{n-d}), read together with its (n, d):
     sum(x_i - i) does not exceed the move-up budget n-d-1;
   * each stem carries C(n-1 - sum(x_i - i), d) trees (stars and bars over
     the d+1 leaves);
-  * mapping the stem to the partition of n-1 with parts x_i - (i-1) padded
-    with 1s matches stems bijectively to partitions of n-1 with at least
-    d parts, so the stem totals add up to T(n-1, d).
+  * mapping the stem to the partition of n-1 with a part x_i - (i-1) for
+    every x_i > i, then 1s up to the total n-1, matches stems bijectively
+    to partitions of n-1 with at least d parts, so the stem totals add up
+    to T(n-1, d).
 
 The count at (n, d) is the coefficient a_{n-d-1} of the stabilized series
 for d descents, and the paper's theorem equates a_k with T(d+k, d) for
@@ -92,39 +93,31 @@ def stem_count(stem: tuple[int, ...], n: int, d: int) -> int:
     return math.comb(n - 1 - sum(x - i for i, x in enumerate(stem, start=1)), d)
 
 
-def stem_to_partition(stem: tuple[int, ...], n: int, d: int) -> tuple[int, ...]:
+def stem_to_partition(stem: tuple[int, ...], n: int) -> tuple[int, ...]:
     """
-    The partition of n-1 owned by the admissible stem: parts x_i - (i-1)
-    for i from n-d down to 1, padded with 1s so the total is n-1.  Its
-    part count L satisfies C(L, d) = stem_count(stem, n, d).
+    The partition of n-1 owned by the admissible stem: a part x_i - (i-1)
+    for every x_i > i, largest first, then 1s up to the total n-1.
 
-    >>> stem_to_partition((1, 2, 3, 6), 9, 5)
+    The padding is never negative.  The parts above 1 sum to
+    deficit + #{x_i > i}; the deficit sum(x_i - i) is at most n-d-1, and
+    so is #{x_i > i} because x_1 = 1, so the sum is at most 2(n-d-1),
+    which is at most n-1 in the region 2d >= n-1.  The part count is
+    therefore n-1 - deficit, whose C(., d) is stem_count.
+
+    >>> stem_to_partition((1, 2, 3, 6), 9)
     (3, 1, 1, 1, 1, 1)
     """
-    parts = [x - i for i, x in enumerate(stem)]  # x_i - (i-1), i 1-based
-    parts.reverse()
-    ones = n - 1 - sum(parts)
-    if ones >= 0:
-        parts.extend([1] * ones)
-    else:
-        # the deficit can overshoot by one at the 2d = n-1 boundary; the
-        # trailing parts being dropped are always 1s (x_1 = 1)
-        for _ in range(-ones):
-            dropped = parts.pop()
-            if dropped != 1:
-                raise ValueError(f"stem {stem} does not map to a partition")
-    assert sum(parts) == n - 1
-    assert all(a >= b for a, b in zip(parts, parts[1:]))
-    assert math.comb(len(parts), d) == stem_count(stem, n, d)
-    return tuple(parts)
+    big = sorted((x - i for i, x in enumerate(stem) if x - i > 1), reverse=True)
+    return tuple(big) + (1,) * (n - 1 - sum(big))
 
 
 def stem_report(n: int, d: int) -> dict:
     """
     Per-stem record for (n, d): every admissible stem with its tree count
-    and partition, the stem total, T(n-1, d), and whether the totals agree
-    with stem_to_partition injective into the partitions of n-1 with at
-    least d parts.
+    and partition, the stem total, T(n-1, d), and ``ok``.  It is true when
+    each stem's partition sums to n-1, has at least d parts and C(its part
+    count, d) equals the stem's count, no two stems share a partition, and
+    the stem total is T(n-1, d).
 
     >>> r = stem_report(4, 2)
     >>> r["stems"][0], r["total"], r["t_value"], r["ok"]
@@ -137,21 +130,25 @@ def stem_report(n: int, d: int) -> dict:
         {
             "stem": list(s),
             "count": stem_count(s, n, d),
-            "partition": list(stem_to_partition(s, n, d)),
+            "partition": list(stem_to_partition(s, n)),
         }
         for s in enumerate_stems(n, d)
     ]
     images = {tuple(r["partition"]) for r in stems}
     total = sum(r["count"] for r in stems)
+    each_fits = all(
+        sum(r["partition"]) == n - 1
+        and len(r["partition"]) >= d
+        and math.comb(len(r["partition"]), d) == r["count"]
+        for r in stems
+    )
     return {
         "n": n,
         "d": d,
         "stems": stems,
         "total": total,
         "t_value": t_value,
-        "ok": len(images) == len(stems)
-        and all(len(lam) >= d for lam in images)
-        and total == t_value,
+        "ok": each_fits and len(images) == len(stems) and total == t_value,
     }
 
 
@@ -159,10 +156,11 @@ def bijection_report(n: int, d: int) -> dict:
     """
     Per-(n, d) verification record: the number of permutations of length n
     with d descents and weight (n-d-1)(d-1) by exhaustive enumeration, the
-    stem total and T(n-1, d) from ``stem_report``.  It passes when
-    ``stem_report`` is ok (the stem map is injective into the partitions of
-    n-1 with at least d parts and the stem total is T(n-1, d)) and the
-    brute-force count equals the stem total.
+    stem total and T(n-1, d) from ``stem_report``.  It passes when the
+    brute-force count equals the stem total and ``stem_report`` is ok:
+    each stem's partition sums to n-1, has at least d parts and C(its part
+    count, d) equals the stem's count; no two stems share a partition; and
+    the stem total is T(n-1, d).
 
     >>> bijection_report(5, 2)["pass"]
     True

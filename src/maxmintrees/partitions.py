@@ -124,6 +124,15 @@ def t_triangle(n_max: int) -> PartitionTriangle:
     return PartitionTriangle(tuple(rows))
 
 
+def _data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped line) for every line of text that is
+    neither blank nor a '#' comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def read_triangle_csv(text: str) -> list[tuple[int, int, int]]:
     """
     Parse triangle rows from CSV text: the i-th row line holds row n = i-1.
@@ -132,10 +141,7 @@ def read_triangle_csv(text: str) -> list[tuple[int, int, int]]:
     """
     cells = []
     n = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(text):
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != n + 1:
             raise ValueError(
@@ -159,10 +165,7 @@ def read_bfile(text: str) -> list[tuple[int, int, int]]:
     """
     cells = []
     expected_idx = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(text):
         fields = line.split()
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 'index value', got {line!r}")
@@ -196,14 +199,9 @@ def crosscheck_triangle(file: str | Path, fmt: str = "auto") -> dict:
     """
     text = Path(file).read_text(encoding="utf-8")
     if fmt == "auto":
-        fmt = "csv"
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "," not in line and len(line.split()) == 2:
-                fmt = "bfile"
-            break
+        # the first data line decides; a file without one sniffs as CSV
+        _, first = next(_data_lines(text), (0, ""))
+        fmt = "bfile" if "," not in first and len(first.split()) == 2 else "csv"
     if fmt == "csv":
         cells = read_triangle_csv(text)
     elif fmt == "bfile":

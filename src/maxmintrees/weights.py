@@ -180,10 +180,9 @@ def weight_accelerated(p: Permutation) -> int:
     >>> weight_accelerated((1, 3, 2))
     1
     """
-    n = len(p)
-    ext = [n + 2, *p, n + 1, 0]
+    ext = extend(p)
     P = _descent_prefix(ext)
-    return sum(P[m] - P[lo] for _, lo, m in _subtree_ranges(ext)) - n
+    return sum(P[m] - P[lo] for _, lo, m in _subtree_ranges(ext)) - len(p)
 
 
 # perfbench/test_perfbench.py imports this name; ROADMAP item 1 deletes both

@@ -158,7 +158,7 @@ def test_07_stem_machinery():
     with criterion(7, "stem enumeration, counts, and partition images for (9, 5)"):
         t0 = time.perf_counter()
         stems = enumerate_stems(9, 5)
-        got = [(s, stem_count(s, 9, 5), stem_to_partition(s, 9, 5)) for s in stems]
+        got = [(s, stem_count(s, 9, 5), stem_to_partition(s, 9)) for s in stems]
         assert got == STEMS_9_5
         images = {lam for _, _, lam in got}
         assert len(images) == len(got)

@@ -14,6 +14,7 @@ from maxmintrees.bijection import (
     stem_to_partition,
     target_weight,
 )
+from maxmintrees.cli import main
 from maxmintrees.eulerian import q_eulerian, wd_series
 from maxmintrees.mindecomp import build_min_decomp, leaves
 from maxmintrees.partitions import enumerate_partitions, t_nk
@@ -118,6 +119,8 @@ class TestStems:
     def test_single_nondescent(self):
         for n in range(2, 8):
             assert enumerate_stems(n, n - 1) == [(1,)]
+        with pytest.raises(ValueError, match="^need at least one non-descent: n=3, d=3$"):
+            enumerate_stems(3, 3)
 
     def test_4_2(self):
         assert enumerate_stems(4, 2) == [(1, 2), (1, 3)]
@@ -143,7 +146,7 @@ class TestStemCounts:
 
 class TestStemToPartition:
     def test_9_5_images(self):
-        images = [stem_to_partition(s, 9, 5) for s in enumerate_stems(9, 5)]
+        images = [stem_to_partition(s, 9) for s in enumerate_stems(9, 5)]
         assert images == [
             (1, 1, 1, 1, 1, 1, 1, 1),
             (2, 1, 1, 1, 1, 1, 1),
@@ -157,20 +160,20 @@ class TestStemToPartition:
     def test_part_count_matches_count(self):
         for n, d in ((9, 5), (8, 4), (7, 4), (5, 2)):
             for s in enumerate_stems(n, d):
-                lam = stem_to_partition(s, n, d)
+                lam = stem_to_partition(s, n)
                 assert sum(lam) == n - 1
                 assert math.comb(len(lam), d) == stem_count(s, n, d)
 
     def test_boundary_drops_a_one(self):
-        # at 2d = n-1 a stem can overshoot by one unit; the image is still
-        # a partition of n-1
-        assert stem_to_partition((1, 2, 5), 5, 2) == (3, 1)
-        assert stem_to_partition((1, 3, 4), 5, 2) == (2, 2)
+        # at 2d = n-1 the parts above 1 can reach n-1 without the 1 of x_1;
+        # the image is still a partition of n-1
+        assert stem_to_partition((1, 2, 5), 5) == (3, 1)
+        assert stem_to_partition((1, 3, 4), 5) == (2, 2)
 
     def test_images_cover_high_part_partitions(self):
         # stems map bijectively onto partitions of n-1 with >= d parts
         for n, d in ((9, 5), (6, 3), (5, 2)):
-            images = {stem_to_partition(s, n, d) for s in enumerate_stems(n, d)}
+            images = {stem_to_partition(s, n) for s in enumerate_stems(n, d)}
             expected = {
                 lam for lam in enumerate_partitions(n - 1) if len(lam) >= d
             }
@@ -221,13 +224,40 @@ class TestThreeWayAgreement:
 def test_report_fails_when_the_stem_map_is_not_injective(monkeypatch):
     # every stem to the all-ones partition: counts and totals stay right,
     # but the map stops being injective once there are two stems
-    monkeypatch.setattr(bijection, "stem_to_partition", lambda s, n, d: (1,) * (n - 1))
+    monkeypatch.setattr(bijection, "stem_to_partition", lambda s, n: (1,) * (n - 1))
     stems = stem_report(7, 4)
     assert len(stems["stems"]) > 1 and stems["total"] == stems["t_value"]
     assert not stems["ok"]
     r = bijection_report(7, 4)
     assert r["brute_count"] == r["stem_total"] == r["t_value"]
     assert r["pass"] is False
+
+
+SWAPPED = {(1, 2, 3, 4): (1, 2, 3, 5), (1, 2, 3, 5): (1, 2, 3, 4)}
+
+
+@pytest.mark.parametrize(
+    "fake, total",
+    [
+        # one tree too many on one stem: the total is off as well
+        (lambda count, s, n, d: count(s, n, d) + ((s, n, d) == ((1, 2, 3, 4), 9, 5)), 93),
+        # two stems swap counts: the total, T(n-1, d) and injectivity all
+        # still hold, and only C(parts, d) == count catches it
+        (lambda count, s, n, d: count(SWAPPED.get(s, s), n, d), 92),
+    ],
+    ids=["one-too-many", "swapped"],
+)
+def test_report_fails_when_a_stem_count_breaks_its_identity(monkeypatch, capsys, fake, total):
+    # the verdict says so with exit 1, not with a traceback
+    original = bijection.stem_count
+    monkeypatch.setattr(bijection, "stem_count", lambda s, n, d: fake(original, s, n, d))
+    stems = stem_report(9, 5)
+    assert stems["total"] == total and stems["t_value"] == 92
+    assert stems["ok"] is False
+    assert main(["verify", "stems", "--n", "9", "--d", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "FAILED"
+    assert err == ""
 
 
 def test_each_stem_carries_its_count_of_permutations():

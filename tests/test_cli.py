@@ -404,6 +404,9 @@ class TestEulerian:
         code, out, err = run(capsys, "eulerian", "1001")
         assert code == 3 and out == ""
         assert err == "error: n=1001 exceeds the Eulerian polynomial limit 1000\n"
+        code, out, err = run(capsys, "eulerian", "0", "--q")
+        assert code == 2 and out == ""
+        assert err == "error: n must be positive, got 0\n"
 
     def test_plain_order_beyond_the_enumeration_limit(self, capsys):
         code, out, _ = run(capsys, "eulerian", "30")
@@ -723,7 +726,7 @@ class TestVerify:
 
     def test_bijection_fails_when_the_stem_map_is_not_injective(self, capsys, monkeypatch):
         # every stem to one partition: the totals still agree, the map does not
-        monkeypatch.setattr(bijection, "stem_to_partition", lambda s, n, d: (1,) * (n - 1))
+        monkeypatch.setattr(bijection, "stem_to_partition", lambda s, n: (1,) * (n - 1))
         code, out, _ = run(capsys, "verify", "bijection", "--n", "7", "--d", "4")
         assert code == 1
         assert out.splitlines() == [
@@ -795,6 +798,10 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "stabilization", "--d", "6", "--n-max", "9")
         assert code == 2
         assert err == "error: --d 6 checks k up to 3, which needs --n-max 10 or more (given 9)\n"
+        # a negative k is refused by the first stabilization_values call
+        code, out, err = run(capsys, "verify", "stabilization", "--d", "1", "--k", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: k must be >= 0, got -1\n"
 
     def test_stabilization(self, capsys):
         code, out, _ = run(

@@ -190,6 +190,8 @@ class TestQEulerian:
     def test_limit(self):
         with pytest.raises(LimitExceeded):
             q_eulerian(12)
+        with pytest.raises(ValueError, match="^n must be positive, got 0$"):
+            q_eulerian(0)
 
     def test_cached_terms_are_read_only(self):
         # every caller shares the cached mapping, so no caller may write to it
@@ -232,6 +234,8 @@ class TestStabilization:
             stabilization_values(1, 1, 2)
         with pytest.raises(ValueError):
             stabilization_values(0, 1, 6)
+        with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
+            stabilization_values(1, -1, 6)
 
 
 class TestWdSeries:

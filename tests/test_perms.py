@@ -58,6 +58,8 @@ class TestParse:
     def test_validate_rejects_zero(self):
         with pytest.raises(ValueError, match="out of range"):
             validate_permutation([0, 1])
+        with pytest.raises(ValueError, match="^empty permutation$"):
+            validate_permutation([])
 
     @pytest.mark.parametrize(
         "values, message",
