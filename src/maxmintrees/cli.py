@@ -37,8 +37,9 @@ values the library returns.
 mindecomp reads the weight off the minimum decomposition tree.
 
 Exit codes: 0 success, 1 verification failed, 2 input error (including
-verify bijection|stems outside 2d >= n-1), 3 resource limit exceeded,
-141 (128 + SIGPIPE) when the reader closes stdout early.
+verify bijection|stems outside 2d >= n-1), 3 resource limit exceeded
+(including a worker process of the S_n enumeration that dies), 141
+(128 + SIGPIPE) when the reader closes stdout early.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ For fixed d, the coefficients at q-degree maxwt(n, d) - k stop depending
 on n once n reaches d + k + 1; ``stabilization_values`` lists them from
 that threshold on.  Collecting the stabilized values gives a power series
 W_d per d; ``wd_series`` returns its head a_0, a_1, ... as a plain tuple
-of integers, each read at its threshold order.  The paper's theorem equates a_k with the partition count
-T(d+k, d) for k <= d, which ``bijection`` checks stem by stem.
+of integers, reading each through ``stabilization_values`` at its
+threshold order.  The paper's theorem equates a_k with the partition
+count T(d+k, d) for k <= d, which ``bijection`` checks stem by stem.
 
 Enumeration walks S_n in lexicographic blocks keyed by the first element,
 calling the weights kernel once per permutation and counting its
@@ -25,9 +26,11 @@ calling the weights kernel once per permutation and counting its
 merged by coefficient-wise addition, so the result does not depend on where
 they run: from order ``_POOL_MIN_N`` on, with more than one CPU that the
 process may run on, they fan out over a process pool with one process per
-such CPU, at most n.  The cutoff is the measured break-even: wall / CPU
-seconds of q_eulerian(n) in a fresh process on 2 cores, Python 3.11.7,
-medians of 10 interleaved runs, the CPU including the pool's workers:
+such CPU, at most n.  A worker process that dies, as one killed for
+memory does, ends the enumeration in ``LimitExceeded``.  The cutoff is the
+measured break-even: wall / CPU seconds of q_eulerian(n) in a fresh process
+on 2 cores, Python 3.11.7, medians of 10 interleaved runs, the CPU
+including the pool's workers:
 
     order   in-process     pooled
     7       0.017 / 0.017  0.048 / 0.062   stays in-process
@@ -37,7 +40,6 @@ medians of 10 interleaved runs, the CPU including the pool's workers:
 
 from __future__ import annotations
 
-import math
 import os
 from collections import Counter
 from collections.abc import Mapping
@@ -142,15 +144,19 @@ def q_eulerian(n: int) -> Mapping[tuple[int, int], int]:
     if workers > 1 and n >= _POOL_MIN_N:
         # imported here: it loads multiprocessing, which no other path needs
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_block_counts, tasks))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                blocks = list(pool.map(_block_counts, tasks))
+        except BrokenProcessPool as exc:
+            msg = f"the order-{n} enumeration lost a worker process: {exc}"
+            raise LimitExceeded(msg) from exc
     else:
         blocks = [_block_counts(t) for t in tasks]
     merged: Counter[tuple[int, int]] = Counter()
     for block in blocks:
         merged.update(block)
-    assert sum(merged.values()) == math.factorial(n)
     poly = _Q_CACHE[n] = MappingProxyType(dict(merged))
     return poly
 
@@ -191,8 +197,5 @@ def wd_series(d: int, terms: int) -> tuple[int, ...]:
             f"{terms} terms of the d={d} series need n={d + terms}, "
             f"above the limit {DEFAULT_MAX_N}"
         )
-    return tuple(
-        q_eulerian(d + k + 1).get((d, maxwt(d + k + 1, d) - k), 0)
-        for k in range(terms)
-    )
+    return tuple(stabilization_values(d, k, d + k + 1)[0][1] for k in range(terms))
 

@@ -138,7 +138,7 @@ def descent_positions(p: Sequence[int]) -> tuple[int, ...]:
 
 def descent_count(p: Sequence[int]) -> int:
     """Number of descents of p."""
-    return sum(1 for i in range(1, len(p)) if p[i - 1] > p[i])
+    return len(descent_positions(p))
 
 
 def descent_values(p: Sequence[int]) -> frozenset[int]:

@@ -192,11 +192,7 @@ def tree_descents(t: MaxminTree) -> int:
     For the tree of a permutation p this equals descent_count(p) + 1: the
     appended node n+1 always tops the tree.
     """
-    return sum(
-        1
-        for v in range(1, t.node_count + 1)
-        if not t.neighbors[v] or t.neighbors[v][-1] < v
-    )
+    return len(_local_maxima(range(1, t.node_count + 1), t.neighbors))
 
 
 def subtree(t: MaxminTree, i: int) -> frozenset[int]:

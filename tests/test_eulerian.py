@@ -1,9 +1,12 @@
 import concurrent.futures
+import functools
 import math
+import multiprocessing
 import os
 
 import pytest
 
+import maxmintrees.cli as cli
 import maxmintrees.eulerian as eulerian
 from maxmintrees.eulerian import (
     LimitExceeded,
@@ -146,6 +149,35 @@ class TestQEulerian:
         finally:
             clear_cache()
         assert built == [2]
+
+    def test_dead_worker_ends_in_the_limit_exit(self, monkeypatch, capsys):
+        # a worker killed mid-block, as an out-of-memory kill does, is a
+        # resource limit: one error line and exit 3
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched kernel reaches the workers only by fork")
+        test_pid = os.getpid()
+        block_counts = eulerian._block_counts
+
+        @functools.wraps(block_counts)
+        def die_in_a_worker(task):
+            if os.getpid() != test_pid:
+                os._exit(1)
+            return block_counts(task)
+
+        monkeypatch.setattr(eulerian, "_block_counts", die_in_a_worker)
+        monkeypatch.setattr(eulerian, "_POOL_MIN_N", 5)
+        monkeypatch.setattr(eulerian, "_usable_cpus", lambda: 2)
+        clear_cache()
+        try:
+            code = cli.main(["eulerian", "6", "--q"])
+            assert 6 not in eulerian._Q_CACHE
+        finally:
+            clear_cache()
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        monkeypatch.undo()
+        assert q_eulerian(6) == E6
 
     def test_pool_starts_at_order_8(self, monkeypatch):
         built = record_pools(monkeypatch)

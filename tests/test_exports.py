@@ -35,7 +35,8 @@ PUBLIC = [
     "weight_via_leaves",
 ]
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_star_import_binds_exactly_the_public_names():
@@ -68,3 +69,14 @@ def test_every_export_is_reached_by_the_cli_or_the_readme():
         if name not in cli_imports and not re.search(rf"\b{name}\b", readme)
     ]
     assert unreached == []
+
+
+def test_no_assert_in_the_package():
+    # python -O strips asserts, so a check in src/ must raise a real error
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "maxmintrees").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

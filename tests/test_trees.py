@@ -180,7 +180,11 @@ class TestBuild:
         assert build_max_weight_tree((1,)).edges == ((1, 2),)
 
     def test_213(self):
-        assert build_max_weight_tree((2, 1, 3)).edges == ((1, 2), (1, 4), (3, 4))
+        t = build_max_weight_tree((2, 1, 3))
+        assert t.edges == ((1, 2), (1, 4), (3, 4))
+        assert repr(t) == "MaxminTree(4, [(1, 2), (1, 4), (3, 4)])"
+        # a tree never equals a non-tree: __eq__ defers, and == falls back to identity
+        assert not t == "x" and t != "x"
 
     def test_132(self):
         assert build_max_weight_tree((1, 3, 2)).edges == ((1, 4), (2, 3), (2, 4))
@@ -305,6 +309,10 @@ class TestSubtree:
         for p in [(1,), (2, 1, 3), EXAMPLE_15]:
             t = build_max_weight_tree(p)
             assert subtree(t, len(p) + 1) == frozenset({len(p) + 1})
+        t = build_max_weight_tree((2, 1, 3))
+        for label in (0, 5):
+            with pytest.raises(ValueError, match=f"^label {label} outside 1..4$"):
+                subtree(t, label)
 
 
 # ----------------------------------------------------------------- weights
