@@ -46,7 +46,9 @@ def target_weight(n: int, d: int) -> int:
 
 
 def _check_descents(n: int, d: int) -> None:
-    """Reject (n, d) outside 1 <= d <= n-1 and 2d >= n-1."""
+    """Reject (n, d) outside n >= 2, 1 <= d <= n-1 and 2d >= n-1."""
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
     if not 1 <= d <= n - 1:
         raise ValueError(f"d={d} outside 1..{n - 1}")
     if not stable_region(n, d):

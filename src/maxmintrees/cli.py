@@ -30,8 +30,11 @@ payloads are deterministic for fixed inputs.  The envelope is written in
 bounded batches as it is encoded, byte for byte as json.dumps(envelope,
 indent=2) prints it, so no whole JSON document is held in memory.
 
-Every output format (text, JSON, CSV, DOT) is rendered here, from the
-values the library returns.
+This module is the one place that reads input (PERM from standard input,
+the --crosscheck file as UTF-8) and renders output: every format (text,
+JSON, CSV, DOT) is built here from the values the library returns, and
+only the format that is printed is built.  tnk --triangle N --output csv
+writes a file that tnk --crosscheck reads.
 
 --algo fast and --algo range run the one linear weight pass; --algo
 mindecomp reads the weight off the minimum decomposition tree.
@@ -55,7 +58,6 @@ from . import __version__
 from .bijection import bijection_report, stable_region, stem_report
 from .eulerian import (
     LimitExceeded,
-    _check_limit,
     eulerian_polynomial,
     q_eulerian,
     stabilization_values,
@@ -119,14 +121,21 @@ def _format_bivariate(terms) -> str:
     return " + ".join(parts)
 
 
-def _refuse_ignored(mode: str, options: dict) -> None:
-    """Refuse, as an input error, the first given option that mode ignores."""
-    for flag, value in options.items():
-        if value is not None and value is not False:
+def _csv(rows) -> str:
+    """Rows of fields as CSV lines, without a trailing newline."""
+    return "\n".join(",".join(map(str, row)) for row in rows)
+
+
+def _refuse_ignored(mode: str, given: dict, *reads: str) -> None:
+    """Refuse, as an input error, the first given option that mode does not read."""
+    for flag, value in given.items():
+        if flag not in reads and value is not None and value is not False:
             raise ValueError(f"{mode} ignores {flag}")
 
 
-def _emit(args, result_text: str, payload, csv_text: str = "") -> None:
+def _emit(args, payload, text, csv=None) -> None:
+    """Print payload in the JSON envelope, or the string that the text or
+    csv callable builds: only the format that is printed is rendered."""
     if args.output == "json":
         envelope = {
             "command": args.command,
@@ -147,34 +156,42 @@ def _emit(args, result_text: str, payload, csv_text: str = "") -> None:
         while chunk := "".join(islice(pieces, _JSON_BATCH)):
             print(chunk, end="")
         print()
-    elif args.output == "csv":
-        print(csv_text, end="" if csv_text.endswith("\n") else "\n")
     else:
-        print(result_text)
+        print((csv if args.output == "csv" else text)())
 
 
-def _verdict(args, lines: list[str], payload: dict) -> int:
-    """Close a check: OK or FAILED, and exit 0 or 1, both from payload["ok"]."""
-    lines.append("OK" if payload["ok"] else "FAILED")
-    _emit(args, "\n".join(lines), payload)
+def _verdict(args, payload: dict, lines) -> int:
+    """Close a check: the lines() and then OK or FAILED, and exit 0 or 1,
+    both from payload["ok"]."""
+    verdict = "OK" if payload["ok"] else "FAILED"
+    _emit(args, payload, lambda: "\n".join([*lines(), verdict]))
     return EXIT_OK if payload["ok"] else EXIT_VERIFY_FAILED
 
 
-def _perm_text(perm: str) -> str:
-    """PERM as given, or all of standard input when PERM is '-'."""
-    if perm != "-":
-        return perm
-    if sys.stdin is None:  # the interpreter started with no standard input
-        raise ValueError("cannot read PERM from standard input: it is closed")
+def _read_text(what: str, path: str | None = None) -> str:
+    """All of the UTF-8 file at path, or of standard input without a path; a
+    source that cannot be read is an input error that names what."""
     try:
+        if path is not None:
+            with open(path, encoding="utf-8") as f:
+                return f.read()
+        if sys.stdin is None:  # the interpreter started with no standard input
+            raise ValueError(f"cannot read {what}: it is closed")
         return sys.stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
-        raise ValueError(f"cannot read PERM from standard input: {reason}") from None
+        raise ValueError(f"cannot read {what}: {reason}") from None
+
+
+def _perm(args) -> tuple[int, ...]:
+    """PERM parsed, read from standard input when it is '-'."""
+    return parse_permutation(
+        args.perm if args.perm != "-" else _read_text("PERM from standard input")
+    )
 
 
 def _cmd_weight(args) -> int:
-    p = parse_permutation(_perm_text(args.perm))
+    p = _perm(args)
     details = range_details(p) if args.explain else []
     if args.algo == "mindecomp":
         w = weight_via_leaves(build_min_decomp(p))
@@ -183,37 +200,27 @@ def _cmd_weight(args) -> int:
         w = sum(r["descents"] for r in details) - len(p)
     else:
         w = weight_accelerated(p)
-    if args.output == "json":
-        payload: dict = {"n": len(p), "perm": p, "algo": args.algo, "weight": w}
-        if args.explain:
-            payload["ranges"] = details
-        _emit(args, "", payload)
-        return EXIT_OK
-    lines = [str(w)]
-    for dct in details:
-        lines.append(
-            f"position {dct['position']} (value {dct['value']}): "
-            f"range {dct['range'][0]}..{dct['range'][1]}, "
-            f"{dct['descents']} descents"
-        )
-    _emit(args, "\n".join(lines), None)
+    payload: dict = {"n": len(p), "perm": p, "algo": args.algo, "weight": w}
+    if args.explain:
+        payload["ranges"] = details
+    _emit(args, payload, lambda: "\n".join([str(w)] + [
+        f"position {r['position']} (value {r['value']}): "
+        f"range {r['range'][0]}..{r['range'][1]}, {r['descents']} descents"
+        for r in details
+    ]))
     return EXIT_OK
 
 
 def _cmd_tree(args) -> int:
-    p = parse_permutation(_perm_text(args.perm))
+    p = _perm(args)
     if args.kind == "maxweight":
         edges, tips = build_max_weight_tree(p).edges, None
     else:
         parent = build_min_decomp(p)
         edges, tips = [(parent[v], v) for v in range(2, len(parent))], leaves(parent)
-    if args.format == "dot":
-        dot = _dot(edges, args.kind)
-        _emit(args, dot, {"perm": p, "dot": dot} if args.output == "json" else None)
-    elif args.output == "json":
-        _emit(args, "", {"perm": p, **_tree_json(edges, tips)})
-    else:
-        _emit(args, json.dumps(_tree_json(edges, tips)), None)
+    dot = args.format == "dot"
+    tree = {"dot": _dot(edges, args.kind)} if dot else _tree_json(edges, tips)
+    _emit(args, {"perm": p, **tree}, lambda: tree["dot"] if dot else json.dumps(tree))
     return EXIT_OK
 
 
@@ -221,21 +228,15 @@ def _cmd_eulerian(args) -> int:
     if args.q:
         # x ascending, q descending: the one order of every rendering
         terms = sorted(q_eulerian(args.n).items(), key=lambda t: (t[0][0], -t[0][1]))
-        _emit(
-            args,
-            _format_bivariate(terms),
-            {"n": args.n, "terms": [{"x": x, "q": q, "c": c} for (x, q), c in terms]},
-            "x,q,c\n" + "\n".join(f"{x},{q},{c}" for (x, q), c in terms),
-        )
+        rows = [(x, q, c) for (x, q), c in terms]
+        payload: dict = {"n": args.n, "terms": [{"x": x, "q": q, "c": c} for x, q, c in rows]}
+        header, text = ("x", "q", "c"), lambda: _format_bivariate(terms)
     else:
         coeffs = eulerian_polynomial(args.n)
+        rows = list(enumerate(coeffs))
         payload = {"n": args.n, "coefficients": coeffs}
-        _emit(
-            args,
-            " ".join(str(c) for c in coeffs),
-            payload,
-            "d,count\n" + "\n".join(f"{d},{c}" for d, c in enumerate(coeffs)),
-        )
+        header, text = ("d", "count"), lambda: " ".join(map(str, coeffs))
+    _emit(args, payload, text, lambda: _csv([header, *rows]))
     return EXIT_OK
 
 
@@ -243,105 +244,87 @@ def _cmd_wd(args) -> int:
     coeffs = wd_series(args.d, args.terms)
     _emit(
         args,
-        ",".join(str(c) for c in coeffs),
         {"d": args.d, "coefficients": list(coeffs)},
-        "k,a\n" + "\n".join(f"{k},{c}" for k, c in enumerate(coeffs)),
+        lambda: ",".join(map(str, coeffs)),
+        lambda: _csv([("k", "a"), *enumerate(coeffs)]),
     )
     return EXIT_OK
 
 
 def _cmd_tnk(args) -> int:
-    nk = {"N": args.n, "K": args.k}
-    csv = args.output == "csv"
+    # every option tnk was given, in the order a mode names the first it ignores
+    given = {"N": args.n, "K": args.k, "--triangle": args.triangle,
+             "--contributions": args.contributions, "--file-format": args.file_format,
+             "--output csv": args.output == "csv"}
     if args.crosscheck is not None:
-        _refuse_ignored(
-            "tnk --crosscheck",
-            {**nk, "--triangle": args.triangle, "--contributions": args.contributions,
-             "--output csv": csv},
-        )
-        try:
-            report = crosscheck_triangle(args.crosscheck, fmt=args.file_format or "auto")
-        except (OSError, UnicodeDecodeError) as exc:
-            reason = getattr(exc, "strerror", None) or exc
-            raise ValueError(f"cannot read {args.crosscheck}: {reason}") from None
-        lines = [f"checked {report['checked']} cells"]
-        lines += [
+        _refuse_ignored("tnk --crosscheck", given, "--file-format")
+        text = _read_text(args.crosscheck, args.crosscheck)
+        report = crosscheck_triangle(text, fmt=args.file_format or "auto")
+        return _verdict(args, report, lambda: [f"checked {report['checked']} cells"] + [
             f"MISMATCH at (n={m['n']}, k={m['k']}): "
             f"computed {m['expected']}, file has {m['found']}"
             for m in report["mismatches"]
-        ]
-        return _verdict(args, lines, report)
+        ])
     if args.triangle is not None:
-        _refuse_ignored(
-            "tnk --triangle",
-            {**nk, "--contributions": args.contributions,
-             "--file-format": args.file_format},
-        )
+        _refuse_ignored("tnk --triangle", given, "--triangle", "--output csv")
         rows = t_triangle(args.triangle).rows
-        cells = [list(map(str, row)) for row in rows]
         _emit(
             args,
-            "\n".join(map(" ".join, cells)),
             {"n_max": args.triangle, "rows": [list(row) for row in rows]},
-            "".join(",".join(row) + "\n" for row in cells),
+            lambda: "\n".join(" ".join(map(str, row)) for row in rows),
+            lambda: _csv(rows),
         )
         return EXIT_OK
     if args.n is None or args.k is None:
         raise ValueError("tnk needs N and K, or --triangle N, or --crosscheck FILE")
-    _refuse_ignored("tnk N K", {"--file-format": args.file_format, "--output csv": csv})
-    if not args.contributions:
-        value = t_nk(args.n, args.k)
-        _emit(args, str(value), {"n": args.n, "k": args.k, "value": value})
-        return EXIT_OK
-    # one enumeration: T(n, k) is the sum of the listed contributions
-    contrib = t_nk_contributions(args.n, args.k)
-    value = sum(c for _, c in contrib)
-    payload = {
-        "n": args.n,
-        "k": args.k,
-        "value": value,
-        "contributions": [{"partition": lam, "count": c} for lam, c in contrib],
-    }
-    lines = [str(value)] + [f"{'+'.join(map(str, lam))} : {c}" for lam, c in contrib]
-    _emit(args, "\n".join(lines), payload)
+    _refuse_ignored("tnk N K", given, "N", "K", "--contributions")
+    if args.contributions:
+        # one enumeration: T(n, k) is the sum of the listed contributions
+        contrib = t_nk_contributions(args.n, args.k)
+        value = sum(c for _, c in contrib)
+    else:
+        contrib, value = [], t_nk(args.n, args.k)
+    payload: dict = {"n": args.n, "k": args.k, "value": value}
+    if args.contributions:
+        payload["contributions"] = [{"partition": lam, "count": c} for lam, c in contrib]
+    _emit(args, payload, lambda: "\n".join(
+        [str(value)] + [f"{'+'.join(map(str, lam))} : {c}" for lam, c in contrib]
+    ))
     return EXIT_OK
 
 
 def _cmd_verify_bijection(args) -> int:
+    given = {"--n": args.n, "--d": args.d, "--n-max": args.n_max}
     if args.n is not None and args.d is not None:
-        _refuse_ignored("verify bijection --n --d", {"--n-max": args.n_max})
+        _refuse_ignored("verify bijection --n --d", given, "--n", "--d")
         pairs = [(args.n, args.d)]
     elif args.n_max is None:
         raise ValueError("verify bijection needs --n and --d, or --n-max for a sweep")
     else:
-        _refuse_ignored("verify bijection --n-max", {"--n": args.n, "--d": args.d})
+        _refuse_ignored("verify bijection --n-max", given, "--n-max")
         if args.n_max < 2:
             raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
-        # the sweep's largest S_n is S_{n_max}: refuse it before any work
-        _check_limit(args.n_max)
+        # the sweep's largest order first: its guard refuses S_{n_max} before
+        # any work, and the sweep's own call at that order hits the cache
+        q_eulerian(args.n_max)
         pairs = [(n, d) for n in range(2, args.n_max + 1) for d in range(1, n)
                  if stable_region(n, d)]
     reports = [bijection_report(n, d) for n, d in pairs]
-    lines = []
-    for r in reports:
-        lines.append(
-            f"n={r['n']} d={r['d']} weight={r['weight']}: "
-            f"brute={r['brute_count']} stems={r['stem_total']} "
-            f"T({r['n'] - 1},{r['d']})={r['t_value']} -> "
-            + ("PASS" if r["pass"] else "FAIL")
-        )
-    return _verdict(args, lines, {"checks": reports, "ok": all(r["pass"] for r in reports)})
+    return _verdict(args, {"checks": reports, "ok": all(r["pass"] for r in reports)}, lambda: [
+        f"n={r['n']} d={r['d']} weight={r['weight']}: "
+        f"brute={r['brute_count']} stems={r['stem_total']} "
+        f"T({r['n'] - 1},{r['d']})={r['t_value']} -> " + ("PASS" if r["pass"] else "FAIL")
+        for r in reports
+    ])
 
 
 def _cmd_verify_stems(args) -> int:
     report = stem_report(args.n, args.d)
-    lines = [
+    return _verdict(args, report, lambda: [
         f"{' '.join(map(str, r['stem']))}: {r['count']}  "
         f"(partition {'+'.join(map(str, r['partition']))})"
         for r in report["stems"]
-    ]
-    lines.append(f"total {report['total']}, T({args.n - 1},{args.d}) = {report['t_value']}")
-    return _verdict(args, lines, report)
+    ] + [f"total {report['total']}, T({args.n - 1},{args.d}) = {report['t_value']}"])
 
 
 def _cmd_verify_stabilization(args) -> int:
@@ -362,14 +345,11 @@ def _cmd_verify_stabilization(args) -> int:
         vals = stabilization_values(args.d, k, n_max)
         stable = all(c == vals[0][1] for _, c in vals)
         checks.append({"d": args.d, "k": k, "values": vals, "stable": stable})
-    lines = []
-    for c in checks:
-        series = ", ".join(f"n={n}:{v}" for n, v in c["values"])
-        lines.append(
-            f"d={c['d']} k={c['k']}: {series} -> "
-            + ("stable" if c["stable"] else "NOT stable")
-        )
-    return _verdict(args, lines, {"checks": checks, "ok": all(c["stable"] for c in checks)})
+    return _verdict(args, {"checks": checks, "ok": all(c["stable"] for c in checks)}, lambda: [
+        f"d={c['d']} k={c['k']}: {', '.join(f'n={n}:{v}' for n, v in c['values'])} -> "
+        + ("stable" if c["stable"] else "NOT stable")
+        for c in checks
+    ])
 
 
 def build_parser() -> argparse.ArgumentParser:

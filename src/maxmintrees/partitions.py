@@ -13,16 +13,16 @@ The number of partitions grows faster than any polynomial, so
 ``MAX_PARTITION_N`` with ``LimitExceeded`` before enumerating anything.
 
 The triangle of these numbers is OEIS A256193; ``crosscheck_triangle``
-compares a locally supplied copy (CSV rows or an OEIS-style b-file, both
-with '#' comment lines allowed) cell by cell against the computed values
-and returns the verdict as plain JSON-ready data: the cell count, ok, and
-the mismatching cells.
+compares the text of a locally supplied copy (CSV rows or an OEIS-style
+b-file, both with '#' comment lines allowed) cell by cell against the
+computed values and returns the verdict as plain JSON-ready data: the cell
+count, ok, and the mismatching cells.  Like every library function it
+reads no file: the caller passes the text.
 """
 
 from __future__ import annotations
 
 import math
-from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from .eulerian import LimitExceeded
@@ -185,19 +185,18 @@ def read_bfile(text: str) -> list[tuple[int, int, int]]:
     return cells
 
 
-def crosscheck_triangle(file: str | Path, fmt: str = "auto") -> dict:
+def crosscheck_triangle(text: str, fmt: str = "auto") -> dict:
     """
-    Compare a triangle file cell by cell against one computed triangle,
-    t_triangle up to the largest n in the file.  Returns
+    Compare the text of a triangle file cell by cell against one computed
+    triangle, t_triangle up to the largest n in the text.  Returns
     {"checked": cell count, "ok": bool, "mismatches": [{"n", "k",
     "expected", "found"}, ...]} with the mismatches in file order.
 
     ``fmt`` is "csv", "bfile", or "auto" (sniffed: comma-bearing or
     single-entry lines mean CSV, two whitespace-separated fields mean
-    b-file).  A file without cells is refused: a check that compares
+    b-file).  A text without cells is refused: a check that compares
     nothing must not pass.
     """
-    text = Path(file).read_text(encoding="utf-8")
     if fmt == "auto":
         # the first data line decides; a file without one sniffs as CSV
         _, first = next(_data_lines(text), (0, ""))
@@ -209,7 +208,7 @@ def crosscheck_triangle(file: str | Path, fmt: str = "auto") -> dict:
     else:
         raise ValueError(f"unknown triangle format {fmt!r}")
     if not cells:
-        raise ValueError(f"{file} holds no triangle cells")
+        raise ValueError("no triangle cells to check")
     rows = t_triangle(max(n for n, _, _ in cells)).rows
     mismatches = [
         {"n": n, "k": k, "expected": rows[n][k], "found": value}

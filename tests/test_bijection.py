@@ -90,6 +90,11 @@ class TestVerifyBijection:
     def test_d_range_checked(self):
         with pytest.raises(ValueError, match="d=0 outside 1..3"):
             bijection_report(4, 0)
+        # below n = 2 the range 1..n-1 is empty: n itself is refused
+        with pytest.raises(ValueError, match="^n must be at least 2, got 0$"):
+            bijection_report(0, 0)
+        with pytest.raises(ValueError, match="^n must be at least 2, got 1$"):
+            stem_report(1, 1)
 
     def test_stem_total_must_agree_too(self, monkeypatch):
         original = bijection.stem_report

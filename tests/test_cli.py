@@ -504,13 +504,15 @@ class TestTnk:
         assert code == 2 and out == ""
         assert err == "error: n_max must be >= 0, got -1\n"
 
-    def test_crosscheck_ok(self, capsys, tmp_path):
+    @pytest.mark.parametrize("fmt", [[], ["--file-format", "csv"]], ids=["auto", "csv"])
+    @pytest.mark.parametrize("n", [0, 1, 12, 20])
+    def test_crosscheck_ok(self, capsys, tmp_path, n, fmt):
         # the triangle's own CSV output reads back cell for cell
-        _, csv, _ = run(capsys, "tnk", "--triangle", "6", "--output", "csv")
+        _, csv, _ = run(capsys, "tnk", "--triangle", str(n), "--output", "csv")
         f = tmp_path / "t.csv"
         f.write_text(csv)
-        code, out, _ = run(capsys, "tnk", "--crosscheck", str(f))
-        assert code == 0 and out.strip().endswith("OK")
+        code, out, err = run(capsys, "tnk", "--crosscheck", str(f), *fmt)
+        assert (code, out, err) == (0, f"checked {(n + 1) * (n + 2) // 2} cells\nOK\n", "")
 
     def test_crosscheck_fault_exit_1(self, capsys, tmp_path):
         rows = [list(r) for r in t_triangle(4).rows]
@@ -563,7 +565,7 @@ class TestTnk:
         f.write_text(text)
         code, out, err = run(capsys, "tnk", "--crosscheck", str(f), "--file-format", fmt)
         assert code == 2 and out == ""
-        assert err == f"error: {f} holds no triangle cells\n"
+        assert err == "error: no triangle cells to check\n"
 
     def test_crosscheck_malformed_exit_2(self, capsys, tmp_path):
         f = tmp_path / "t.csv"
@@ -666,6 +668,12 @@ def test_partition_enumeration_is_refused_with_exit_3(capsys, argv):
         (["tnk", "8", "5", "--output", "csv"], "error: tnk N K ignores --output csv"),
         (["tnk", "--crosscheck", "t.csv", "--output", "csv"],
          "error: tnk --crosscheck ignores --output csv"),
+        (["tnk", "--crosscheck", "t.csv", "--triangle", "3"],
+         "error: tnk --crosscheck ignores --triangle"),
+        (["tnk", "--triangle", "3", "--crosscheck", "t.csv"],
+         "error: tnk --crosscheck ignores --triangle"),
+        (["verify", "bijection", "--n-max", "6", "--d", "5"],
+         "error: verify bijection --n-max ignores --d"),
         (["eulerian", "6", "--max-n", "3"],
          "maxmintrees eulerian: error: unrecognized arguments: --max-n 3"),
         (["wd", "2", "--max-n", "3"],
@@ -680,6 +688,7 @@ def test_partition_enumeration_is_refused_with_exit_3(capsys, argv):
          "bijection-sweep-n", "stems-k", "stems-n-max", "stabilization-n",
          "weight-max-n", "tree-threads", "weight-csv", "tnk-max-n", "stems-threads",
          "triangle-file-format", "nk-file-format", "nk-csv", "crosscheck-csv",
+         "crosscheck-triangle", "triangle-crosscheck", "bijection-sweep-d",
          "eulerian-max-n", "wd-max-n", "bijection-max-n", "stabilization-max-n"],
 )
 def test_ignored_arguments_are_refused(capsys, tmp_path, monkeypatch, argv, message):
@@ -718,11 +727,16 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == "error: n=4, d=1 lies outside the region 2d >= n-1\n"
 
+    @pytest.mark.parametrize(
+        "n, d, message",
+        [("3", "0", "d=0 outside 1..2"), ("0", "0", "n must be at least 2, got 0"),
+         ("1", "1", "n must be at least 2, got 1")],
+    )
     @pytest.mark.parametrize("what", ["bijection", "stems"])
-    def test_d_outside_domain_exit_2(self, capsys, what):
-        code, out, err = run(capsys, "verify", what, "--n", "3", "--d", "0")
+    def test_d_outside_domain_exit_2(self, capsys, what, n, d, message):
+        code, out, err = run(capsys, "verify", what, "--n", n, "--d", d)
         assert code == 2 and out == ""
-        assert err == "error: d=0 outside 1..2\n"
+        assert err == f"error: {message}\n"
 
     def test_bijection_fails_when_the_stem_map_is_not_injective(self, capsys, monkeypatch):
         # every stem to one partition: the totals still agree, the map does not

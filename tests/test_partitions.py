@@ -122,69 +122,54 @@ class TestTriangle:
 
 
 class TestCrosscheck:
-    def test_clean_csv(self, tmp_path):
-        f = tmp_path / "triangle.csv"
-        f.write_text(triangle_csv(t_triangle(10).rows))
-        assert crosscheck_triangle(f) == {"checked": 66, "ok": True, "mismatches": []}
+    def test_clean_csv(self):
+        text = triangle_csv(t_triangle(10).rows)
+        assert crosscheck_triangle(text) == {"checked": 66, "ok": True, "mismatches": []}
 
-    def test_injected_fault_named(self, tmp_path):
+    def test_injected_fault_named(self):
         rows = [list(r) for r in t_triangle(5).rows]
         rows[4][2] += 1
-        f = tmp_path / "bad.csv"
-        f.write_text(triangle_csv(rows))
-        report = crosscheck_triangle(f)
+        report = crosscheck_triangle(triangle_csv(rows))
         assert not report["ok"] and report["checked"] == 21
         assert report["mismatches"] == [{"n": 4, "k": 2, "expected": 11, "found": 12}]
 
-    def test_empty_file(self, tmp_path):
+    def test_empty_file(self):
         # a check that compared nothing must not pass
-        f = tmp_path / "empty.csv"
-        f.write_text("")
-        with pytest.raises(ValueError, match="holds no triangle cells"):
-            crosscheck_triangle(f)
+        with pytest.raises(ValueError) as info:
+            crosscheck_triangle("")
+        assert str(info.value) == "no triangle cells to check"
 
-    def test_bfile(self, tmp_path):
+    def test_bfile(self):
         values = [c for row in TRIANGLE_10[:5] for c in row]
         lines = ["# two-kind partition triangle"] + [
             f"{i} {v}" for i, v in enumerate(values)
         ]
-        f = tmp_path / "b.txt"
-        f.write_text("\n".join(lines) + "\n")
-        assert crosscheck_triangle(f) == {"checked": 15, "ok": True, "mismatches": []}
+        text = "\n".join(lines) + "\n"
+        assert crosscheck_triangle(text) == {"checked": 15, "ok": True, "mismatches": []}
 
     @pytest.mark.parametrize("fmt", ["auto", "csv"])
-    def test_csv_comment_lines(self, tmp_path, fmt):
-        f = tmp_path / "triangle.csv"
-        f.write_text("# T(n,k)\n" + triangle_csv(t_triangle(4).rows) + "# rows 0..4\n")
-        assert crosscheck_triangle(f, fmt) == {"checked": 15, "ok": True, "mismatches": []}
+    def test_csv_comment_lines(self, fmt):
+        text = "# T(n,k)\n" + triangle_csv(t_triangle(4).rows) + "# rows 0..4\n"
+        assert crosscheck_triangle(text, fmt) == {"checked": 15, "ok": True, "mismatches": []}
 
-    def test_bfile_gap_rejected(self, tmp_path):
-        f = tmp_path / "b.txt"
-        f.write_text("1 1\n3 1\n")
+    def test_bfile_gap_rejected(self):
         with pytest.raises(ValueError, match="line 2"):
-            crosscheck_triangle(f, fmt="bfile")
-        f.write_text("# indices start at 0\n-1 1\n0 1\n")
+            crosscheck_triangle("1 1\n3 1\n", fmt="bfile")
         with pytest.raises(ValueError, match="line 2: negative index -1"):
-            crosscheck_triangle(f, fmt="bfile")
+            crosscheck_triangle("# indices start at 0\n-1 1\n0 1\n", fmt="bfile")
 
-    def test_unknown_format(self, tmp_path):
-        f = tmp_path / "triangle.csv"
-        f.write_text(triangle_csv(t_triangle(4).rows))
+    def test_unknown_format(self):
         with pytest.raises(ValueError) as info:
-            crosscheck_triangle(f, fmt="xml")
+            crosscheck_triangle(triangle_csv(t_triangle(4).rows), fmt="xml")
         assert str(info.value) == "unknown triangle format 'xml'"
 
-    def test_malformed_csv_reports_line(self, tmp_path):
-        f = tmp_path / "bad.csv"
-        f.write_text("1\n1,1\n2,3\n")
+    def test_malformed_csv_reports_line(self):
         with pytest.raises(ValueError, match="line 3"):
-            crosscheck_triangle(f, fmt="csv")
+            crosscheck_triangle("1\n1,1\n2,3\n", fmt="csv")
 
-    def test_non_integer_reports_line(self, tmp_path):
-        f = tmp_path / "bad.csv"
-        f.write_text("1\n1,x\n")
+    def test_non_integer_reports_line(self):
         with pytest.raises(ValueError, match="line 2"):
-            crosscheck_triangle(f)
+            crosscheck_triangle("1\n1,x\n")
 
     @pytest.mark.parametrize(
         "text, message",
@@ -195,20 +180,16 @@ class TestCrosscheck:
         ],
         ids=["plus", "arabic-indic", "underscore"],
     )
-    def test_csv_reads_only_ascii_decimals(self, tmp_path, text, message):
+    def test_csv_reads_only_ascii_decimals(self, text, message):
         # int() alone reads all three; files follow the PERM label rule -?[0-9]+
-        f = tmp_path / "t.csv"
-        f.write_text(text)
         with pytest.raises(ValueError) as info:
-            crosscheck_triangle(f, fmt="csv")
+            crosscheck_triangle(text, fmt="csv")
         assert str(info.value) == message
 
     @pytest.mark.parametrize("line", ["1 1_0", "+1 1", "1 \u0661"])
-    def test_bfile_reads_only_ascii_decimals(self, tmp_path, line):
-        f = tmp_path / "b.txt"
-        f.write_text(f"0 1\n{line}\n")
+    def test_bfile_reads_only_ascii_decimals(self, line):
         with pytest.raises(ValueError) as info:
-            crosscheck_triangle(f, fmt="bfile")
+            crosscheck_triangle(f"0 1\n{line}\n", fmt="bfile")
         assert str(info.value) == f"line 2: non-integer field in {line!r}"
 
 
