@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 
 from .bijection import bijection_report, stable_region, stem_report
 from .eulerian import (
-    DEFAULT_MAX_N,
     LimitExceeded,
+    MAX_Q_ORDER,
     eulerian_polynomial,
     maxwt,
     q_eulerian,
@@ -51,8 +51,8 @@ from .trees import (
 from .weights import descents_and_weight, range_details, weight_accelerated
 
 __all__ = [
-    "DEFAULT_MAX_N",
     "LimitExceeded",
+    "MAX_Q_ORDER",
     "MaxminTree",
     "PartitionTriangle",
     "bijection_report",

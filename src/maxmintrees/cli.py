@@ -21,28 +21,29 @@ which lifts the operating system's limit on the length of one argument.
 argparse refuses any other option with exit 2 before any work, with the
 usage of the command that does not take it.  Where one parser serves
 several modes (tnk, verify bijection), an option the chosen mode would
-ignore is refused as an input error too.  The exhaustive S_n enumeration,
-which eulerian runs with --q only, is refused above the fixed order 11.
---threads is checked to be at least 1 but ignored: the S_n enumeration
-picks its own process count.  JSON output wraps the payload in an envelope
-carrying the command echo, parameters, elapsed time and tool version;
-payloads are deterministic for fixed inputs.  The envelope is written in
-bounded batches as it is encoded, byte for byte as json.dumps(envelope,
-indent=2) prints it, so no whole JSON document is held in memory.
+ignore is refused as an input error too.  eulerian --q, wd, verify
+bijection and verify stabilization refuse a q-Eulerian order above
+MAX_Q_ORDER = 25.  --threads is checked to be at least 1 but ignored,
+since no command starts a process.  JSON output wraps the payload in an
+envelope carrying the command echo, parameters, elapsed time and tool
+version; payloads are deterministic for fixed inputs.  The envelope is
+written in bounded batches as it is encoded, byte for byte as
+json.dumps(envelope, indent=2) prints it, so no whole JSON document is
+held in memory.
 
 This module is the one place that reads input (PERM from standard input,
-the --crosscheck file as UTF-8) and renders output: every format (text,
-JSON, CSV, DOT) is built here from the values the library returns, and
-only the format that is printed is built.  tnk --triangle N --output csv
-writes a file that tnk --crosscheck reads.
+the --crosscheck file as UTF-8, with or without a byte-order mark) and
+renders output: every format (text, JSON, CSV, DOT) is built here from
+the values the library returns, and only the format that is printed is
+built.  tnk --triangle N --output csv writes a file that tnk --crosscheck
+reads.
 
 --algo fast and --algo range run the one linear weight pass; --algo
 mindecomp reads the weight off the minimum decomposition tree.
 
 Exit codes: 0 success, 1 verification failed, 2 input error (including
-verify bijection|stems outside 2d >= n-1), 3 resource limit exceeded
-(including a worker process of the S_n enumeration that dies), 141
-(128 + SIGPIPE) when the reader closes stdout early.
+verify bijection|stems outside 2d >= n-1), 3 resource limit exceeded,
+141 (128 + SIGPIPE) when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -169,11 +170,12 @@ def _verdict(args, payload: dict, lines) -> int:
 
 
 def _read_text(what: str, path: str | None = None) -> str:
-    """All of the UTF-8 file at path, or of standard input without a path; a
-    source that cannot be read is an input error that names what."""
+    """All of the UTF-8 file at path, less a leading byte-order mark, or of
+    standard input without a path; a source that cannot be read is an input
+    error that names what."""
     try:
         if path is not None:
-            with open(path, encoding="utf-8") as f:
+            with open(path, encoding="utf-8-sig") as f:
                 return f.read()
         if sys.stdin is None:  # the interpreter started with no standard input
             raise ValueError(f"cannot read {what}: it is closed")
@@ -304,8 +306,8 @@ def _cmd_verify_bijection(args) -> int:
         _refuse_ignored("verify bijection --n-max", given, "--n-max")
         if args.n_max < 2:
             raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
-        # the sweep's largest order first: its guard refuses S_{n_max} before
-        # any work, and the sweep's own call at that order hits the cache
+        # the sweep's largest order first: its guard refuses n_max before any
+        # work, and the sweep's own call at that order hits the cache
         q_eulerian(args.n_max)
         pairs = [(n, d) for n in range(2, args.n_max + 1) for d in range(1, n)
                  if stable_region(n, d)]
@@ -339,7 +341,7 @@ def _cmd_verify_stabilization(args) -> int:
             f"--d {args.d} checks {what}, which needs --n-max {need} or more "
             f"({given} {n_max})"
         )
-    # the first k's call refuses a bad d or k and the S_n limit before any work
+    # the first k's call refuses a bad d or k and the order limit before any work
     checks = []
     for k in ks:
         vals = stabilization_values(args.d, k, n_max)
@@ -368,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="output format (default text)")
     threads = argparse.ArgumentParser(add_help=False)
     threads.add_argument("--threads", type=int, default=1, metavar="T",
-                         help="ignored: the enumeration picks its own process count (>= 1)")
+                         help="ignored: no command starts a process (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     w = sub.add_parser("weight", parents=[text_json], help="weight of a permutation")

@@ -4,7 +4,9 @@ the q-Eulerian ones converge to.
 
 The Eulerian numbers come from the classical recurrence
 A(m, k) = (k+1) A(m-1, k) + (m-k) A(m-1, k-1).  The q-Eulerian polynomials
-come from exhaustive enumeration of S_n.
+come from a recurrence over the minimum decomposition (``_recurrence``)
+from order ``_RECURRENCE_MIN_N`` on, and from exhaustive enumeration of
+S_n below it.
 
 The q-Eulerian polynomial of order n counts the symmetric group S_n by
 (descents, weight): the coefficient of x^d q^w is the number of
@@ -20,40 +22,53 @@ of integers, reading each through ``stabilization_values`` at its
 threshold order.  The paper's theorem equates a_k with the partition
 count T(d+k, d) for k <= d, which ``bijection`` checks stem by stem.
 
-Enumeration walks S_n in lexicographic blocks keyed by the first element,
-calling the weights kernel once per permutation and counting its
-(descents, weight) results at C speed.  Blocks are independent work units
-merged by coefficient-wise addition, so the result does not depend on where
-they run: from order ``_POOL_MIN_N`` on, with more than one CPU that the
-process may run on, they fan out over a process pool with one process per
-such CPU, at most n.  A worker process that dies, as one killed for
-memory does, ends the enumeration in ``LimitExceeded``.  The cutoff is the
-measured break-even: wall / CPU seconds of q_eulerian(n) in a fresh process
-on 2 cores, Python 3.11.7, medians of 10 interleaved runs, the CPU
-including the pool's workers:
+The recurrence comes from the minimum decomposition.  Append n+1 to a
+permutation of length n: the extended word ends in its maximum, and its
+minimum decomposition tree has d+1 leaves, the d descent values and n+1,
+while weight + n is the sum, over its stem nodes, of the leaves under
+each (``mindecomp``).  Let a_m(x, q) count the words on m letters that
+end in their maximum by x^(leaves) q^(stem leaf sum); then the
+q-Eulerian polynomial E_n has [x^d q^w] E_n = [x^(d+1) q^(w+n)] a_(n+1).  One letter is one leaf:
+a_1 = x.  A longer word splits at its minimum into left . min . right.
+The right part is one block, and it holds the maximum.  The left part
+cuts into blocks that end at their own maxima, and every set of such
+words on disjoint letters is cut from exactly one left part, the one that
+lists them by decreasing maximum.  The minimum is a stem node with every
+leaf under it, so it turns each block's x^l into (xq)^l: a block of j
+letters counts as b_j = a_j(xq, q).  With e_k the count of sets of blocks
+on k letters, e_0 = 1, and the block that holds the largest of k+1
+letters has j+1 of them: e_(k+1) = sum_j C(k, j) b_(j+1) e_(k-j).  In a
+word of k+2 letters the minimum and the maximum are placed, and the other
+k letters go j to the set and k-j to the right block:
+a_(k+2) = sum_j C(k, j) e_j b_(k+1-j).
 
-    order   in-process     pooled
-    7       0.017 / 0.017  0.048 / 0.062   stays in-process
-    8       0.169 / 0.169  0.135 / 0.219   pool (lower wall in 10 of 10 runs)
-    9       1.62 / 1.62    0.985 / 1.77    pool
+Below order ``_RECURRENCE_MIN_N`` the polynomial is still enumerated, as
+the benchmark in perfbench/ counts those kernel calls: S_n is walked in
+lexicographic blocks keyed by the first element, with one call of the
+weights kernel per permutation (``_block_counts``), and the tests hold
+the recurrence equal to that enumeration through order 9.
+Every order above ``MAX_Q_ORDER`` is refused with ``LimitExceeded``: on
+2 cores, Python 3.11.7, the recurrence took 0.8-0.9 ms at order 9,
+1.1-1.7 s at order 25 and 6.0 s at order 30.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from collections.abc import Mapping
 from itertools import permutations as _permutations
+from math import comb
 from types import MappingProxyType
 
 from .weights import descents_and_weight
 
-# the largest S_n that q_eulerian enumerates: order 11 is 39916800 permutations
-DEFAULT_MAX_N = 11
+# the largest order of q_eulerian, wd_series and stabilization_values, where
+# the recurrence takes seconds (timings in the module docstring)
+MAX_Q_ORDER = 25
 
-# the smallest order at which the pool wins: on 2 cores, order 7 took 0.017 s
-# in-process against 0.048 s pooled, order 8 took 0.169 s against 0.135 s
-_POOL_MIN_N = 8
+# the smallest order computed by the recurrence; the orders below it are
+# enumerated, one kernel call per permutation
+_RECURRENCE_MIN_N = 8
 
 
 class LimitExceeded(RuntimeError):
@@ -72,9 +87,9 @@ def maxwt(n: int, d: int) -> int:
     return d * (n - d - 1)
 
 
-def _check_limit(n: int) -> None:
-    if n > DEFAULT_MAX_N:
-        raise LimitExceeded(f"n={n} exceeds the exhaustive limit {DEFAULT_MAX_N}")
+def _check_order(n: int) -> None:
+    if n > MAX_Q_ORDER:
+        raise LimitExceeded(f"n={n} exceeds the q-Eulerian order limit {MAX_Q_ORDER}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
 
@@ -83,8 +98,9 @@ def eulerian_polynomial(n: int) -> list[int]:
     """
     Coefficient list of the Eulerian polynomial: entry d counts the
     permutations of length n with d descents.  The recurrence enumerates
-    nothing, so no S_n limit applies; an order above 1000 is refused, since
-    from order 1559 on a coefficient passes Python's 4300-digit int -> str limit.
+    nothing, so ``MAX_Q_ORDER`` does not apply; an order above 1000 is
+    refused, since from order 1559 on a coefficient passes Python's
+    4300-digit int -> str limit.
 
     >>> eulerian_polynomial(4)
     [1, 11, 11, 1]
@@ -112,11 +128,46 @@ def _block_counts(task: tuple[int, int]) -> Counter[tuple[int, int]]:
     )
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on, which an affinity mask can make fewer than the host's."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _products(terms) -> dict[tuple[int, int], int]:
+    """Sum of c * f * g over the (c, f, g) terms, polynomials as in ``_recurrence``."""
+    out: dict[tuple[int, int], int] = {}
+    for c, f, g in terms:
+        for (x1, q1), c1 in f.items():
+            c1 *= c
+            for (x2, q2), c2 in g.items():
+                key = (x1 + x2, q1 + q2)
+                out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _recurrence(n: int) -> dict[tuple[int, int], int]:
+    """
+    The q-Eulerian polynomial of order n, (d, w) -> count, from the
+    minimum-decomposition recurrence of the module docstring, with
+    polynomials in x and q as dicts (x-degree, q-degree) -> coefficient:
+
+        a_1 = x,  b_j = a_j(xq, q),  e_0 = 1,
+        e_(k+1) = sum_j C(k, j) b_(j+1) e_(k-j),
+        a_(k+2) = sum_j C(k, j) e_j b_(k+1-j),
+        [x^d q^w] E_n = [x^(d+1) q^(w+n)] a_(n+1).
+
+    a_j counts the words on j letters that end in their maximum by the
+    leaves (x) and the leaf sum over the stem nodes (q) of their minimum
+    decomposition, b_j counts such a word below a new minimum, and e_k
+    counts the sets of such words on k letters.
+
+    >>> _recurrence(3) == {(0, 0): 1, (1, 1): 1, (1, 0): 3, (2, 0): 1}
+    True
+    """
+    a = {(1, 0): 1}
+    b = [{}, {(1, 1): 1}]  # b_0 is never read
+    e = [{(0, 0): 1}]
+    for k in range(n):
+        if k:
+            e.append(_products((comb(k - 1, j), b[j + 1], e[k - 1 - j]) for j in range(k)))
+        a = _products((comb(k, j), e[j], b[k + 1 - j]) for j in range(k + 1))
+        b.append({(x, q + x): c for (x, q), c in a.items()})
+    return {(x - 1, q - n): c for (x, q), c in a.items()}
 
 
 _Q_CACHE: dict[int, Mapping[tuple[int, int], int]] = {}
@@ -135,29 +186,17 @@ def q_eulerian(n: int) -> Mapping[tuple[int, int], int]:
     >>> q_eulerian(3) == {(0, 0): 1, (1, 1): 1, (1, 0): 3, (2, 0): 1}
     True
     """
-    _check_limit(n)
+    _check_order(n)
     cached = _Q_CACHE.get(n)
     if cached is not None:
         return cached
-    tasks = [(n, first) for first in range(1, n + 1)]
-    workers = min(n, _usable_cpus())
-    if workers > 1 and n >= _POOL_MIN_N:
-        # imported here: it loads multiprocessing, which no other path needs
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                blocks = list(pool.map(_block_counts, tasks))
-        except BrokenProcessPool as exc:
-            msg = f"the order-{n} enumeration lost a worker process: {exc}"
-            raise LimitExceeded(msg) from exc
+    if n >= _RECURRENCE_MIN_N:
+        terms = _recurrence(n)
     else:
-        blocks = [_block_counts(t) for t in tasks]
-    merged: Counter[tuple[int, int]] = Counter()
-    for block in blocks:
-        merged.update(block)
-    poly = _Q_CACHE[n] = MappingProxyType(dict(merged))
+        terms = Counter()
+        for first in range(1, n + 1):
+            terms.update(_block_counts((n, first)))
+    poly = _Q_CACHE[n] = MappingProxyType(dict(terms))
     return poly
 
 
@@ -173,7 +212,7 @@ def stabilization_values(d: int, k: int, n_max: int) -> list[tuple[int, int]]:
     threshold = d + k + 1
     if n_max < threshold:
         raise ValueError(f"n_max={n_max} is below the threshold {threshold}")
-    _check_limit(n_max)
+    _check_order(n_max)
     return [
         (n, q_eulerian(n).get((d, maxwt(n, d) - k), 0))
         for n in range(threshold, n_max + 1)
@@ -192,10 +231,10 @@ def wd_series(d: int, terms: int) -> tuple[int, ...]:
         raise ValueError(f"d must be >= 1, got {d}")
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
-    if d + terms > DEFAULT_MAX_N:
+    if d + terms > MAX_Q_ORDER:
         raise LimitExceeded(
             f"{terms} terms of the d={d} series need n={d + terms}, "
-            f"above the limit {DEFAULT_MAX_N}"
+            f"above the limit {MAX_Q_ORDER}"
         )
     return tuple(stabilization_values(d, k, d + k + 1)[0][1] for k in range(terms))
 

@@ -1,13 +1,12 @@
 """
 Acceptance suite: one test per exit criterion, each printing a PASS/FAIL
 line with its runtime.  Run `pytest tests/test_acceptance.py -v -s` to see
-the lines as they complete.  The enumeration-heavy criteria share the
-polynomial cache, so the suite computes each symmetric group only once.
+the lines as they complete.  The polynomial criteria share the cache of
+q_eulerian, so the suite computes each order only once.
 """
 
 import itertools
 import math
-import os
 import random
 import time
 from contextlib import contextmanager
@@ -50,10 +49,6 @@ from maxmintrees.trees import (
     weight_via_descent_sums,
 )
 from maxmintrees.weights import descents_and_weight, weight_accelerated
-
-WORKERS = min(8, os.cpu_count() or 1)
-# the big-enumeration budget depends on how wide the fan-out can go
-ENUMERATION_BUDGET = 120.0 if WORKERS >= 8 else 600.0
 
 
 @contextmanager
@@ -106,9 +101,7 @@ def test_03_wd_series():
         for d, expected in W_SERIES.items():
             assert wd_series(d, len(expected)) == expected, f"series d={d}"
         elapsed = time.perf_counter() - t0
-        assert elapsed < ENUMERATION_BUDGET, (
-            f"took {elapsed:.1f}s with {WORKERS} workers, budget {ENUMERATION_BUDGET}s"
-        )
+        assert elapsed < 30.0, f"took {elapsed:.1f}s, budget 30s"
 
 
 def test_04_stabilization():

@@ -165,10 +165,10 @@ class TestWeight:
 
     def test_long_word_needs_only_the_standard_library(self):
         # a fresh interpreter, so that modules other tests import do not count;
-        # multiprocessing aliases the main module as __mp_main__.  No pool
-        # starts here: S_7 is the largest order enumerated in-process, and
-        # --threads 2 does not change that, so neither concurrent.futures
-        # nor multiprocessing loads.
+        # multiprocessing aliases the main module as __mp_main__.  No command
+        # starts a process: order 7 is enumerated in-process, order 9 runs
+        # the recurrence, and --threads 2 changes neither, so neither
+        # concurrent.futures nor multiprocessing loads.
         script = (
             "import random, sys\n"
             "before = set(sys.modules)\n"
@@ -180,6 +180,7 @@ class TestWeight:
             "assert cli.main(['weight', perm, '--explain']) == 0\n"
             "assert cli.main(['tnk', '8', '5']) == 0\n"
             "assert cli.main(['eulerian', '7', '--q', '--threads', '2']) == 0\n"
+            "assert cli.main(['eulerian', '9', '--q']) == 0\n"
             "new = set(sys.modules) - before\n"
             "loaded = {m.partition('.')[0] for m in new if not m.startswith('__')}\n"
             "print(sorted(loaded - set(sys.stdlib_module_names) - {'maxmintrees'}))\n"
@@ -397,10 +398,11 @@ class TestEulerian:
         )
 
     def test_limit_exit_3(self, capsys):
-        # --q enumerates S_n, refused above the fixed order 11; the plain
+        # --q is refused above the q-Eulerian order limit 25; the plain
         # recurrence refuses only an order above 1000, before computing anything
-        code, out, err = run(capsys, "eulerian", "12", "--q")
-        assert code == 3 and out == "" and "exhaustive limit 11" in err
+        code, out, err = run(capsys, "eulerian", "26", "--q")
+        assert code == 3 and out == ""
+        assert err == "error: n=26 exceeds the q-Eulerian order limit 25\n"
         code, out, err = run(capsys, "eulerian", "1001")
         assert code == 3 and out == ""
         assert err == "error: n=1001 exceeds the Eulerian polynomial limit 1000\n"
@@ -437,8 +439,10 @@ class TestWd:
         assert out.splitlines() == ["k,a", "0,1", "1,4", "2,11"]
 
     def test_limit_exit_3(self, capsys):
-        code, _, err = run(capsys, "wd", "6", "--terms", "7")
-        assert code == 3
+        # 20 terms of W_6 need order 26, one above the q-Eulerian order limit
+        code, out, err = run(capsys, "wd", "6", "--terms", "20")
+        assert code == 3 and out == ""
+        assert err == "error: 20 terms of the d=6 series need n=26, above the limit 25\n"
 
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "wd", "2", "--terms", "3", "--output", "json")
@@ -587,6 +591,19 @@ class TestTnk:
         code, out, err = run(capsys, "tnk", "--crosscheck", str(f))
         assert code == 2 and out == ""
         assert err == "error: line 1: non-integer entry '+1'\n"
+
+    # spreadsheet programs save UTF-8 CSV with a byte-order mark, and often
+    # with CRLF line ends
+    @pytest.mark.parametrize(
+        "data, cells",
+        [(b"1\n1,1\n2,3,1\n", 6), (b"1\r\n1,1\r\n2,3,1\r\n", 6), (b"0 1\n1 1\n2 1\n", 3)],
+        ids=["csv", "csv-crlf", "bfile"],
+    )
+    def test_crosscheck_with_byte_order_mark(self, capsys, tmp_path, data, cells):
+        f = tmp_path / "t.txt"
+        f.write_bytes(b"\xef\xbb\xbf" + data)
+        code, out, err = run(capsys, "tnk", "--crosscheck", str(f))
+        assert (code, out, err) == (0, f"checked {cells} cells\nOK\n", "")
 
     # a file is read as UTF-8 whatever the locale
     @pytest.mark.parametrize(
@@ -763,9 +780,9 @@ class TestVerify:
             raise AssertionError("verified a pair before refusing the sweep")
 
         monkeypatch.setattr(cli, "bijection_report", refuse)
-        code, out, err = run(capsys, "verify", "bijection", "--n-max", "12")
+        code, out, err = run(capsys, "verify", "bijection", "--n-max", "26")
         assert code == 3 and out == ""
-        assert err == "error: n=12 exceeds the exhaustive limit 11\n"
+        assert err == "error: n=26 exceeds the q-Eulerian order limit 25\n"
 
     def test_bijection_sweep_needs_bound(self, capsys):
         code, _, err = run(capsys, "verify", "bijection")
@@ -956,17 +973,12 @@ class TestJsonStream:
         assert err == b""
 
 
-# --terms defaults to 6, which makes wd 5 enumerate S_11; the fuzz cases
-# always give it, at most 2, so wd D enumerates S_9 at most
-FUZZ_BOUNDED = {"--terms": 2}
-
-
 def fuzz_value(rng, action, flag, files):
     if action.choices is not None:
         return rng.choice(list(action.choices))
     if action.type is int:
         low = 1 if rng.random() < 0.8 else -2
-        return str(rng.randint(low, FUZZ_BOUNDED.get(flag, 7)))
+        return str(rng.randint(low, 7))
     if flag is not None:  # --crosscheck FILE
         return rng.choice(files)
     if rng.random() < 0.8:  # a permutation
@@ -988,7 +1000,7 @@ def fuzz_argv(rng, parser, files):
         if flag == "--threads":
             argv += [flag, "1"]
             continue
-        given = flag in FUZZ_BOUNDED or rng.random() < (
+        given = rng.random() < (
             0.9 if flag is None or action.required else 0.6
         )
         if not given:

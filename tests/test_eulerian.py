@@ -1,15 +1,12 @@
-import concurrent.futures
-import functools
 import math
-import multiprocessing
-import os
+from collections import Counter
 
 import pytest
 
-import maxmintrees.cli as cli
 import maxmintrees.eulerian as eulerian
 from maxmintrees.eulerian import (
     LimitExceeded,
+    MAX_Q_ORDER,
     clear_cache,
     eulerian_polynomial,
     maxwt,
@@ -27,26 +24,6 @@ def at_q_one(poly):
     return [sum(q_coefficients(poly, d).values()) for d in range(max(x for x, _ in poly) + 1)]
 
 
-def record_pools(monkeypatch):
-    """Let q_eulerian build real pools, and list the worker count of each."""
-    built = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            built.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return built
-
-
-def refuse_pools(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a process pool was built")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-
-
 # ---------------------------------------------------------------- oracles
 
 def eulerian_recurrence(n):
@@ -60,6 +37,14 @@ def eulerian_recurrence(n):
             if d >= 1:
                 row[d] += (m - d) * prev[d - 1]
     return row
+
+
+def enumerated(n):
+    """The order-n polynomial by the S_n enumeration, block by block."""
+    counts = Counter()
+    for first in range(1, n + 1):
+        counts.update(eulerian._block_counts((n, first)))
+    return dict(counts)
 
 
 class TestMaxwt:
@@ -113,7 +98,7 @@ class TestQEulerian:
             assert q_eulerian(n) == expected, n
 
     def test_q_one_matches_eulerian(self):
-        # orders 8 and 9 run on the process pool wherever two CPUs are usable
+        # orders 8 and 9 run the recurrence
         for n in range(1, 10):
             assert at_q_one(q_eulerian(n)) == eulerian_polynomial(n)
 
@@ -138,90 +123,9 @@ class TestQEulerian:
             coeffs = at_q_one(q_eulerian(n))
             assert coeffs == coeffs[::-1]
 
-    def test_pool_result_equals_in_process_result(self, monkeypatch):
-        reference = dict(q_eulerian(6))
-        built = record_pools(monkeypatch)
-        monkeypatch.setattr(eulerian, "_POOL_MIN_N", 5)
-        monkeypatch.setattr(eulerian, "_usable_cpus", lambda: 2)
-        clear_cache()
-        try:
-            assert q_eulerian(6) == reference
-        finally:
-            clear_cache()
-        assert built == [2]
-
-    def test_dead_worker_ends_in_the_limit_exit(self, monkeypatch, capsys):
-        # a worker killed mid-block, as an out-of-memory kill does, is a
-        # resource limit: one error line and exit 3
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("the patched kernel reaches the workers only by fork")
-        test_pid = os.getpid()
-        block_counts = eulerian._block_counts
-
-        @functools.wraps(block_counts)
-        def die_in_a_worker(task):
-            if os.getpid() != test_pid:
-                os._exit(1)
-            return block_counts(task)
-
-        monkeypatch.setattr(eulerian, "_block_counts", die_in_a_worker)
-        monkeypatch.setattr(eulerian, "_POOL_MIN_N", 5)
-        monkeypatch.setattr(eulerian, "_usable_cpus", lambda: 2)
-        clear_cache()
-        try:
-            code = cli.main(["eulerian", "6", "--q"])
-            assert 6 not in eulerian._Q_CACHE
-        finally:
-            clear_cache()
-        out, err = capsys.readouterr()
-        assert code == 3 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        monkeypatch.undo()
-        assert q_eulerian(6) == E6
-
-    def test_pool_starts_at_order_8(self, monkeypatch):
-        built = record_pools(monkeypatch)
-        monkeypatch.setattr(eulerian, "_usable_cpus", lambda: 2)
-        clear_cache()
-        try:
-            q_eulerian(7)
-            assert built == []
-            q_eulerian(8)
-        finally:
-            clear_cache()
-        assert built == [2]
-
-    def test_one_cpu_never_builds_a_pool(self, monkeypatch):
-        refuse_pools(monkeypatch)
-        monkeypatch.setattr(eulerian, "_POOL_MIN_N", 5)
-        monkeypatch.setattr(eulerian, "_usable_cpus", lambda: 1)
-        clear_cache()
-        try:
-            assert sum(q_eulerian(6).values()) == math.factorial(6)
-        finally:
-            clear_cache()
-
-    def test_affinity_of_one_cpu_never_builds_a_pool(self, monkeypatch):
-        # the host has two CPUs, but the process may run on one of them
-        refuse_pools(monkeypatch)
-        monkeypatch.setattr(eulerian, "_POOL_MIN_N", 5)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        clear_cache()
-        try:
-            assert sum(q_eulerian(6).values()) == math.factorial(6)
-        finally:
-            clear_cache()
-
-    @pytest.mark.parametrize("host, usable", [(3, 3), (None, 1)])
-    def test_usable_cpus_without_an_affinity_mask(self, monkeypatch, host, usable):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: host)
-        assert eulerian._usable_cpus() == usable
-
     def test_limit(self):
-        with pytest.raises(LimitExceeded):
-            q_eulerian(12)
+        with pytest.raises(LimitExceeded, match="^n=26 exceeds the q-Eulerian order limit 25$"):
+            q_eulerian(MAX_Q_ORDER + 1)
         with pytest.raises(ValueError, match="^n must be positive, got 0$"):
             q_eulerian(0)
 
@@ -244,6 +148,36 @@ class TestQEulerian:
         assert poly == E3 and poly != {**E3, (0, 0): 2} and poly != q_eulerian(4)
         with pytest.raises(TypeError, match="unhashable type"):
             hash(poly)
+
+
+class TestRecurrence:
+    def test_equals_the_enumeration(self):
+        for n in range(1, 10):
+            assert eulerian._recurrence(n) == enumerated(n), n
+
+    def test_orders_10_to_25(self):
+        for n in range(10, MAX_Q_ORDER + 1):
+            poly = q_eulerian(n)
+            assert sum(poly.values()) == math.factorial(n), n
+            assert at_q_one(poly) == eulerian_polynomial(n), n
+
+    def test_enumeration_ends_below_order_8(self, monkeypatch):
+        calls = []
+        block_counts = eulerian._block_counts
+
+        def counting(task):
+            calls.append(task)
+            return block_counts(task)
+
+        monkeypatch.setattr(eulerian, "_block_counts", counting)
+        clear_cache()
+        try:
+            q_eulerian(7)
+            assert len(calls) == 7
+            q_eulerian(8)
+            assert len(calls) == 7
+        finally:
+            clear_cache()
 
 
 class TestStabilization:
@@ -269,6 +203,12 @@ class TestStabilization:
         with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
             stabilization_values(1, -1, 6)
 
+    def test_limit(self):
+        # one guard covers q_eulerian, wd_series and stabilization_values
+        assert MAX_Q_ORDER == 25
+        with pytest.raises(LimitExceeded, match="^n=26 exceeds the q-Eulerian order limit 25$"):
+            stabilization_values(1, 0, 26)
+
 
 class TestWdSeries:
     def test_known_coefficients(self):
@@ -290,21 +230,22 @@ class TestWdSeries:
         assert wd_series(4, 4) == (1, 6, 22, 63)
 
     def test_first_correction_beyond_the_theorem(self):
-        # a conjecture (README, "Beyond the paper"), checked here by
-        # enumeration through d = 3, orders 4, 6 and 8
-        ds = range(1, 4)
+        # a conjecture (README, "Beyond the paper"), checked here through
+        # d = 8, orders 4, 6, ..., 18: enumerated to order 6, then the recurrence
+        ds = range(1, 9)
         diffs = [wd_series(d, d + 2)[d + 1] - t_nk(2 * d + 1, d) for d in ds]
-        assert diffs == [2 ** (d + 2) - 2 * d - 5 for d in ds] == [1, 7, 21]
+        assert diffs == [2 ** (d + 2) - 2 * d - 5 for d in ds]
+        assert diffs == [1, 7, 21, 51, 113, 239, 493, 1003]
 
     def test_single_term(self):
         for d in range(1, 6):
             assert wd_series(d, 1) == (1,)
 
     def test_limit(self):
-        with pytest.raises(LimitExceeded, match="7 terms of the d=5 series need n=12"):
-            wd_series(5, 7)
+        with pytest.raises(LimitExceeded, match="21 terms of the d=5 series need n=26"):
+            wd_series(5, 21)
         with pytest.raises(LimitExceeded):
-            wd_series(6, 7)
+            wd_series(6, 20)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,8 @@ import maxmintrees
 import maxmintrees.cli as cli
 
 PUBLIC = [
-    "DEFAULT_MAX_N",
     "LimitExceeded",
+    "MAX_Q_ORDER",
     "MaxminTree",
     "PartitionTriangle",
     "bijection_report",
