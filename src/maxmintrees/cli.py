@@ -58,6 +58,7 @@ from itertools import groupby, islice
 from . import __version__
 from .bijection import bijection_report, stable_region, stem_report
 from .eulerian import (
+    MAX_Q_ORDER,
     LimitExceeded,
     eulerian_polynomial,
     q_eulerian,
@@ -335,12 +336,11 @@ def _cmd_verify_stabilization(args) -> int:
     ks = [args.k] if args.k is not None else range(4)
     need = args.d + ks[-1] + 1  # the threshold order of the largest k
     if args.d >= 1 and ks[0] >= 0 and n_max < need:
-        what = "k up to 3" if args.k is None else f"k = {args.k}"
+        what = f"--d {args.d} checks " + ("k up to 3" if args.k is None else f"k = {args.k}")
+        if need > MAX_Q_ORDER:  # no --n-max would pass the order limit
+            raise LimitExceeded(f"{what}, which needs n={need}, above the limit {MAX_Q_ORDER}")
         given = "default" if args.n_max is None else "given"
-        raise ValueError(
-            f"--d {args.d} checks {what}, which needs --n-max {need} or more "
-            f"({given} {n_max})"
-        )
+        raise ValueError(f"{what}, which needs --n-max {need} or more ({given} {n_max})")
     # the first k's call refuses a bad d or k and the order limit before any work
     checks = []
     for k in ks:

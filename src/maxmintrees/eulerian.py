@@ -43,13 +43,16 @@ k letters go j to the set and k-j to the right block:
 a_(k+2) = sum_j C(k, j) e_j b_(k+1-j).
 
 Below order ``_RECURRENCE_MIN_N`` the polynomial is still enumerated, as
-the benchmark in perfbench/ counts those kernel calls: S_n is walked in
-lexicographic blocks keyed by the first element, with one call of the
-weights kernel per permutation (``_block_counts``), and the tests hold
-the recurrence equal to that enumeration through order 9.
+the benchmark in perfbench/ counts those kernel calls: one lexicographic
+walk of S_n with one call of the weights kernel per permutation, which
+the tests hold the recurrence equal to through order 9.  One recurrence
+run to order n holds every lower order, and ``q_eulerian`` caches them
+all, so a sweep that asks for its largest order first runs it once.
 Every order above ``MAX_Q_ORDER`` is refused with ``LimitExceeded``: on
 2 cores, Python 3.11.7, the recurrence took 0.8-0.9 ms at order 9,
-1.1-1.7 s at order 25 and 6.0 s at order 30.
+1.0-1.7 s at order 25 and 6.0 s at order 30; in-process, the sweeps
+``verify bijection --n-max 25``, ``wd 1 --terms 24`` and
+``verify stabilization --d 1 --n-max 25`` took 1.6-1.8, 1.2-1.4 and 1.0 s.
 """
 
 from __future__ import annotations
@@ -87,13 +90,6 @@ def maxwt(n: int, d: int) -> int:
     return d * (n - d - 1)
 
 
-def _check_order(n: int) -> None:
-    if n > MAX_Q_ORDER:
-        raise LimitExceeded(f"n={n} exceeds the q-Eulerian order limit {MAX_Q_ORDER}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-
-
 def eulerian_polynomial(n: int) -> list[int]:
     """
     Coefficient list of the Eulerian polynomial: entry d counts the
@@ -119,15 +115,6 @@ def eulerian_polynomial(n: int) -> list[int]:
     return row
 
 
-def _block_counts(task: tuple[int, int]) -> Counter[tuple[int, int]]:
-    """(descents, weight) histogram over the S_n block with a fixed first element."""
-    n, first = task
-    rest = [v for v in range(1, n + 1) if v != first]
-    return Counter(
-        map(descents_and_weight, map((first,).__add__, _permutations(rest)))
-    )
-
-
 def _products(terms) -> dict[tuple[int, int], int]:
     """Sum of c * f * g over the (c, f, g) terms, polynomials as in ``_recurrence``."""
     out: dict[tuple[int, int], int] = {}
@@ -140,10 +127,10 @@ def _products(terms) -> dict[tuple[int, int], int]:
     return out
 
 
-def _recurrence(n: int) -> dict[tuple[int, int], int]:
+def _recurrence(n: int) -> list[dict[tuple[int, int], int]]:
     """
-    The q-Eulerian polynomial of order n, (d, w) -> count, from the
-    minimum-decomposition recurrence of the module docstring, with
+    The q-Eulerian polynomials of orders 1..n, each (d, w) -> count, from
+    the minimum-decomposition recurrence of the module docstring, with
     polynomials in x and q as dicts (x-degree, q-degree) -> coefficient:
 
         a_1 = x,  b_j = a_j(xq, q),  e_0 = 1,
@@ -154,20 +141,22 @@ def _recurrence(n: int) -> dict[tuple[int, int], int]:
     a_j counts the words on j letters that end in their maximum by the
     leaves (x) and the leaf sum over the stem nodes (q) of their minimum
     decomposition, b_j counts such a word below a new minimum, and e_k
-    counts the sets of such words on k letters.
+    counts the sets of such words on k letters.  One run to order n passes
+    through a_2, ..., a_(n+1), so it returns every order up to n.
 
-    >>> _recurrence(3) == {(0, 0): 1, (1, 1): 1, (1, 0): 3, (2, 0): 1}
+    >>> _recurrence(3)[2] == {(0, 0): 1, (1, 1): 1, (1, 0): 3, (2, 0): 1}
     True
     """
-    a = {(1, 0): 1}
     b = [{}, {(1, 1): 1}]  # b_0 is never read
     e = [{(0, 0): 1}]
+    orders = []
     for k in range(n):
         if k:
             e.append(_products((comb(k - 1, j), b[j + 1], e[k - 1 - j]) for j in range(k)))
         a = _products((comb(k, j), e[j], b[k + 1 - j]) for j in range(k + 1))
         b.append({(x, q + x): c for (x, q), c in a.items()})
-    return {(x - 1, q - n): c for (x, q), c in a.items()}
+        orders.append({(x - 1, q - k - 1): c for (x, q), c in a.items()})
+    return orders
 
 
 _Q_CACHE: dict[int, Mapping[tuple[int, int], int]] = {}
@@ -181,23 +170,26 @@ def q_eulerian(n: int) -> Mapping[tuple[int, int], int]:
     """
     The q-Eulerian polynomial of order n as a mapping (d, w) -> count of
     the permutations with d descents and weight w, zero counts omitted.
-    Results are cached per n, so every caller shares one read-only mapping.
+    Results are cached per n, so every caller shares one read-only mapping;
+    one recurrence run caches every order from ``_RECURRENCE_MIN_N`` to n.
 
     >>> q_eulerian(3) == {(0, 0): 1, (1, 1): 1, (1, 0): 3, (2, 0): 1}
     True
     """
-    _check_order(n)
-    cached = _Q_CACHE.get(n)
-    if cached is not None:
-        return cached
-    if n >= _RECURRENCE_MIN_N:
-        terms = _recurrence(n)
+    if n > MAX_Q_ORDER:
+        raise LimitExceeded(f"n={n} exceeds the q-Eulerian order limit {MAX_Q_ORDER}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if n in _Q_CACHE:
+        return _Q_CACHE[n]
+    if n < _RECURRENCE_MIN_N:
+        counts = Counter(map(descents_and_weight, _permutations(range(1, n + 1))))
+        _Q_CACHE[n] = MappingProxyType(dict(counts))
     else:
-        terms = Counter()
-        for first in range(1, n + 1):
-            terms.update(_block_counts((n, first)))
-    poly = _Q_CACHE[n] = MappingProxyType(dict(terms))
-    return poly
+        # an order cached before keeps its mapping, which callers may hold
+        for m, terms in enumerate(_recurrence(n)[_RECURRENCE_MIN_N - 1:], _RECURRENCE_MIN_N):
+            _Q_CACHE.setdefault(m, MappingProxyType(terms))
+    return _Q_CACHE[n]
 
 
 def stabilization_values(d: int, k: int, n_max: int) -> list[tuple[int, int]]:
@@ -212,7 +204,7 @@ def stabilization_values(d: int, k: int, n_max: int) -> list[tuple[int, int]]:
     threshold = d + k + 1
     if n_max < threshold:
         raise ValueError(f"n_max={n_max} is below the threshold {threshold}")
-    _check_order(n_max)
+    q_eulerian(n_max)  # the order limit, and one recurrence run for the sweep
     return [
         (n, q_eulerian(n).get((d, maxwt(n, d) - k), 0))
         for n in range(threshold, n_max + 1)
@@ -236,5 +228,6 @@ def wd_series(d: int, terms: int) -> tuple[int, ...]:
             f"{terms} terms of the d={d} series need n={d + terms}, "
             f"above the limit {MAX_Q_ORDER}"
         )
+    q_eulerian(d + terms)  # one recurrence run for every term's order
     return tuple(stabilization_values(d, k, d + k + 1)[0][1] for k in range(terms))
 

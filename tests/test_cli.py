@@ -834,6 +834,22 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == "error: k must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--d", "30"], "--d 30 checks k up to 3, which needs n=34"),
+         (["--d", "1", "--k", "30"], "--d 1 checks k = 30, which needs n=32")],
+        ids=["d", "k"],
+    )
+    def test_stabilization_above_the_order_limit_exit_3(self, capsys, monkeypatch, argv, message):
+        # refused by the order limit, not by an --n-max that the limit would refuse
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before refusing the order")
+
+        monkeypatch.setattr(cli, "stabilization_values", refuse)
+        code, out, err = run(capsys, "verify", "stabilization", *argv)
+        assert code == 3 and out == ""
+        assert err == f"error: {message}, above the limit 25\n"
+
     def test_stabilization(self, capsys):
         code, out, _ = run(
             capsys, "verify", "stabilization", "--d", "1", "--k", "1", "--n-max", "6"
@@ -850,6 +866,30 @@ class TestVerify:
         assert env["result"]["ok"] is True
         record = env["result"]["checks"][0]
         assert record["brute_count"] == record["stem_total"] == record["t_value"] == 11
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "bijection", "--n-max", "12"], ["wd", "1", "--terms", "11"],
+     ["verify", "stabilization", "--d", "1", "--n-max", "12"]],
+    ids=["bijection", "wd", "stabilization"],
+)
+def test_a_sweep_runs_the_recurrence_once(capsys, monkeypatch, argv):
+    # every order of the sweep comes from the run to its largest order
+    calls = []
+    recurrence = eulerian._recurrence
+
+    def counting(n):
+        calls.append(n)
+        return recurrence(n)
+
+    monkeypatch.setattr(eulerian, "_recurrence", counting)
+    eulerian.clear_cache()
+    try:
+        assert run(capsys, *argv)[0] == 0
+    finally:
+        eulerian.clear_cache()
+    assert calls == [12]
 
 
 class TestThreads:

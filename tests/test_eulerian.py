@@ -15,8 +15,10 @@ from maxmintrees.eulerian import (
     wd_series,
 )
 from maxmintrees.partitions import t_nk
+from maxmintrees.weights import descents_and_weight
 
 from expected_values import E3, E4, E5, E6, q_coefficients
+from sample_words import all_perms
 
 
 def at_q_one(poly):
@@ -40,11 +42,8 @@ def eulerian_recurrence(n):
 
 
 def enumerated(n):
-    """The order-n polynomial by the S_n enumeration, block by block."""
-    counts = Counter()
-    for first in range(1, n + 1):
-        counts.update(eulerian._block_counts((n, first)))
-    return dict(counts)
+    """The order-n polynomial by the S_n enumeration, one kernel call each."""
+    return dict(Counter(map(descents_and_weight, all_perms(n))))
 
 
 class TestMaxwt:
@@ -152,30 +151,47 @@ class TestQEulerian:
 
 class TestRecurrence:
     def test_equals_the_enumeration(self):
-        for n in range(1, 10):
-            assert eulerian._recurrence(n) == enumerated(n), n
+        # one run to order 9 holds every lower order
+        orders = eulerian._recurrence(9)
+        assert len(orders) == 9
+        for n, poly in enumerate(orders, 1):
+            assert poly == enumerated(n), n
 
     def test_orders_10_to_25(self):
-        for n in range(10, MAX_Q_ORDER + 1):
-            poly = q_eulerian(n)
-            assert sum(poly.values()) == math.factorial(n), n
-            assert at_q_one(poly) == eulerian_polynomial(n), n
+        # the largest order first: its one recurrence run caches the others
+        clear_cache()
+        try:
+            for n in range(MAX_Q_ORDER, 9, -1):
+                poly = q_eulerian(n)
+                assert sum(poly.values()) == math.factorial(n), n
+                assert at_q_one(poly) == eulerian_polynomial(n), n
+        finally:
+            clear_cache()
 
     def test_enumeration_ends_below_order_8(self, monkeypatch):
         calls = []
-        block_counts = eulerian._block_counts
+        kernel = eulerian.descents_and_weight
 
-        def counting(task):
-            calls.append(task)
-            return block_counts(task)
+        def counting(p):
+            calls.append(p)
+            return kernel(p)
 
-        monkeypatch.setattr(eulerian, "_block_counts", counting)
+        monkeypatch.setattr(eulerian, "descents_and_weight", counting)
         clear_cache()
         try:
             q_eulerian(7)
-            assert len(calls) == 7
+            assert len(calls) == 5040
             q_eulerian(8)
-            assert len(calls) == 7
+            assert len(calls) == 5040
+        finally:
+            clear_cache()
+
+    def test_an_order_cached_before_keeps_its_mapping(self):
+        clear_cache()
+        try:
+            poly = q_eulerian(9)
+            q_eulerian(12)
+            assert q_eulerian(9) is poly
         finally:
             clear_cache()
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -7,12 +6,9 @@ import children_reference as ref
 from maxmintrees.mindecomp import _leaf_counts, build_min_decomp, leaves, weight_via_leaves
 from maxmintrees.perms import descent_values
 from maxmintrees.trees import build_max_weight_tree, subtree, weight_recursive
+from sample_words import all_perms
 
 EXAMPLE_15 = (1, 12, 15, 9, 10, 5, 7, 11, 6, 4, 13, 3, 8, 2, 14)
-
-
-def all_perms(n):
-    return itertools.permutations(range(1, n + 1))
 
 
 def stem_and_leaves(parent):

@@ -16,13 +16,9 @@ from maxmintrees.trees import (
     weight_via_descent_sums,
 )
 from maxmintrees.weights import weight_accelerated
-from test_weights import shuffled, zigzag
+from sample_words import all_perms, shuffled, zigzag
 
 EXAMPLE_15 = (1, 12, 15, 9, 10, 5, 7, 11, 6, 4, 13, 3, 8, 2, 14)
-
-
-def all_perms(n):
-    return itertools.permutations(range(1, n + 1))
 
 
 # ---------------------------------------------------------------- oracles

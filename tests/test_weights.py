@@ -1,10 +1,8 @@
 import itertools
-import math
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from maxmintrees.eulerian import _block_counts
 from maxmintrees.perms import descent_count, extend
 from maxmintrees.trees import (
     build_max_weight_tree,
@@ -13,17 +11,7 @@ from maxmintrees.trees import (
     weight_recursive,
 )
 from maxmintrees.weights import descents_and_weight, range_details, weight_accelerated
-
-
-def all_perms(n):
-    return itertools.permutations(range(1, n + 1))
-
-
-def shuffled(n, seed):
-    rng = random.Random(seed)
-    word = list(range(1, n + 1))
-    rng.shuffle(word)
-    return tuple(word)
+from sample_words import all_perms, shuffled, zigzag
 
 
 def subtree_rows(p):
@@ -125,15 +113,6 @@ class TestWeightValues:
         assert descents_and_weight((3, 2, 1)) == (2, 0)
 
 
-def zigzag(n, run=45):
-    """1..n in runs of ``run`` letters, every second run reversed."""
-    word = []
-    for run_no, start in enumerate(range(1, n + 1, run)):
-        part = list(range(start, min(n + 1, start + run)))
-        word += part[::-1] if run_no % 2 else part
-    return tuple(word)
-
-
 def tree_descents_and_weight(p):
     """(descents, weight) from the subtrees of the max-weight tree."""
     return descent_count(p), sum(r["descents"] for r in subtree_rows(p)) - len(p)
@@ -158,18 +137,6 @@ class TestKernel:
         words += [tuple(range(1, 2001)), tuple(range(2000, 0, -1)), zigzag(2000)]
         for p in words:
             assert descents_and_weight(p) == ranged_descents_and_weight(p), p[:20]
-
-    def test_block_histogram_matches_a_plain_loop(self):
-        for n in range(1, 8):
-            for first in range(1, n + 1):
-                expected = {}
-                for p in all_perms(n):
-                    if p[0] == first:
-                        key = descents_and_weight(p)
-                        expected[key] = expected.get(key, 0) + 1
-                counts = _block_counts((n, first))
-                assert counts == expected, (n, first)
-                assert sum(counts.values()) == math.factorial(n - 1), (n, first)
 
 
 class TestAgreement:
