@@ -159,10 +159,11 @@ def bijection_report(n: int, d: int) -> dict:
     Per-(n, d) verification record: the number of permutations of length n
     with d descents and weight (n-d-1)(d-1), read off ``q_eulerian``, the
     stem total and T(n-1, d) from ``stem_report``.  That count, the
-    ``brute_count``, is enumerated through order 7; from order 8 on it
-    comes from the minimum-decomposition recurrence, which has no stems and
-    no partitions in it, so it stays independent of the other two.  The
-    record passes when that count equals the stem total and
+    ``brute_count``, comes from the minimum-decomposition recurrence, which
+    has no stems and no partitions in it, so it stays independent of the
+    other two.  Only an order below 8 read before any recurrence run has
+    cached it, as in a sweep whose largest order is below 8, is enumerated.
+    The record passes when that count equals the stem total and
     ``stem_report`` is ok: each stem's partition sums to n-1, has at least
     d parts and C(its part count, d) equals the stem's count; no two stems
     share a partition; and the stem total is T(n-1, d).

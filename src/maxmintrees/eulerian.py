@@ -4,9 +4,9 @@ the q-Eulerian ones converge to.
 
 The Eulerian numbers come from the classical recurrence
 A(m, k) = (k+1) A(m-1, k) + (m-k) A(m-1, k-1).  The q-Eulerian polynomials
-come from a recurrence over the minimum decomposition (``_recurrence``)
-from order ``_RECURRENCE_MIN_N`` on, and from exhaustive enumeration of
-S_n below it.
+come from a recurrence over the minimum decomposition (``_recurrence``),
+and from exhaustive enumeration of S_n only for an order below
+``_RECURRENCE_MIN_N`` that no recurrence run has cached yet.
 
 The q-Eulerian polynomial of order n counts the symmetric group S_n by
 (descents, weight): the coefficient of x^d q^w is the number of
@@ -42,12 +42,14 @@ word of k+2 letters the minimum and the maximum are placed, and the other
 k letters go j to the set and k-j to the right block:
 a_(k+2) = sum_j C(k, j) e_j b_(k+1-j).
 
-Below order ``_RECURRENCE_MIN_N`` the polynomial is still enumerated, as
-the benchmark in perfbench/ counts those kernel calls: one lexicographic
-walk of S_n with one call of the weights kernel per permutation, which
-the tests hold the recurrence equal to through order 9.  One recurrence
-run to order n holds every lower order, and ``q_eulerian`` caches them
-all, so a sweep that asks for its largest order first runs it once.
+One recurrence run to order n holds every order 1..n, and ``q_eulerian``
+caches them all, so a sweep that asks for its largest order first runs
+it once and enumerates nothing.  Only an order below
+``_RECURRENCE_MIN_N`` asked for first, before any run has cached it, is
+still enumerated, as the benchmark in perfbench/ counts those kernel
+calls: one lexicographic walk of S_n with one call of the weights kernel
+per permutation, which the tests hold the recurrence equal to through
+order 9.
 Every order above ``MAX_Q_ORDER`` is refused with ``LimitExceeded``: on
 2 cores, Python 3.11.7, the recurrence took 0.8-0.9 ms at order 9,
 1.0-1.7 s at order 25 and 6.0 s at order 30; in-process, the sweeps
@@ -69,8 +71,8 @@ from .weights import descents_and_weight
 # the recurrence takes seconds (timings in the module docstring)
 MAX_Q_ORDER = 25
 
-# the smallest order computed by the recurrence; the orders below it are
-# enumerated, one kernel call per permutation
+# the smallest order that starts a recurrence run; an order below it that
+# no run has cached yet is enumerated, one kernel call per permutation
 _RECURRENCE_MIN_N = 8
 
 
@@ -171,7 +173,7 @@ def q_eulerian(n: int) -> Mapping[tuple[int, int], int]:
     The q-Eulerian polynomial of order n as a mapping (d, w) -> count of
     the permutations with d descents and weight w, zero counts omitted.
     Results are cached per n, so every caller shares one read-only mapping;
-    one recurrence run caches every order from ``_RECURRENCE_MIN_N`` to n.
+    one recurrence run caches every order 1..n that is not cached yet.
 
     >>> q_eulerian(3) == {(0, 0): 1, (1, 1): 1, (1, 0): 3, (2, 0): 1}
     True
@@ -187,7 +189,7 @@ def q_eulerian(n: int) -> Mapping[tuple[int, int], int]:
         _Q_CACHE[n] = MappingProxyType(dict(counts))
     else:
         # an order cached before keeps its mapping, which callers may hold
-        for m, terms in enumerate(_recurrence(n)[_RECURRENCE_MIN_N - 1:], _RECURRENCE_MIN_N):
+        for m, terms in enumerate(_recurrence(n), 1):
             _Q_CACHE.setdefault(m, MappingProxyType(terms))
     return _Q_CACHE[n]
 

@@ -892,6 +892,33 @@ def test_a_sweep_runs_the_recurrence_once(capsys, monkeypatch, argv):
     assert calls == [12]
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["eulerian", "7", "--q"], 5040),
+     (["wd", "1", "--terms", "3"], 2 + 6 + 24),
+     (["wd", "3", "--terms", "5"], 0),
+     (["verify", "bijection", "--n-max", "8"], 0),
+     (["verify", "stabilization", "--d", "2", "--n-max", "8"], 0)],
+    ids=["eulerian-7", "wd-1-3", "wd-3-5", "bijection-8", "stabilization-8"],
+)
+def test_kernel_calls_per_command(capsys, monkeypatch, argv, expected):
+    # S_n is enumerated only for an order below 8 asked for first; a sweep
+    # to order 8 or more reads every order off its one recurrence run
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return descents_and_weight(p)
+
+    monkeypatch.setattr(eulerian, "descents_and_weight", counting)
+    eulerian.clear_cache()
+    try:
+        assert run(capsys, *argv)[0] == 0
+    finally:
+        eulerian.clear_cache()
+    assert len(calls) == expected
+
+
 class TestThreads:
     def test_threads_flag_does_not_change_payload(self, capsys):
         import maxmintrees.eulerian as eu

@@ -168,7 +168,9 @@ class TestRecurrence:
         finally:
             clear_cache()
 
-    def test_enumeration_ends_below_order_8(self, monkeypatch):
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """The permutations passed to the enumeration's kernel, in order."""
         calls = []
         kernel = eulerian.descents_and_weight
 
@@ -178,20 +180,29 @@ class TestRecurrence:
 
         monkeypatch.setattr(eulerian, "descents_and_weight", counting)
         clear_cache()
-        try:
-            q_eulerian(7)
-            assert len(calls) == 5040
-            q_eulerian(8)
-            assert len(calls) == 5040
-        finally:
-            clear_cache()
+        yield calls
+        clear_cache()
+
+    def test_enumeration_ends_below_order_8(self, kernel_calls):
+        q_eulerian(7)
+        assert len(kernel_calls) == 5040
+        q_eulerian(8)
+        assert len(kernel_calls) == 5040
+
+    def test_a_recurrence_run_caches_the_orders_below_8(self, kernel_calls):
+        q_eulerian(9)
+        for n in range(1, 8):
+            assert q_eulerian(n) == enumerated(n), n
+        assert kernel_calls == []
 
     def test_an_order_cached_before_keeps_its_mapping(self):
-        clear_cache()
+        # enumerated or from an earlier run, a cached mapping is not replaced
         try:
-            poly = q_eulerian(9)
-            q_eulerian(12)
-            assert q_eulerian(9) is poly
+            for first, later in [(5, 9), (9, 12)]:
+                clear_cache()
+                poly = q_eulerian(first)
+                q_eulerian(later)
+                assert q_eulerian(first) is poly, first
         finally:
             clear_cache()
 
@@ -247,7 +258,8 @@ class TestWdSeries:
 
     def test_first_correction_beyond_the_theorem(self):
         # a conjecture (README, "Beyond the paper"), checked here through
-        # d = 8, orders 4, 6, ..., 18: enumerated to order 6, then the recurrence
+        # d = 8, orders 4, 6, ..., 18: d = 1, 2 are enumerated, and from
+        # d = 3 on every order comes from the recurrence
         ds = range(1, 9)
         diffs = [wd_series(d, d + 2)[d + 1] - t_nk(2 * d + 1, d) for d in ds]
         assert diffs == [2 ** (d + 2) - 2 * d - 5 for d in ds]
