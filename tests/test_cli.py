@@ -25,6 +25,7 @@ from maxmintrees.partitions import t_triangle
 from maxmintrees.perms import descent_values
 from maxmintrees.weights import descents_and_weight
 
+from cli_corpus import CORPUS, corpus_lines
 from expected_values import triangle_csv
 
 EXAMPLE_15_TEXT = "1 12 15 9 10 5 7 11 6 4 13 3 8 2 14"
@@ -1102,3 +1103,16 @@ def test_fuzzed_argv_keep_the_exit_contract(capsys, tmp_path):
         # the crosscheck file is correct, so nothing reports a failure
         assert code in (0, 2, 3), argv
         assert "Traceback" not in err, argv
+
+
+def test_cli_output_matches_the_corpus(tmp_path):
+    """Every case of tests/cli_corpus.py gives the bytes its committed line
+    pins; rewrite the file with PYTHONPATH=src python tests/cli_corpus.py --write."""
+
+    def by_case(lines):
+        return {case: digest for digest, case in (line.split(" ", 1) for line in lines)}
+
+    committed = by_case(CORPUS.read_text().splitlines())
+    ran = by_case(corpus_lines(tmp_path))
+    moved = [case for case in {**committed, **ran} if committed.get(case) != ran.get(case)]
+    assert not moved, f"{len(moved)} cases moved:\n" + "\n".join(moved)
