@@ -1,19 +1,8 @@
 """
 Command-line front end.
 
-Subcommands, each with only the options it reads (OUT is text|json,
-OUT+ is text|json|csv):
-
-    weight PERM [--algo mindecomp|range|fast] [--explain] [--output OUT]
-    tree PERM [--kind maxweight|mindecomp] [--format dot|json] [--output OUT]
-    eulerian N [--q] [--output OUT+] [--threads T]
-    wd D [--terms K] [--output OUT+] [--threads T]
-    tnk N K [--contributions] [--output OUT]
-    tnk --triangle N [--output OUT+]
-    tnk --crosscheck FILE [--file-format auto|csv|bfile] [--output OUT]
-    verify bijection (--n N --d D | --n-max N) [--output OUT] [--threads T]
-    verify stems --n N --d D [--output OUT]
-    verify stabilization --d D [--k K] [--n-max N] [--output OUT] [--threads T]
+`maxmintrees --help` lists the commands, and `maxmintrees COMMAND --help`
+the options of one; each command takes only the options it reads.
 
 PERM is the word as one argument, or - to read it from standard input,
 which lifts the operating system's limit on the length of one argument.
@@ -128,9 +117,14 @@ def _csv(rows) -> str:
     return "\n".join(",".join(map(str, row)) for row in rows)
 
 
-def _refuse_ignored(mode: str, given: dict, *reads: str) -> None:
-    """Refuse, as an input error, the first given option that mode does not read."""
-    for flag, value in given.items():
+def _refuse_ignored(args, mode: str, *reads: str) -> None:
+    """Refuse, as an input error, the first option given to args' command
+    that mode does not read: the command's own options in the order it
+    declares them, then --output csv.  The shared --output text|json and
+    --threads serve every mode."""
+    given = [(a.option_strings[0] if a.option_strings else a.dest.upper(), getattr(args, a.dest))
+             for a in args._parser._actions if a.dest not in ("help", "output", "threads")]
+    for flag, value in [*given, ("--output csv", args.output == "csv")]:
         if flag not in reads and value is not None and value is not False:
             raise ValueError(f"{mode} ignores {flag}")
 
@@ -255,12 +249,8 @@ def _cmd_wd(args) -> int:
 
 
 def _cmd_tnk(args) -> int:
-    # every option tnk was given, in the order a mode names the first it ignores
-    given = {"N": args.n, "K": args.k, "--triangle": args.triangle,
-             "--contributions": args.contributions, "--file-format": args.file_format,
-             "--output csv": args.output == "csv"}
     if args.crosscheck is not None:
-        _refuse_ignored("tnk --crosscheck", given, "--file-format")
+        _refuse_ignored(args, "tnk --crosscheck", "--crosscheck", "--file-format")
         text = _read_text(args.crosscheck, args.crosscheck)
         report = crosscheck_triangle(text, fmt=args.file_format or "auto")
         return _verdict(args, report, lambda: [f"checked {report['checked']} cells"] + [
@@ -269,7 +259,7 @@ def _cmd_tnk(args) -> int:
             for m in report["mismatches"]
         ])
     if args.triangle is not None:
-        _refuse_ignored("tnk --triangle", given, "--triangle", "--output csv")
+        _refuse_ignored(args, "tnk --triangle", "--triangle", "--output csv")
         rows = t_triangle(args.triangle).rows
         _emit(
             args,
@@ -280,7 +270,7 @@ def _cmd_tnk(args) -> int:
         return EXIT_OK
     if args.n is None or args.k is None:
         raise ValueError("tnk needs N and K, or --triangle N, or --crosscheck FILE")
-    _refuse_ignored("tnk N K", given, "N", "K", "--contributions")
+    _refuse_ignored(args, "tnk N K", "N", "K", "--contributions")
     if args.contributions:
         # one enumeration: T(n, k) is the sum of the listed contributions
         contrib = t_nk_contributions(args.n, args.k)
@@ -297,14 +287,13 @@ def _cmd_tnk(args) -> int:
 
 
 def _cmd_verify_bijection(args) -> int:
-    given = {"--n": args.n, "--d": args.d, "--n-max": args.n_max}
     if args.n is not None and args.d is not None:
-        _refuse_ignored("verify bijection --n --d", given, "--n", "--d")
+        _refuse_ignored(args, "verify bijection --n --d", "--n", "--d")
         pairs = [(args.n, args.d)]
     elif args.n_max is None:
         raise ValueError("verify bijection needs --n and --d, or --n-max for a sweep")
     else:
-        _refuse_ignored("verify bijection --n-max", given, "--n-max")
+        _refuse_ignored(args, "verify bijection --n-max", "--n-max")
         if args.n_max < 2:
             raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
         # the sweep's largest order first: its guard refuses n_max before any
@@ -373,34 +362,36 @@ def build_parser() -> argparse.ArgumentParser:
                          help="ignored: no command starts a process (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    w = sub.add_parser("weight", parents=[text_json], help="weight of a permutation")
+    def command(parent, name, func, *groups, **kwargs):
+        """Register a command on parent with its shared option groups, its
+        handler and its parser, whose usage an argparse refusal shows."""
+        p = parent.add_parser(name, parents=groups, **kwargs)
+        p.set_defaults(func=func, _parser=p)
+        return p
+
+    w = command(sub, "weight", _cmd_weight, text_json, help="weight of a permutation")
     w.add_argument("perm", help=_PERM_HELP)
     w.add_argument("--algo", choices=("mindecomp", "range", "fast"), default="fast",
                    help="mindecomp: leaves of the minimum decomposition tree; "
                    "range and fast: one linear pass (default fast)")
     w.add_argument("--explain", action="store_true",
                    help="show per-non-descent subtree ranges")
-    w.set_defaults(func=_cmd_weight, _parser=w)
 
-    t = sub.add_parser("tree", parents=[text_json], help="build a tree from a permutation")
+    t = command(sub, "tree", _cmd_tree, text_json, help="build a tree from a permutation")
     t.add_argument("perm", help=_PERM_HELP)
     t.add_argument("--kind", choices=("maxweight", "mindecomp"), default="maxweight")
     t.add_argument("--format", choices=("dot", "json"), default="json")
-    t.set_defaults(func=_cmd_tree, _parser=t)
 
-    e = sub.add_parser("eulerian", parents=[with_csv, threads],
-                       help="Eulerian polynomial of order n")
+    e = command(sub, "eulerian", _cmd_eulerian, with_csv, threads,
+                help="Eulerian polynomial of order n")
     e.add_argument("n", type=int)
     e.add_argument("--q", action="store_true", help="bivariate (descents, weight) version")
-    e.set_defaults(func=_cmd_eulerian, _parser=e)
 
-    d = sub.add_parser("wd", parents=[with_csv, threads],
-                       help="stabilized coefficient series")
+    d = command(sub, "wd", _cmd_wd, with_csv, threads, help="stabilized coefficient series")
     d.add_argument("d", type=int)
     d.add_argument("--terms", type=int, default=6)
-    d.set_defaults(func=_cmd_wd, _parser=d)
 
-    k = sub.add_parser("tnk", parents=[with_csv], help="two-kind partition counts")
+    k = command(sub, "tnk", _cmd_tnk, with_csv, help="two-kind partition counts")
     k.add_argument("n", type=int, nargs="?")
     k.add_argument("k", type=int, nargs="?")
     k.add_argument("--triangle", type=int, metavar="N",
@@ -411,31 +402,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare a triangle file cell by cell")
     k.add_argument("--file-format", choices=("auto", "csv", "bfile"),
                    help="with --crosscheck: format of FILE (default auto)")
-    k.set_defaults(func=_cmd_tnk, _parser=k)
 
     v = sub.add_parser("verify", help="run a verification")
     modes = v.add_subparsers(dest="what", required=True)
-    b = modes.add_parser("bijection", parents=[text_json, threads],
-                         help="brute force, stems and T(n-1, d) agree")
+    b = command(modes, "bijection", _cmd_verify_bijection, text_json, threads,
+                help="brute force, stems and T(n-1, d) agree")
     b.add_argument("--n", type=int)
     b.add_argument("--d", type=int)
     b.add_argument("--n-max", type=int, dest="n_max",
                    help="sweep every (n, d) with 2 <= n <= N and 2d >= n-1")
-    b.set_defaults(func=_cmd_verify_bijection, _parser=b)
 
-    s = modes.add_parser("stems", parents=[text_json], help="list the stems of (n, d)")
+    s = command(modes, "stems", _cmd_verify_stems, text_json, help="list the stems of (n, d)")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--d", type=int, required=True)
-    s.set_defaults(func=_cmd_verify_stems, _parser=s)
 
     # no abbreviations here, or --n would be read as --n-max
-    z = modes.add_parser("stabilization", parents=[text_json, threads], allow_abbrev=False,
-                         help="coefficients stop depending on n")
+    z = command(modes, "stabilization", _cmd_verify_stabilization, text_json, threads,
+                allow_abbrev=False, help="coefficients stop depending on n")
     z.add_argument("--d", type=int, required=True)
     z.add_argument("--k", type=int, help="check only this k (default 0..3)")
     z.add_argument("--n-max", type=int, dest="n_max",
                    help="last order to check (default 9)")
-    z.set_defaults(func=_cmd_verify_stabilization, _parser=z)
     return parser
 
 
