@@ -184,6 +184,8 @@ def _cases():
         ["eulerian", "6", "--max-n", "3"], ["wd", "2", "--max-n", "3"],
         ["verify", "bijection", "--n-max", "3", "--max-n", "3"],
         ["verify", "stabilization", "--d", "1", "--max-n", "3"],
+        ["tnk", "--crosscheck", "t.csv", "--triangle", "3", "--output", "csv"],
+        ["tnk", "8", "5", "--file-format", "bfile", "--output", "csv"],
     ):
         yield argv, None
 

@@ -700,6 +700,12 @@ def test_partition_enumeration_is_refused_with_exit_3(capsys, argv):
          "maxmintrees verify bijection: error: unrecognized arguments: --max-n 3"),
         (["verify", "stabilization", "--d", "1", "--max-n", "3"],
          "maxmintrees verify stabilization: error: unrecognized arguments: --max-n 3"),
+        # a mode given two options it ignores names the one it declares
+        # first, and the shared --output csv last
+        (["tnk", "--crosscheck", "t.csv", "--triangle", "3", "--output", "csv"],
+         "error: tnk --crosscheck ignores --triangle"),
+        (["tnk", "8", "5", "--file-format", "bfile", "--output", "csv"],
+         "error: tnk N K ignores --file-format"),
     ],
     ids=["triangle-nk", "crosscheck-nk", "triangle-contributions",
          "crosscheck-contributions", "bijection-pair-n-max", "bijection-pair-k",
@@ -707,7 +713,8 @@ def test_partition_enumeration_is_refused_with_exit_3(capsys, argv):
          "weight-max-n", "tree-threads", "weight-csv", "tnk-max-n", "stems-threads",
          "triangle-file-format", "nk-file-format", "nk-csv", "crosscheck-csv",
          "crosscheck-triangle", "triangle-crosscheck", "bijection-sweep-d",
-         "eulerian-max-n", "wd-max-n", "bijection-max-n", "stabilization-max-n"],
+         "eulerian-max-n", "wd-max-n", "bijection-max-n", "stabilization-max-n",
+         "crosscheck-triangle-csv", "nk-file-format-csv"],
 )
 def test_ignored_arguments_are_refused(capsys, tmp_path, monkeypatch, argv, message):
     (tmp_path / "t.csv").write_text(triangle_csv(t_triangle(6).rows))
