@@ -26,7 +26,7 @@ import math
 from typing import Iterator, NamedTuple
 
 from .eulerian import LimitExceeded
-from .perms import _ascii_int
+from .perms import _abridged, _ascii_int
 
 # p(60) = 966,467 partitions; T(60, 30) already takes seconds to enumerate
 MAX_PARTITION_N = 60
@@ -150,8 +150,11 @@ def read_triangle_csv(text: str) -> list[tuple[int, int, int]]:
         for k, f in enumerate(fields):
             try:
                 cells.append((n, k, _ascii_int(f)))
+            except OverflowError:
+                raise ValueError(f"line {lineno}: entry {_abridged(f)} too large") from None
             except ValueError:
-                raise ValueError(f"line {lineno}: non-integer entry {f!r}") from None
+                shown = _abridged(f, repr)
+                raise ValueError(f"line {lineno}: non-integer entry {shown}") from None
         n += 1
     return cells
 
@@ -163,16 +166,23 @@ def read_bfile(text: str) -> list[tuple[int, int, int]]:
     row n with n(n+1)/2 <= i < (n+1)(n+2)/2, and k = i - n(n+1)/2.  Lines
     starting with '#' and blank lines are ignored.
     """
+
+    def shown(line: str) -> str:
+        """line as an error shows it: whole, unless a field is too long to echo."""
+        return repr(line) if max(map(len, line.split())) <= 20 else _abridged(line, repr)
+
     cells = []
     expected_idx = None
     for lineno, line in _data_lines(text):
         fields = line.split()
         if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected 'index value', got {line!r}")
+            raise ValueError(f"line {lineno}: expected 'index value', got {shown(line)}")
         try:
             idx, value = _ascii_int(fields[0]), _ascii_int(fields[1])
+        except OverflowError:
+            raise ValueError(f"line {lineno}: too large a field in {shown(line)}") from None
         except ValueError:
-            raise ValueError(f"line {lineno}: non-integer field in {line!r}") from None
+            raise ValueError(f"line {lineno}: non-integer field in {shown(line)}") from None
         if expected_idx is not None and idx != expected_idx:
             raise ValueError(
                 f"line {lineno}: index {idx} not consecutive (expected {expected_idx})"
@@ -195,7 +205,8 @@ def crosscheck_triangle(text: str, fmt: str = "auto") -> dict:
     ``fmt`` is "csv", "bfile", or "auto" (sniffed: comma-bearing or
     single-entry lines mean CSV, two whitespace-separated fields mean
     b-file).  A text without cells is refused: a check that compares
-    nothing must not pass.
+    nothing must not pass, and so is a cell with more digits than int()
+    reads, which errors show by its first 20 characters and its length.
     """
     if fmt == "auto":
         # the first data line decides; a file without one sniffs as CSV

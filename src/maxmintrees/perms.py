@@ -20,7 +20,10 @@ characters, each cut just after a separator, and turns every slice's
 tokens into labels before it reads the next; so a long word never holds
 all of its token strings at once, and its peak memory is about what the
 labels and the result tuple need.  Every error names the global 1-based
-position of the token or label at fault.
+position of the token or label at fault, and shows a token or label of
+more than 20 characters by its first 20 and its length.  A digit token
+with more digits than int() reads (sys.get_int_max_str_digits(), 4300 by
+default, leading zeros aside) is out of range, like any label above n.
 """
 
 from __future__ import annotations
@@ -65,7 +68,9 @@ def validate_permutation(values: Iterable[int]) -> Permutation:
         if not isinstance(v, int) or isinstance(v, bool):
             raise ValueError(f"non-integer label {v!r} at position {pos}")
         if not 1 <= v <= n:
-            raise ValueError(f"label {v} out of range [1, {n}] at position {pos}")
+            raise ValueError(
+                f"label {_abridged(str(v))} out of range [1, {n}] at position {pos}"
+            )
         if seen[v]:
             raise ValueError(f"duplicate label {v} at position {pos}")
         seen[v] = True
@@ -73,10 +78,27 @@ def validate_permutation(values: Iterable[int]) -> Permutation:
 
 
 def _ascii_int(tok: str) -> int:
-    """int(tok) for tokens that match -?[0-9]+ only."""
+    """int(tok) for tokens that match -?[0-9]+ only; OverflowError for one
+    whose value has more digits than int() reads."""
     if not re.fullmatch(r"-?[0-9]+", tok):
         raise ValueError(f"not an ASCII decimal integer: {tok!r}")
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError:  # past int()'s digit limit, which counts leading zeros
+        sign = "-" if tok.startswith("-") else ""
+        try:
+            return int(sign + (tok.lstrip("-").lstrip("0") or "0"))
+        except ValueError:
+            raise OverflowError("more digits than int() reads") from None
+
+
+def _abridged(text: str, show=str) -> str:
+    """show(text), or, for a text above 20 characters, show of its first 20
+    and how long it is: a message about one token stays short."""
+    if len(text) <= 20:
+        return show(text)
+    unit = "digits" if text.isdigit() else "characters"
+    return f"{show(text[:20])}... ({len(text)} {unit})"
 
 
 def _token_slices(text: str) -> Iterator[list[str]]:
@@ -106,19 +128,30 @@ def parse_permutation(text: str) -> Permutation:
     # '_' or '+' it reads exactly the tokens that match -?[0-9]+
     fast = text.isascii() and "_" not in text and "+" not in text
     values: list[int] = []
-    for tokens in _token_slices(text):
+    slices = _token_slices(text)
+    for tokens in slices:
         done = len(values)
         if fast:
             try:
                 values += map(int, tokens)
                 continue
             except ValueError:
-                pass  # a token of this slice fails below too, naming its position
+                # the slice is read again below, which names the position of
+                # a token at fault; one with leading zeros past int()'s digit
+                # limit is read there
+                del values[done:]
         for pos, tok in enumerate(tokens, start=done + 1):
             try:
                 values.append(_ascii_int(tok))
+            except OverflowError:  # far above any label: out of range, like a shorter one
+                n = done + len(tokens) + sum(map(len, slices))
+                raise ValueError(
+                    f"label {_abridged(tok)} out of range [1, {n}] at position {pos}"
+                ) from None
             except ValueError:
-                raise ValueError(f"non-integer token {tok!r} at position {pos}") from None
+                raise ValueError(
+                    f"non-integer token {_abridged(tok, repr)} at position {pos}"
+                ) from None
     if not values:
         raise ValueError("empty permutation text")
     return validate_permutation(values)

@@ -61,6 +61,9 @@ FILES = {
     "negative.b": "-1 1\n0 1\n",
     "three-fields.b": "0 1 2\n",
     "word.b": "0 1\n1 x\n",
+    # int() reads at most 4300 digits
+    "long-cell.csv": "1\n1," + "9" * 4301 + "\n",
+    "long-cell.b": "0 1\n1 " + "9" * 4301 + "\n",
 }
 # ... and ones that cannot be read
 UNREADABLE = ["missing.csv", "{tmp}", "latin1.csv"]
@@ -106,6 +109,10 @@ def _cases():
                                                     "--output", "json"],
                      ["tree", "-"], ["tree", "-", "--kind", "mindecomp", "--format", "dot"]):
             yield argv, word
+    for digits in (4300, 4301):
+        yield ["weight", "1 " + "9" * digits], None
+    yield ["tree", "1 " + "9" * 4301], None
+    yield ["weight", "-"], "1 " + "9" * 4301
     yield ["weight", "1 2", "--output", "csv"], None
     yield ["tree", "1 2", "--format", "csv"], None
 
@@ -125,7 +132,8 @@ def _cases():
     ):
         yield ["tnk", str(n), str(k), *["--contributions"][:contributions],
                "--output", output], None
-    for argv in (["tnk"], ["tnk", "5"], ["tnk", "--contributions"], ["tnk", "--file-format", "csv"]):
+    for argv in (["tnk"], ["tnk", "5"], ["tnk", "--contributions"],
+                 ["tnk", "--file-format", "csv"]):
         yield argv, None
     for n, output in product((-1, 0, 1, 2, 3, 6, 10, 120), outputs):
         yield ["tnk", "--triangle", str(n), "--output", output], None

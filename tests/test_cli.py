@@ -156,6 +156,20 @@ class TestWeight:
         assert code == 2 and out == ""
         assert err == "error: non-integer token '1_0' at position 1\n"
 
+    @pytest.mark.parametrize("digits", [4300, 4301])
+    def test_an_over_long_label_exits_2_as_out_of_range(self, capsys, digits):
+        code, out, err = run(capsys, "weight", "1 " + "9" * digits)
+        assert (code, out) == (2, "")
+        assert err == f"error: label {'9' * 20}... ({digits} digits) out of range [1, 2] " \
+            "at position 2\n"
+
+    def test_a_long_token_on_stdin_gets_a_short_message(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1 " + "9" * 200_000 + "\n"))
+        code, out, err = run(capsys, "weight", "-")
+        assert (code, out) == (2, "")
+        assert err == f"error: label {'9' * 20}... (200000 digits) out of range [1, 2] " \
+            "at position 2\n"
+
     def test_json_envelope(self, capsys):
         code, out, _ = run(capsys, "weight", "1 3 2", "--output", "json")
         assert code == 0
@@ -720,6 +734,14 @@ def test_ignored_arguments_are_refused(capsys, tmp_path, monkeypatch, argv, mess
     (tmp_path / "t.csv").write_text(triangle_csv(t_triangle(6).rows))
     monkeypatch.chdir(tmp_path)
     assert_refused(*run_to_exit(capsys, *argv), message)
+
+
+def test_a_long_crosscheck_cell_exits_2_with_a_short_message(capsys, tmp_path):
+    f = tmp_path / "long.csv"
+    f.write_text("1\n1," + "9" * 200_000 + "\n")
+    code, out, err = run(capsys, "tnk", "--crosscheck", str(f))
+    assert (code, out) == (2, "")
+    assert err == f"error: line 2: entry {'9' * 20}... (200000 digits) too large\n"
 
 
 class TestVerify:

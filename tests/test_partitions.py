@@ -186,6 +186,35 @@ class TestCrosscheck:
             crosscheck_triangle(text, fmt="csv")
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "fmt, text, message",
+        [
+            ("csv", "1\n1," + "9" * 4301 + "\n",
+             f"line 2: entry {'9' * 20}... (4301 digits) too large"),
+            ("csv", "1\n1,x" + "9" * 30 + "\n",
+             f"line 2: non-integer entry {'x' + '9' * 19!r}... (31 characters)"),
+            ("bfile", "0 1\n1 " + "9" * 4301 + "\n",
+             f"line 2: too large a field in {'1 ' + '9' * 18!r}... (4303 characters)"),
+            ("bfile", "0 1\n1 x" + "9" * 30 + "\n",
+             f"line 2: non-integer field in {'1 x' + '9' * 17!r}... (33 characters)"),
+            ("bfile", "0 1\n" + "1" * 12 + " x" + "1" * 12 + "\n",
+             f"line 2: non-integer field in {'1' * 12 + ' x' + '1' * 12!r}"),
+            ("bfile", "0 1\n" + "9" * 4301 + "\n",
+             f"line 2: expected 'index value', got {'9' * 20!r}... (4301 digits)"),
+        ],
+        ids=["csv-too-large", "csv-long-word", "bfile-too-large", "bfile-long-word",
+             "bfile-short-fields", "bfile-one-long-field"],
+    )
+    def test_a_long_cell_is_refused_with_a_short_message(self, fmt, text, message):
+        with pytest.raises(ValueError) as info:
+            crosscheck_triangle(text, fmt=fmt)
+        assert str(info.value) == message
+
+    def test_cells_of_4300_digits_and_of_leading_zeros_are_read(self):
+        report = crosscheck_triangle("1\n" + "0" * 5000 + "1," + "9" * 4300 + "\n")
+        assert report["checked"] == 3
+        assert report["mismatches"] == [{"n": 1, "k": 1, "expected": 1, "found": int("9" * 4300)}]
+
     @pytest.mark.parametrize("line", ["1 1_0", "+1 1", "1 \u0661"])
     def test_bfile_reads_only_ascii_decimals(self, line):
         with pytest.raises(ValueError) as info:
