@@ -1,12 +1,12 @@
 """
 The byte-identity corpus of the command line.
 
-CASES lists argv, some with a standard input; cli_corpus.txt, next to this
-file, holds one line per case: the sha256 of its exit code, stdout and
-stderr, then the case.  tests/test_cli.py::test_cli_output_matches_the_corpus
-runs every case through cli.main in-process and names each one whose
-output moved.  After a change that moves an output on purpose, rewrite the
-file with
+``_cases`` lists the argv, some with a standard input; cli_corpus.txt,
+next to this file, holds one line per case: the sha256 of its exit code,
+stdout and stderr, then the case.  The test
+tests/test_cli.py::test_cli_output_matches_the_corpus runs every case
+through cli.main in-process and names each one whose output moved.
+After a change that moves an output on purpose, rewrite the file with
 
     PYTHONPATH=src python tests/cli_corpus.py --write
 
@@ -33,6 +33,8 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
+
+from maxmintrees import cli, eulerian
 
 CORPUS = Path(__file__).with_name("cli_corpus.txt")
 
@@ -204,8 +206,6 @@ def _case_text(argv, stdin) -> str:
 
 def _run(argv, stdin, tmp: str) -> str:
     """The sha256 of what cli.main(argv) gives: exit code, stdout, stderr."""
-    from maxmintrees import cli, eulerian
-
     eulerian.clear_cache()
     out, err = io.StringIO(), io.StringIO()
     sys.stdin = io.StringIO(stdin or "")
