@@ -6,6 +6,9 @@ the options of one; each command takes only the options it reads.
 
 PERM is the word as one argument, or - to read it from standard input,
 which lifts the operating system's limit on the length of one argument.
+PERM's labels and every integer argument follow one rule, -?[0-9]+: an
+integer argument such as +3, 1_0 or one past int()'s digit limit is
+refused like an unknown option.
 
 argparse refuses any other option with exit 2 before any work, with the
 usage of the command that does not take it.  Where one parser serves
@@ -56,7 +59,7 @@ from .eulerian import (
 )
 from .mindecomp import build_min_decomp, leaves, weight_via_leaves
 from .partitions import crosscheck_triangle, t_nk, t_nk_contributions, t_triangle
-from .perms import parse_permutation
+from .perms import abridged, ascii_int, parse_permutation
 from .trees import build_max_weight_tree
 from .weights import range_details, weight_accelerated
 
@@ -343,6 +346,15 @@ def _cmd_verify_stabilization(args) -> int:
     ])
 
 
+def _int_arg(text: str) -> int:
+    """An integer argument, read by the PERM rule -?[0-9]+; argparse
+    refuses any other text in its own words, showing a long one abridged."""
+    try:
+        return ascii_int(text)
+    except (ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(f"invalid int value: {abridged(text, repr)}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxmintrees",
@@ -358,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     with_csv.add_argument("--output", choices=("text", "json", "csv"), default="text",
                           help="output format (default text)")
     threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=int, default=1, metavar="T",
+    threads.add_argument("--threads", type=_int_arg, default=1, metavar="T",
                          help="ignored: no command starts a process (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -384,17 +396,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = command(sub, "eulerian", _cmd_eulerian, with_csv, threads,
                 help="Eulerian polynomial of order n")
-    e.add_argument("n", type=int)
+    e.add_argument("n", type=_int_arg)
     e.add_argument("--q", action="store_true", help="bivariate (descents, weight) version")
 
     d = command(sub, "wd", _cmd_wd, with_csv, threads, help="stabilized coefficient series")
-    d.add_argument("d", type=int)
-    d.add_argument("--terms", type=int, default=6)
+    d.add_argument("d", type=_int_arg)
+    d.add_argument("--terms", type=_int_arg, default=6)
 
     k = command(sub, "tnk", _cmd_tnk, with_csv, help="two-kind partition counts")
-    k.add_argument("n", type=int, nargs="?")
-    k.add_argument("k", type=int, nargs="?")
-    k.add_argument("--triangle", type=int, metavar="N",
+    k.add_argument("n", type=_int_arg, nargs="?")
+    k.add_argument("k", type=_int_arg, nargs="?")
+    k.add_argument("--triangle", type=_int_arg, metavar="N",
                    help="print rows 0..N (the one tnk mode with csv output)")
     k.add_argument("--contributions", action="store_true",
                    help="show per-partition contributions")
@@ -407,21 +419,21 @@ def build_parser() -> argparse.ArgumentParser:
     modes = v.add_subparsers(dest="what", required=True)
     b = command(modes, "bijection", _cmd_verify_bijection, text_json, threads,
                 help="brute force, stems and T(n-1, d) agree")
-    b.add_argument("--n", type=int)
-    b.add_argument("--d", type=int)
-    b.add_argument("--n-max", type=int, dest="n_max",
+    b.add_argument("--n", type=_int_arg)
+    b.add_argument("--d", type=_int_arg)
+    b.add_argument("--n-max", type=_int_arg, dest="n_max",
                    help="sweep every (n, d) with 2 <= n <= N and 2d >= n-1")
 
     s = command(modes, "stems", _cmd_verify_stems, text_json, help="list the stems of (n, d)")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--d", type=int, required=True)
+    s.add_argument("--n", type=_int_arg, required=True)
+    s.add_argument("--d", type=_int_arg, required=True)
 
     # no abbreviations here, or --n would be read as --n-max
     z = command(modes, "stabilization", _cmd_verify_stabilization, text_json, threads,
                 allow_abbrev=False, help="coefficients stop depending on n")
-    z.add_argument("--d", type=int, required=True)
-    z.add_argument("--k", type=int, help="check only this k (default 0..3)")
-    z.add_argument("--n-max", type=int, dest="n_max",
+    z.add_argument("--d", type=_int_arg, required=True)
+    z.add_argument("--k", type=_int_arg, help="check only this k (default 0..3)")
+    z.add_argument("--n-max", type=_int_arg, dest="n_max",
                    help="last order to check (default 9)")
     return parser
 

@@ -26,7 +26,7 @@ import math
 from typing import Iterator, NamedTuple
 
 from .eulerian import LimitExceeded
-from .perms import _abridged, _ascii_int
+from .perms import abridged, ascii_int
 
 # p(60) = 966,467 partitions; T(60, 30) already takes seconds to enumerate
 MAX_PARTITION_N = 60
@@ -149,11 +149,11 @@ def read_triangle_csv(text: str) -> list[tuple[int, int, int]]:
             )
         for k, f in enumerate(fields):
             try:
-                cells.append((n, k, _ascii_int(f)))
+                cells.append((n, k, ascii_int(f)))
             except OverflowError:
-                raise ValueError(f"line {lineno}: entry {_abridged(f)} too large") from None
+                raise ValueError(f"line {lineno}: entry {abridged(f)} too large") from None
             except ValueError:
-                shown = _abridged(f, repr)
+                shown = abridged(f, repr)
                 raise ValueError(f"line {lineno}: non-integer entry {shown}") from None
         n += 1
     return cells
@@ -169,7 +169,7 @@ def read_bfile(text: str) -> list[tuple[int, int, int]]:
 
     def shown(line: str) -> str:
         """line as an error shows it: whole, unless a field is too long to echo."""
-        return repr(line) if max(map(len, line.split())) <= 20 else _abridged(line, repr)
+        return repr(line) if max(map(len, line.split())) <= 20 else abridged(line, repr)
 
     cells = []
     expected_idx = None
@@ -178,7 +178,7 @@ def read_bfile(text: str) -> list[tuple[int, int, int]]:
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 'index value', got {shown(line)}")
         try:
-            idx, value = _ascii_int(fields[0]), _ascii_int(fields[1])
+            idx, value = ascii_int(fields[0]), ascii_int(fields[1])
         except OverflowError:
             raise ValueError(f"line {lineno}: too large a field in {shown(line)}") from None
         except ValueError:

@@ -29,6 +29,7 @@ default, leading zeros aside) is out of range, like any label above n.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Iterable, Iterator, Sequence
 
 Permutation = tuple[int, ...]
@@ -44,7 +45,9 @@ def validate_permutation(values: Iterable[int]) -> Permutation:
     """
     Check that values is a rearrangement of 1..n and return it as a tuple.
 
-    Raises ValueError naming the offending 1-based position.
+    Raises ValueError naming the offending 1-based position; a label with
+    more digits than str() writes is out of range without being converted.
+    Int subclasses other than bool are labels.
 
     >>> validate_permutation([2, 1, 3])
     (2, 1, 3)
@@ -53,46 +56,37 @@ def validate_permutation(values: Iterable[int]) -> Permutation:
     n = len(word)
     if n == 0:
         raise ValueError("empty permutation")
-    # fast path: type and range checks at C speed, then one duplicate pass;
-    # any failure falls through to the loop below, which names the position
-    if set(map(type, word)) == {int} and 1 <= min(word) and max(word) <= n:
-        marked = bytearray(n + 1)
-        for v in word:
-            if marked[v]:
-                break
-            marked[v] = 1
-        else:
-            return word
-    seen = [False] * (n + 1)
+    seen = bytearray(n + 1)
     for pos, v in enumerate(word, start=1):
-        if not isinstance(v, int) or isinstance(v, bool):
+        # a plain int skips the two isinstance calls, most of the loop's cost
+        if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
             raise ValueError(f"non-integer label {v!r} at position {pos}")
         if not 1 <= v <= n:
-            raise ValueError(
-                f"label {_abridged(str(v))} out of range [1, {n}] at position {pos}"
-            )
+            try:
+                shown = abridged(str(v))
+            except ValueError:  # more digits than str() writes
+                shown = f"of more than {sys.get_int_max_str_digits()} digits"
+            raise ValueError(f"label {shown} out of range [1, {n}] at position {pos}")
         if seen[v]:
             raise ValueError(f"duplicate label {v} at position {pos}")
-        seen[v] = True
+        seen[v] = 1
     return word
 
 
-def _ascii_int(tok: str) -> int:
+def ascii_int(tok: str) -> int:
     """int(tok) for tokens that match -?[0-9]+ only; OverflowError for one
     whose value has more digits than int() reads."""
-    if not re.fullmatch(r"-?[0-9]+", tok):
+    # one way to match each token keeps the match linear in its length
+    sign_digits = re.fullmatch(r"(-?)0*([1-9][0-9]*|0)", tok)
+    if not sign_digits:
         raise ValueError(f"not an ASCII decimal integer: {tok!r}")
-    try:
-        return int(tok)
-    except ValueError:  # past int()'s digit limit, which counts leading zeros
-        sign = "-" if tok.startswith("-") else ""
-        try:
-            return int(sign + (tok.lstrip("-").lstrip("0") or "0"))
-        except ValueError:
-            raise OverflowError("more digits than int() reads") from None
+    try:  # int()'s digit limit counts leading zeros, so they are left out
+        return int(sign_digits[1] + sign_digits[2])
+    except ValueError:
+        raise OverflowError("more digits than int() reads") from None
 
 
-def _abridged(text: str, show=str) -> str:
+def abridged(text: str, show=str) -> str:
     """show(text), or, for a text above 20 characters, show of its first 20
     and how long it is: a message about one token stays short."""
     if len(text) <= 20:
@@ -142,15 +136,15 @@ def parse_permutation(text: str) -> Permutation:
                 del values[done:]
         for pos, tok in enumerate(tokens, start=done + 1):
             try:
-                values.append(_ascii_int(tok))
+                values.append(ascii_int(tok))
             except OverflowError:  # far above any label: out of range, like a shorter one
                 n = done + len(tokens) + sum(map(len, slices))
                 raise ValueError(
-                    f"label {_abridged(tok)} out of range [1, {n}] at position {pos}"
+                    f"label {abridged(tok)} out of range [1, {n}] at position {pos}"
                 ) from None
             except ValueError:
                 raise ValueError(
-                    f"non-integer token {_abridged(tok, repr)} at position {pos}"
+                    f"non-integer token {abridged(tok, repr)} at position {pos}"
                 ) from None
     if not values:
         raise ValueError("empty permutation text")

@@ -171,6 +171,33 @@ def _cases():
     ):
         yield [*command, "--threads", threads], None
 
+    # each of the 15 integer arguments reads by the PERM rule -?[0-9]+ and
+    # refuses +3; the first argv of each command also meets 1_0, a
+    # non-ASCII digit and tokens of 4300 and 4301 digits, one past int()'s
+    # limit.  For wd and verify stabilization that first argv avoids D,
+    # --terms, --d and --k: at 4300 digits their messages format a sum of
+    # 4301, and the interpreter's conversion error, worded by the
+    # interpreter and not the package, takes their place
+    commands = set()
+    for argv in (
+        ["eulerian", "{}"], ["eulerian", "5", "--threads", "{}"],
+        ["wd", "1", "--threads", "{}"], ["wd", "{}"], ["wd", "1", "--terms", "{}"],
+        ["tnk", "{}", "1"], ["tnk", "3", "{}"], ["tnk", "--triangle", "{}"],
+        ["verify", "bijection", "--n-max", "{}"],
+        ["verify", "bijection", "--n", "{}", "--d", "2"],
+        ["verify", "bijection", "--n", "5", "--d", "{}"],
+        ["verify", "stems", "--n", "{}", "--d", "2"], ["verify", "stems", "--n", "5", "--d", "{}"],
+        ["verify", "stabilization", "--d", "1", "--n-max", "{}"],
+        ["verify", "stabilization", "--d", "{}"],
+        ["verify", "stabilization", "--d", "1", "--k", "{}"],
+    ):
+        command = argv[0] if argv[0] != "verify" else argv[1]
+        tokens = ["+3"] if command in commands else ["+3", "1_0", "\u0663", "9" * 4300,
+                                                     "9" * 4301]
+        commands.add(command)
+        for token in tokens:
+            yield [token if a == "{}" else a for a in argv], None
+
     # the rows of tests/test_cli.py::test_ignored_arguments_are_refused
     for argv in (
         ["tnk", "3", "1", "--triangle", "3"], ["tnk", "8", "5", "--crosscheck", "t.csv"],

@@ -1058,10 +1058,17 @@ class TestJsonStream:
         assert err == b""
 
 
+# int() reads the first three, and the fourth has more digits than it reads;
+# an integer argument refuses each with exit 2
+BAD_INTS = ["+3", "1_0", "\u0663", "9" * 4301]
+
+
 def fuzz_value(rng, action, flag, files):
     if action.choices is not None:
         return rng.choice(list(action.choices))
-    if action.type is int:
+    if action.type is cli._int_arg:
+        if rng.random() < 0.1:
+            return rng.choice(BAD_INTS)
         low = 1 if rng.random() < 0.8 else -2
         return str(rng.randint(low, 7))
     if flag is not None:  # --crosscheck FILE
@@ -1105,8 +1112,11 @@ def test_fuzzed_argv_keep_the_exit_contract(capsys, tmp_path):
     files = [str(good), str(tmp_path / "missing.csv"), str(tmp_path)]
     parser = build_parser()
     rng = random.Random(7)
+    bad_ints = 0
     for _ in range(300):
         argv = fuzz_argv(rng, parser, files)
+        bad = any(a in BAD_INTS for a in argv)
+        bad_ints += bad
         if rng.random() < 0.05:
             argv.insert(rng.randint(1, len(argv)), rng.choice(["--bogus", "x", "-1"]))
         try:
@@ -1118,8 +1128,9 @@ def test_fuzzed_argv_keep_the_exit_contract(capsys, tmp_path):
         err = capsys.readouterr().err
         # every accepted input lies in a domain where the checks hold, and
         # the crosscheck file is correct, so nothing reports a failure
-        assert code in (0, 2, 3), argv
+        assert code in ((2,) if bad else (0, 2, 3)), argv
         assert "Traceback" not in err, argv
+    assert bad_ints >= 10
 
 
 def test_cli_output_matches_the_corpus(tmp_path):

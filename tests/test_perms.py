@@ -1,3 +1,4 @@
+import enum
 import itertools
 import random
 import re
@@ -76,12 +77,15 @@ class TestParse:
             ("1 " + "x" * 20, f"non-integer token {'x' * 20!r} at position 2"),
             ("1 " + "x" * 5000, f"non-integer token {'x' * 20!r}... (5000 characters) "
              "at position 2"),
+            # a regex that can split the zeros two ways takes minutes here
+            ("1 " + "0" * 200_000 + "x", f"non-integer token {'0' * 20!r}... "
+             "(200001 characters) at position 2"),
             # int() reads at most 4300 digits: more are out of range, not a non-integer
             *(("1 " + "9" * digits,
                f"label {'9' * 20}... ({digits} digits) out of range [1, 2] at position 2")
               for digits in (4300, 4301, 200_000)),
         ],
-        ids=["20-digits", "21-characters", "20-characters", "5000-characters",
+        ids=["20-digits", "21-characters", "20-characters", "5000-characters", "zeros-then-x",
              "4300-digits", "4301-digits", "200000-digits"],
     )
     def test_a_token_is_shown_whole_up_to_20_characters(self, text, message):
@@ -99,6 +103,7 @@ class TestParse:
         "values, message",
         [
             ([True, 2], "non-integer label True at position 1"),
+            ([1, True], "non-integer label True at position 2"),
             ([1, 2.0], "non-integer label 2.0 at position 2"),
             ([1, "2"], "non-integer label '2' at position 2"),
             ([2, 2, 7], "duplicate label 2 at position 2"),
@@ -111,6 +116,27 @@ class TestParse:
         with pytest.raises(ValueError) as exc:
             validate_permutation(values)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "label, shown",
+        [
+            (10**4299, f"1{'0' * 19}... (4300 digits)"),
+            # str() writes at most 4300 digits, so the label is not converted
+            (10**4300, "of more than 4300 digits"),
+            (10**5000, "of more than 4300 digits"),
+        ],
+        ids=["4300-digits", "4301-digits", "5001-digits"],
+    )
+    def test_an_int_label_of_any_size_is_out_of_range(self, label, shown):
+        with pytest.raises(ValueError) as exc:
+            validate_permutation([1, label])
+        assert str(exc.value) == f"label {shown} out of range [1, 2] at position 2"
+
+    def test_int_subclasses_other_than_bool_are_labels(self):
+        Label = enum.IntEnum("Label", "ONE TWO THREE")
+        assert validate_permutation([Label.TWO, Label.ONE, Label.THREE]) == (2, 1, 3)
+        with pytest.raises(ValueError, match="^duplicate label 2 at position 2$"):
+            validate_permutation([Label.TWO, Label.TWO, Label.THREE])
 
     def test_first_non_integer_token_is_reported(self):
         with pytest.raises(ValueError) as exc:
