@@ -33,6 +33,7 @@ import math
 
 from .eulerian import q_eulerian
 from .partitions import t_nk
+from .perms import abridged_int
 
 
 def stable_region(n: int, d: int) -> bool:
@@ -48,11 +49,13 @@ def target_weight(n: int, d: int) -> int:
 def _check_descents(n: int, d: int) -> None:
     """Reject (n, d) outside n >= 2, 1 <= d <= n-1 and 2d >= n-1."""
     if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+        raise ValueError(f"n must be at least 2, got {abridged_int(n)}")
     if not 1 <= d <= n - 1:
-        raise ValueError(f"d={d} outside 1..{n - 1}")
+        raise ValueError(f"d={abridged_int(d)} outside 1..{abridged_int(n - 1)}")
     if not stable_region(n, d):
-        raise ValueError(f"n={n}, d={d} lies outside the region 2d >= n-1")
+        raise ValueError(
+            f"n={abridged_int(n)}, d={abridged_int(d)} lies outside the region 2d >= n-1"
+        )
 
 
 def enumerate_stems(n: int, d: int) -> list[tuple[int, ...]]:
@@ -64,7 +67,9 @@ def enumerate_stems(n: int, d: int) -> list[tuple[int, ...]]:
     """
     length = n - d
     if length < 1:
-        raise ValueError(f"need at least one non-descent: n={n}, d={d}")
+        raise ValueError(
+            f"need at least one non-descent: n={abridged_int(n)}, d={abridged_int(d)}"
+        )
     budget = n - d - 1
     out: list[tuple[int, ...]] = []
 

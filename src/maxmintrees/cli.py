@@ -8,7 +8,12 @@ PERM is the word as one argument, or - to read it from standard input,
 which lifts the operating system's limit on the length of one argument.
 PERM's labels and every integer argument follow one rule, -?[0-9]+: an
 integer argument such as +3, 1_0 or one past int()'s digit limit is
-refused like an unknown option.
+refused like an unknown option.  A message shows an integer of more than
+20 characters by its first 20 and its length (perms.abridged_int).
+
+main builds its parser on its first call and reuses it for the rest of
+the process, so a caller that runs many commands in one process builds
+the 13 argparse parsers once; importing this module builds none.
 
 argparse refuses any other option with exit 2 before any work, with the
 usage of the command that does not take it.  Where one parser serves
@@ -41,6 +46,7 @@ verify bijection|stems outside 2d >= n-1), 3 resource limit exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -59,7 +65,7 @@ from .eulerian import (
 )
 from .mindecomp import build_min_decomp, leaves, weight_via_leaves
 from .partitions import crosscheck_triangle, t_nk, t_nk_contributions, t_triangle
-from .perms import abridged, ascii_int, parse_permutation
+from .perms import abridged, abridged_int, ascii_int, parse_permutation
 from .trees import build_max_weight_tree
 from .weights import range_details, weight_accelerated
 
@@ -298,7 +304,7 @@ def _cmd_verify_bijection(args) -> int:
     else:
         _refuse_ignored(args, "verify bijection --n-max", "--n-max")
         if args.n_max < 2:
-            raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
+            raise ValueError(f"--n-max must be at least 2, got {abridged_int(args.n_max)}")
         # the sweep's largest order first: its guard refuses n_max before any
         # work, and the sweep's own call at that order hits the cache
         q_eulerian(args.n_max)
@@ -328,11 +334,14 @@ def _cmd_verify_stabilization(args) -> int:
     ks = [args.k] if args.k is not None else range(4)
     need = args.d + ks[-1] + 1  # the threshold order of the largest k
     if args.d >= 1 and ks[0] >= 0 and n_max < need:
-        what = f"--d {args.d} checks " + ("k up to 3" if args.k is None else f"k = {args.k}")
+        which = "k up to 3" if args.k is None else f"k = {abridged_int(args.k)}"
+        what = f"--d {abridged_int(args.d)} checks {which}"
         if need > MAX_Q_ORDER:  # no --n-max would pass the order limit
-            raise LimitExceeded(f"{what}, which needs n={need}, above the limit {MAX_Q_ORDER}")
+            raise LimitExceeded(
+                f"{what}, which needs n={abridged_int(need)}, above the limit {MAX_Q_ORDER}")
         given = "default" if args.n_max is None else "given"
-        raise ValueError(f"{what}, which needs --n-max {need} or more ({given} {n_max})")
+        raise ValueError(
+            f"{what}, which needs --n-max {need} or more ({given} {abridged_int(n_max)})")
     # the first k's call refuses a bad d or k and the order limit before any work
     checks = []
     for k in ks:
@@ -438,15 +447,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads: built on the first call, then shared, since
+    every per-call value lives on the Namespace that parsing returns."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args, unknown = build_parser().parse_known_args(argv)
+    args, unknown = _parser().parse_known_args(argv)
     if unknown:  # reported with the usage of the command that refused them
         args._parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     args._t0 = time.perf_counter()
     try:
         threads = vars(args).get("threads", 1)  # 1 where the command lacks the option
         if threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {threads}")
+            raise ValueError(f"--threads must be at least 1, got {abridged_int(threads)}")
         return args.func(args)
     except BrokenPipeError:
         # the reader closed stdout: point it at devnull so the interpreter's

@@ -65,6 +65,7 @@ from itertools import permutations as _permutations
 from math import comb
 from types import MappingProxyType
 
+from .perms import abridged_int
 from .weights import descents_and_weight
 
 # the largest order of q_eulerian, wd_series and stabilization_values, where
@@ -88,7 +89,7 @@ def maxwt(n: int, d: int) -> int:
     6
     """
     if not 0 <= d <= n - 1:
-        raise ValueError(f"descent count {d} outside 0..{n - 1}")
+        raise ValueError(f"descent count {abridged_int(d)} outside 0..{abridged_int(n - 1)}")
     return d * (n - d - 1)
 
 
@@ -104,9 +105,9 @@ def eulerian_polynomial(n: int) -> list[int]:
     [1, 11, 11, 1]
     """
     if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+        raise ValueError(f"n must be positive, got {abridged_int(n)}")
     if n > 1000:
-        raise LimitExceeded(f"n={n} exceeds the Eulerian polynomial limit 1000")
+        raise LimitExceeded(f"n={abridged_int(n)} exceeds the Eulerian polynomial limit 1000")
     row = [1]
     for m in range(2, n + 1):
         # A(m, k) = (k+1) A(m-1, k) + (m-k) A(m-1, k-1)
@@ -179,9 +180,11 @@ def q_eulerian(n: int) -> Mapping[tuple[int, int], int]:
     True
     """
     if n > MAX_Q_ORDER:
-        raise LimitExceeded(f"n={n} exceeds the q-Eulerian order limit {MAX_Q_ORDER}")
+        raise LimitExceeded(
+            f"n={abridged_int(n)} exceeds the q-Eulerian order limit {MAX_Q_ORDER}"
+        )
     if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+        raise ValueError(f"n must be positive, got {abridged_int(n)}")
     if n in _Q_CACHE:
         return _Q_CACHE[n]
     if n < _RECURRENCE_MIN_N:
@@ -200,12 +203,14 @@ def stabilization_values(d: int, k: int, n_max: int) -> list[tuple[int, int]]:
     threshold d+k+1 through n_max.
     """
     if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+        raise ValueError(f"d must be >= 1, got {abridged_int(d)}")
     if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+        raise ValueError(f"k must be >= 0, got {abridged_int(k)}")
     threshold = d + k + 1
     if n_max < threshold:
-        raise ValueError(f"n_max={n_max} is below the threshold {threshold}")
+        raise ValueError(
+            f"n_max={abridged_int(n_max)} is below the threshold {abridged_int(threshold)}"
+        )
     q_eulerian(n_max)  # the order limit, and one recurrence run for the sweep
     return [
         (n, q_eulerian(n).get((d, maxwt(n, d) - k), 0))
@@ -222,13 +227,13 @@ def wd_series(d: int, terms: int) -> tuple[int, ...]:
     (1, 3, 7, 15, 31, 63)
     """
     if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+        raise ValueError(f"d must be >= 1, got {abridged_int(d)}")
     if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
+        raise ValueError(f"terms must be >= 1, got {abridged_int(terms)}")
     if d + terms > MAX_Q_ORDER:
         raise LimitExceeded(
-            f"{terms} terms of the d={d} series need n={d + terms}, "
-            f"above the limit {MAX_Q_ORDER}"
+            f"{abridged_int(terms)} terms of the d={abridged_int(d)} series "
+            f"need n={abridged_int(d + terms)}, above the limit {MAX_Q_ORDER}"
         )
     q_eulerian(d + terms)  # one recurrence run for every term's order
     return tuple(stabilization_values(d, k, d + k + 1)[0][1] for k in range(terms))

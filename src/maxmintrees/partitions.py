@@ -26,7 +26,7 @@ import math
 from typing import Iterator, NamedTuple
 
 from .eulerian import LimitExceeded
-from .perms import abridged, ascii_int
+from .perms import abridged, abridged_int, ascii_int
 
 # p(60) = 966,467 partitions; T(60, 30) already takes seconds to enumerate
 MAX_PARTITION_N = 60
@@ -35,7 +35,7 @@ MAX_PARTITION_N = 60
 def _check_partition_limit(n: int) -> None:
     if n > MAX_PARTITION_N:
         raise LimitExceeded(
-            f"partitions of n={n} exceed the enumeration limit {MAX_PARTITION_N}"
+            f"partitions of n={abridged_int(n)} exceed the enumeration limit {MAX_PARTITION_N}"
         )
 
 
@@ -48,7 +48,7 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
     [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     """
     if n < 0:
-        raise ValueError(f"cannot partition {n}")
+        raise ValueError(f"cannot partition {abridged_int(n)}")
     _check_partition_limit(n)
     if n == 0:
         yield ()
@@ -66,7 +66,9 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
 
 def _check_nk(n: int, k: int) -> None:
     if n < 0 or k < 0:
-        raise ValueError(f"T({n}, {k}) undefined for negative arguments")
+        raise ValueError(
+            f"T({abridged_int(n)}, {abridged_int(k)}) undefined for negative arguments"
+        )
 
 
 def t_nk_contributions(n: int, k: int) -> list[tuple[tuple[int, ...], int]]:
@@ -111,7 +113,7 @@ def t_triangle(n_max: int) -> PartitionTriangle:
     ((1,), (1, 1), (2, 3, 1))
     """
     if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+        raise ValueError(f"n_max must be >= 0, got {abridged_int(n_max)}")
     _check_partition_limit(n_max)
     rows = []
     for n in range(n_max + 1):

@@ -62,11 +62,7 @@ def validate_permutation(values: Iterable[int]) -> Permutation:
         if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
             raise ValueError(f"non-integer label {v!r} at position {pos}")
         if not 1 <= v <= n:
-            try:
-                shown = abridged(str(v))
-            except ValueError:  # more digits than str() writes
-                shown = f"of more than {sys.get_int_max_str_digits()} digits"
-            raise ValueError(f"label {shown} out of range [1, {n}] at position {pos}")
+            raise ValueError(f"label {abridged_int(v)} out of range [1, {n}] at position {pos}")
         if seen[v]:
             raise ValueError(f"duplicate label {v} at position {pos}")
         seen[v] = 1
@@ -93,6 +89,22 @@ def abridged(text: str, show=str) -> str:
         return show(text)
     unit = "digits" if text.isdigit() else "characters"
     return f"{show(text[:20])}... ({len(text)} {unit})"
+
+
+def abridged_int(value: int) -> str:
+    """abridged(str(value)), or "of more than N digits" for a value with
+    more digits than str() writes: a message about one integer stays short
+    and never meets str()'s own error.
+
+    >>> abridged_int(-7)
+    '-7'
+    >>> abridged_int(10**30)
+    '10000000000000000000... (31 digits)'
+    """
+    try:
+        return abridged(str(value))
+    except ValueError:
+        return f"of more than {sys.get_int_max_str_digits()} digits"
 
 
 def _token_slices(text: str) -> Iterator[list[str]]:

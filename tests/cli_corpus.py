@@ -5,7 +5,8 @@ The byte-identity corpus of the command line.
 next to this file, holds one line per case: the sha256 of its exit code,
 stdout and stderr, then the case.  The test
 tests/test_cli.py::test_cli_output_matches_the_corpus runs every case
-through cli.main in-process and names each one whose output moved.
+through cli.main in-process, once in file order and once in reverse, and
+names each one whose output moved.
 After a change that moves an output on purpose, rewrite the file with
 
     PYTHONPATH=src python tests/cli_corpus.py --write
@@ -171,13 +172,10 @@ def _cases():
     ):
         yield [*command, "--threads", threads], None
 
-    # each of the 15 integer arguments reads by the PERM rule -?[0-9]+ and
-    # refuses +3; the first argv of each command also meets 1_0, a
-    # non-ASCII digit and tokens of 4300 and 4301 digits, one past int()'s
-    # limit.  For wd and verify stabilization that first argv avoids D,
-    # --terms, --d and --k: at 4300 digits their messages format a sum of
-    # 4301, and the interpreter's conversion error, worded by the
-    # interpreter and not the package, takes their place
+    # each of the 15 integer arguments reads by the PERM rule -?[0-9]+,
+    # refuses +3 and accepts 4300 digits, which a message shows abridged;
+    # the first argv of each command also meets 1_0, a non-ASCII digit and
+    # a token of 4301 digits, one past int()'s limit
     commands = set()
     for argv in (
         ["eulerian", "{}"], ["eulerian", "5", "--threads", "{}"],
@@ -192,11 +190,15 @@ def _cases():
         ["verify", "stabilization", "--d", "1", "--k", "{}"],
     ):
         command = argv[0] if argv[0] != "verify" else argv[1]
-        tokens = ["+3"] if command in commands else ["+3", "1_0", "\u0663", "9" * 4300,
-                                                     "9" * 4301]
+        tokens = ["+3", "9" * 4300] + (
+            [] if command in commands else ["1_0", "\u0663", "9" * 4301])
         commands.add(command)
         for token in tokens:
             yield [token if a == "{}" else a for a in argv], None
+    # at 4300 digits, wd's D and --terms and verify stabilization's --d and
+    # --k make a threshold order of 4301 digits, more than str() writes,
+    # which the order limit reports without converting it
+    yield ["verify", "stabilization", "--d", "2", "--k", "9" * 4300], None
 
     # the rows of tests/test_cli.py::test_ignored_arguments_are_refused
     for argv in (
@@ -246,8 +248,9 @@ def _run(argv, stdin, tmp: str) -> str:
     return hashlib.sha256(result.encode()).hexdigest()
 
 
-def corpus_lines(tmp: Path) -> list[str]:
-    """One "sha256 case" line per case, run in the directory tmp."""
+def corpus_lines(tmp: Path, reverse: bool = False) -> list[str]:
+    """One "sha256 case" line per case, run in the directory tmp, in file
+    order or in reverse."""
     for name, text in FILES.items():
         (tmp / name).write_text(text, encoding="utf-8")
     (tmp / "latin1.csv").write_bytes(LATIN1)
@@ -255,8 +258,9 @@ def corpus_lines(tmp: Path) -> list[str]:
     os.chdir(tmp)
     os.environ["COLUMNS"] = "80"
     try:
+        cases = list(_cases())
         return [f"{_run(argv, stdin, str(tmp))} {_case_text(argv, stdin)}"
-                for argv, stdin in _cases()]
+                for argv, stdin in (reversed(cases) if reverse else cases)]
     finally:
         os.chdir(saved[0])
         if saved[1] is None:

@@ -1061,14 +1061,19 @@ class TestJsonStream:
 # int() reads the first three, and the fourth has more digits than it reads;
 # an integer argument refuses each with exit 2
 BAD_INTS = ["+3", "1_0", "\u0663", "9" * 4301]
+# the most digits int() reads: accepted, and shown abridged in any message
+LONG_INT = "9" * 4300
 
 
 def fuzz_value(rng, action, flag, files):
     if action.choices is not None:
         return rng.choice(list(action.choices))
     if action.type is cli._int_arg:
-        if rng.random() < 0.1:
+        draw = rng.random()
+        if draw < 0.1:
             return rng.choice(BAD_INTS)
+        if draw < 0.15:
+            return LONG_INT
         low = 1 if rng.random() < 0.8 else -2
         return str(rng.randint(low, 7))
     if flag is not None:  # --crosscheck FILE
@@ -1112,11 +1117,12 @@ def test_fuzzed_argv_keep_the_exit_contract(capsys, tmp_path):
     files = [str(good), str(tmp_path / "missing.csv"), str(tmp_path)]
     parser = build_parser()
     rng = random.Random(7)
-    bad_ints = 0
+    bad_ints = long_ints = 0
     for _ in range(300):
         argv = fuzz_argv(rng, parser, files)
         bad = any(a in BAD_INTS for a in argv)
         bad_ints += bad
+        long_ints += LONG_INT in argv
         if rng.random() < 0.05:
             argv.insert(rng.randint(1, len(argv)), rng.choice(["--bogus", "x", "-1"]))
         try:
@@ -1130,17 +1136,45 @@ def test_fuzzed_argv_keep_the_exit_contract(capsys, tmp_path):
         # the crosscheck file is correct, so nothing reports a failure
         assert code in ((2,) if bad else (0, 2, 3)), argv
         assert "Traceback" not in err, argv
-    assert bad_ints >= 10
+        # a 4300-digit argument is echoed abridged, and never meets str()'s
+        # own digit limit
+        assert len(err.encode()) < 400 and "Exceeds the limit" not in err, argv
+    assert bad_ints >= 10 and long_ints >= 10
 
 
-def test_cli_output_matches_the_corpus(tmp_path):
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    for argv in (["weight", "1 3 2"], ["tree", "2 1"], ["eulerian", "4", "--q"], ["wd", "2"],
+                 ["tnk", "5", "2"], ["verify", "stems", "--n", "5", "--d", "2"],
+                 ["verify", "stabilization", "--d", "1", "--output", "json"]):
+        assert main(argv) == 0, argv
+    with pytest.raises(SystemExit):  # an argparse refusal keeps the parser too
+        main(["eulerian", "+3"])
+    assert main(["weight", "2 1 3", "--output", "json"]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+    # importing the module builds none: a fresh process pays for it once
+    script = "import maxmintrees.cli as c; print(c._parser.cache_info().currsize)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.stdout == "0\n", proc.stderr
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["file-order", "reverse-order"])
+def test_cli_output_matches_the_corpus(tmp_path, reverse):
     """Every case of tests/cli_corpus.py gives the bytes its committed line
-    pins; rewrite the file with PYTHONPATH=src python tests/cli_corpus.py --write."""
+    pins; rewrite the file with PYTHONPATH=src python tests/cli_corpus.py --write.
+    The cases also run in reverse, so that no case's output depends on
+    what the parser that main shares kept from the cases before it."""
 
     def by_case(lines):
         return {case: digest for digest, case in (line.split(" ", 1) for line in lines)}
 
     committed = by_case(CORPUS.read_text().splitlines())
-    ran = by_case(corpus_lines(tmp_path))
+    ran = by_case(corpus_lines(tmp_path, reverse))
     moved = [case for case in {**committed, **ran} if committed.get(case) != ran.get(case)]
     assert not moved, f"{len(moved)} cases moved:\n" + "\n".join(moved)
