@@ -4,11 +4,11 @@ two-kind partition triangle.
 
 The library builds the max-weight maxmin tree and the minimum
 decomposition tree of a permutation, computes the permutation weight by
-five mutually checking routes, counts the symmetric group by (descents,
-weight) into the q-Eulerian polynomials, extracts their stabilized
-coefficient series, and verifies the correspondence between
-near-maximal-weight permutations and the two-kind partition counts
-T(n, k) (OEIS A256193).
+four routes that the tests hold equal to the defining recursion, counts
+the symmetric group by (descents, weight) into the q-Eulerian
+polynomials, extracts their stabilized coefficient series, and verifies
+the correspondence between near-maximal-weight permutations and the
+two-kind partition counts T(n, k) (OEIS A256193).
 
 The library returns values, never text: ``build_min_decomp`` returns the
 minimum decomposition as its parent tuple, ``q_eulerian`` returns a
@@ -17,8 +17,9 @@ read-only mapping (descents, weight) -> count, and every output format
 
 The public contract is ``__all__``: the names the command line calls and
 the ones README.md documents.  The building blocks behind them (the block
-split, the descent helpers, the stems, the partition enumeration, the
-test oracles) stay importable from their submodules.
+split, the stems, the partition enumeration) stay importable from their
+submodules; the definitional routes that only the tests call live in
+tests/oracles.py.
 """
 
 __version__ = "0.1.0"
@@ -45,7 +46,6 @@ from .perms import parse_permutation
 from .trees import (
     MaxminTree,
     build_max_weight_tree,
-    weight_recursive,
     weight_via_descent_sums,
 )
 from .weights import descents_and_weight, range_details, weight_accelerated
@@ -73,7 +73,6 @@ __all__ = [
     "t_triangle",
     "wd_series",
     "weight_accelerated",
-    "weight_recursive",
     "weight_via_descent_sums",
     "weight_via_leaves",
 ]

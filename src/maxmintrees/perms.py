@@ -163,28 +163,6 @@ def parse_permutation(text: str) -> Permutation:
     return validate_permutation(values)
 
 
-def descent_positions(p: Sequence[int]) -> tuple[int, ...]:
-    """
-    All descent positions of p, ascending.
-
-    >>> descent_positions((1, 2, 3))
-    ()
-    >>> descent_positions((3, 2, 1))
-    (1, 2)
-    """
-    return tuple(i for i in range(1, len(p)) if p[i - 1] > p[i])
-
-
-def descent_count(p: Sequence[int]) -> int:
-    """Number of descents of p."""
-    return len(descent_positions(p))
-
-
-def descent_values(p: Sequence[int]) -> frozenset[int]:
-    """The labels sitting at descent positions of p."""
-    return frozenset(p[i - 1] for i in descent_positions(p))
-
-
 def extend(p: Sequence[int]) -> ExtendedPermutation:
     """
     The sentinel-extended word of p: n+2, then p, then n+1, then 0.

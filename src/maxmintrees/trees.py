@@ -1,6 +1,6 @@
 """
-Maxmin trees: construction from a permutation and the definitional weight
-computations.
+Maxmin trees: construction from a permutation, subtrees, and the weight
+as descent sums.
 
 A maxmin tree is a labeled tree in which every node is a strict local
 maximum (greater than all of its neighbors) or a strict local minimum.
@@ -19,10 +19,12 @@ built by recursive block decomposition of the extended word:
 ``min_decomp_parents`` runs this split once and returns the minimum
 decomposition: each block's minimum hangs under its segment's minimum.
 The labels under a node v are exactly v's block, so the max-weight tree
-joins each node's parent to the largest label under it.  The weight
-functions here are the slow, trusted references that the faster algorithms
-in :mod:`maxmintrees.weights` and :mod:`maxmintrees.mindecomp` are checked
-against.
+joins each node's parent to the largest label under it.
+``weight_via_descent_sums`` reads the weight off the subtrees of that tree;
+like ``subtree``, it is a slow route that the linear ones in
+:mod:`maxmintrees.weights` and :mod:`maxmintrees.mindecomp` are held to.
+The weight by the defining recursion, the maxmin test and the count of
+local maxima are test oracles, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -38,9 +40,8 @@ class MaxminTree:
 
     Edges are stored canonically: (a, b) with a < b, sorted
     lexicographically; neighbor lists are sorted ascending.  The
-    constructor enforces tree-ness (connected, acyclic); whether the
-    labeling is maxmin is a property of the labels and is checked
-    separately by :func:`is_maxmin`.
+    constructor enforces tree-ness (connected, acyclic), not that the
+    labeling is maxmin, which is a property of the labels.
     """
 
     __slots__ = ("node_count", "edges", "_neighbors")
@@ -170,29 +171,10 @@ def build_max_weight_tree(p: Permutation) -> MaxminTree:
     return MaxminTree(len(p) + 1, edges)
 
 
-def is_maxmin(t: MaxminTree) -> bool:
-    """True when every node of t is a strict local max or strict local min."""
-    for v in range(1, t.node_count + 1):
-        ns = t.neighbors[v]
-        if ns and not (ns[0] > v or ns[-1] < v):
-            return False
-    return True
-
-
 def _local_maxima(members: Iterable[int], neighbors: Sequence[Sequence[int]]) -> list[int]:
     """Local maxima of the induced subtree on ``members``."""
     s = set(members)
     return [v for v in s if all(u < v for u in neighbors[v] if u in s)]
-
-
-def tree_descents(t: MaxminTree) -> int:
-    """
-    Number of local maxima of t.
-
-    For the tree of a permutation p this equals descent_count(p) + 1: the
-    appended node n+1 always tops the tree.
-    """
-    return len(_local_maxima(range(1, t.node_count + 1), t.neighbors))
 
 
 def subtree(t: MaxminTree, i: int) -> frozenset[int]:
@@ -213,40 +195,6 @@ def subtree(t: MaxminTree, i: int) -> frozenset[int]:
                 comp.add(u)
                 stack.append(u)
     return frozenset(comp)
-
-
-def weight_recursive(t: MaxminTree) -> int:
-    """
-    The weight of a maxmin tree, by the defining recursion.
-
-    Delete the minimal node m; for each resulting component, count the
-    local maxima smaller than the node that was attached to m, and add the
-    component's own weight.  A single node weighs 0.  The weight is a sum
-    over components, so they wait on a work stack instead of the call
-    stack, and words of any length fit.
-    """
-    neighbors = t.neighbors
-    total = 0
-    work = [set(range(1, t.node_count + 1))]
-    while work:
-        rest = work.pop()
-        m = min(rest)
-        rest.discard(m)
-        for u in neighbors[m]:
-            if u not in rest:
-                continue
-            comp = {u}
-            stack = [u]
-            while stack:
-                for y in neighbors[stack.pop()]:
-                    if y in rest and y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            rest -= comp
-            total += sum(1 for v in _local_maxima(comp, neighbors) if v < u)
-            if len(comp) > 1:
-                work.append(comp)
-    return total
 
 
 def weight_via_descent_sums(t: MaxminTree) -> int:

@@ -1,10 +1,13 @@
 """
-Permutation words shared by the word-level tests: every permutation of
-1..n, a seeded shuffle, and runs of alternating direction.
+Permutation words shared by the word-level tests: the paper's example,
+every permutation of 1..n, a seeded shuffle, and runs of alternating
+direction.
 """
 
 import itertools
 import random
+
+EXAMPLE_15 = (1, 12, 15, 9, 10, 5, 7, 11, 6, 4, 13, 3, 8, 2, 14)
 
 
 def all_perms(n):

@@ -5,13 +5,11 @@ the lines as they complete.  The polynomial criteria share the cache of
 q_eulerian, so the suite computes each order only once.
 """
 
-import itertools
 import math
 import random
 import time
 from contextlib import contextmanager
 
-import children_reference as ref
 from expected_values import (
     E3,
     E4,
@@ -39,16 +37,11 @@ from maxmintrees.eulerian import (
     stabilization_values,
     wd_series,
 )
-from maxmintrees.mindecomp import build_min_decomp, leaves, weight_via_leaves
+from maxmintrees.mindecomp import build_min_decomp, weight_via_leaves
 from maxmintrees.partitions import enumerate_partitions, t_nk, t_nk_contributions, t_triangle
-from maxmintrees.perms import descent_count, descent_values
-from maxmintrees.trees import (
-    build_max_weight_tree,
-    subtree,
-    weight_recursive,
-    weight_via_descent_sums,
-)
+from maxmintrees.trees import build_max_weight_tree, weight_via_descent_sums
 from maxmintrees.weights import descents_and_weight, weight_accelerated
+from oracles import ORDERS, faults, walk, weight_recursive
 
 
 @contextmanager
@@ -163,17 +156,9 @@ def test_07_stem_machinery():
 def test_08_algorithm_agreement():
     with criterion(8, "five weight routes agree on S_8 and on 1000 long inputs"):
         t0 = time.perf_counter()
-        checked = 0
-        for p in itertools.permutations(range(1, 9)):
-            t = build_max_weight_tree(p)
-            a = weight_recursive(t)
-            b = weight_via_descent_sums(t)
-            c = weight_accelerated(p)
-            d = weight_via_leaves(build_min_decomp(p))
-            e = descents_and_weight(p)[1]
-            assert a == b == c == d == e, p
-            checked += 1
-        assert checked == 40320
+        # the walk of S_1..S_8 runs the five routes on every permutation
+        assert faults("weight routes") == []
+        assert len(walk(8)) == 40320
         rng = random.Random(20240803)
         for _ in range(1000):
             p = shuffled(200, rng)
@@ -213,45 +198,20 @@ def test_09_performance():
 def test_10_structural_properties():
     with criterion(10, "decomposition structure on every order through 8"):
         t0 = time.perf_counter()
-        for n in range(1, 9):
-            top = n + 1
-            seen_parents = set()
-            max_weight_by_d = {}
-            for p in itertools.permutations(range(1, n + 1)):
-                md = build_min_decomp(p)
-                seen_parents.add(md)
-                kids = ref.children(md)
-                tips = leaves(md)
-                stem = frozenset(range(1, top + 1)) - tips
-                # leaves are the descent values plus the appended node
-                assert tips == descent_values(p) | {top}, p
-                # max-weight subtrees equal decomposition descendants
-                mx = build_max_weight_tree(p)
-                for v in range(1, top + 1):
-                    assert ref.descendants(kids, v) | {v} == subtree(mx, v), (p, v)
-                w = weight_via_leaves(md)
-                d = descent_count(p)
-                if w > max_weight_by_d.get(d, -1):
-                    max_weight_by_d[d] = w
-                # moving a leaf up one stem level sheds exactly one unit
-                for leaf in tips:
-                    parent = md[leaf]
-                    if parent == 1 or len(kids[parent]) < 2:
-                        continue
-                    moved = list(md)
-                    moved[leaf] = md[parent]
-                    assert weight_via_leaves(moved) == w - 1, (p, leaf)
-                # near-max-weight decompositions have path-shaped stems
-                if d >= 1 and stable_region(n, d) and w == (n - d - 1) * (d - 1):
-                    stem_kids = [
-                        sum(1 for c in kids[v] if c in stem) for v in stem
-                    ]
-                    assert max(stem_kids) <= 1 and sum(stem_kids) == len(stem) - 1, p
+        # on every permutation of the walk: leaves are the descent values
+        # plus the appended node; max-weight subtrees equal decomposition
+        # descendants; moving a leaf up one stem level sheds exactly one
+        # unit; near-max-weight decompositions have path-shaped stems
+        for check in ("leaves", "subtrees", "moved leaf", "path stems"):
+            assert faults(check) == [], check
+        for n in ORDERS:
             # distinct permutations give distinct decompositions
-            assert len(seen_parents) == math.factorial(n)
+            assert len({word.parent for word in walk(n)}) == math.factorial(n)
             # the heaviest permutation with d descents weighs d(n-d-1)
-            for d in range(n):
-                assert max_weight_by_d[d] == maxwt(n, d), (n, d)
+            heaviest = {}
+            for word in walk(n):
+                heaviest[word.descents] = max(heaviest.get(word.descents, 0), word.weight)
+            assert heaviest == {d: maxwt(n, d) for d in range(n)}, n
         # the same maximum holds at order 9, read off the cached polynomial
         poly9 = q_eulerian(9)
         for d in range(1, 8):

@@ -3,10 +3,10 @@ A census of every maxmin tree on up to 7 nodes, by brute force.
 
 Every labelled tree on m nodes comes from one Prüfer code; the maxmin ones
 are counted against Postnikov's formula and given a minimum decomposition
-by a union-find kept here, independent of the block split.  Grouping the
-trees by that decomposition gives one fiber per permutation of length
-m - 1, whose size, local maxima, heaviest member and weights are read off
-the permutation's own minimum decomposition.  These are checked results,
+by the union-find of tests/oracles.py, independent of the block split.
+Grouping the trees by that decomposition gives one fiber per permutation
+of length m - 1, whose size, local maxima, heaviest member and weights are
+read off the permutation's own minimum decomposition.  These are checked results,
 not theorems: they hold through 7 nodes.
 """
 
@@ -18,15 +18,9 @@ from functools import lru_cache
 import pytest
 
 from maxmintrees.mindecomp import _leaf_counts, build_min_decomp
-from maxmintrees.perms import descent_count
-from maxmintrees.trees import (
-    MaxminTree,
-    build_max_weight_tree,
-    is_maxmin,
-    tree_descents,
-    weight_recursive,
-)
+from maxmintrees.trees import MaxminTree, build_max_weight_tree
 from maxmintrees.weights import weight_accelerated
+from oracles import descent_count, is_maxmin, min_decomp_of_tree, tree_descents, weight_recursive
 
 MAX_NODES = 7
 
@@ -54,30 +48,6 @@ def prufer_tree(code, m):
     if len(last) == 2:
         edges.append(tuple(last))
     return MaxminTree(m, edges)
-
-
-def min_decomp_of_tree(t):
-    """
-    The minimum decomposition of any tree, by union-find: add the labels
-    in descending order, and hang the minimum of each larger neighbour's
-    component under the new label, which becomes its component's minimum.
-    """
-    m = t.node_count
-    comp = list(range(m + 1))
-
-    def find(u):
-        while comp[u] != u:
-            comp[u] = u = comp[comp[u]]
-        return u
-
-    parent = [0] * (m + 1)
-    for v in range(m, 0, -1):
-        for u in t.neighbors[v]:
-            if u > v:
-                low = find(u)  # each component is represented by its minimum
-                parent[low] = v
-                comp[low] = v
-    return tuple(parent)
 
 
 def q_product(lengths):

@@ -18,8 +18,8 @@ from maxmintrees.cli import main
 from maxmintrees.eulerian import q_eulerian, wd_series
 from maxmintrees.mindecomp import build_min_decomp, leaves
 from maxmintrees.partitions import enumerate_partitions, t_nk
-from maxmintrees.perms import descent_count
 from maxmintrees.weights import descents_and_weight, weight_accelerated
+from oracles import descent_count
 
 
 class TestRegions:

@@ -22,11 +22,11 @@ import maxmintrees.weights as weights
 from maxmintrees.cli import build_parser, main
 from maxmintrees.mindecomp import build_min_decomp
 from maxmintrees.partitions import t_triangle
-from maxmintrees.perms import descent_values
 from maxmintrees.weights import descents_and_weight
 
 from cli_corpus import CORPUS, corpus_lines
 from expected_values import triangle_csv
+from oracles import descent_values
 
 EXAMPLE_15_TEXT = "1 12 15 9 10 5 7 11 6 4 13 3 8 2 14"
 
@@ -1172,7 +1172,9 @@ def test_cli_output_matches_the_corpus(tmp_path, reverse):
     what the parser that main shares kept from the cases before it."""
 
     def by_case(lines):
-        return {case: digest for digest, case in (line.split(" ", 1) for line in lines)}
+        cases = {case: digest for digest, case in (line.split(" ", 1) for line in lines)}
+        assert len(cases) == len(lines), "a case is listed twice"
+        return cases
 
     committed = by_case(CORPUS.read_text().splitlines())
     ran = by_case(corpus_lines(tmp_path, reverse))

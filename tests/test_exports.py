@@ -30,7 +30,6 @@ PUBLIC = [
     "t_triangle",
     "wd_series",
     "weight_accelerated",
-    "weight_recursive",
     "weight_via_descent_sums",
     "weight_via_leaves",
 ]
@@ -69,6 +68,38 @@ def test_every_export_is_reached_by_the_cli_or_the_readme():
         if name not in cli_imports and not re.search(rf"\b{name}\b", readme)
     ]
     assert unreached == []
+
+
+def _names(node, in_package):
+    """The names that node reads.  In the package: plain names, attributes
+    and imports.  In perfbench, which reaches the package from outside:
+    imports, attributes and dotted strings such as the traced
+    "trees.decompose_blocks"."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.Name) and in_package:
+            yield sub.id
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and not in_package:
+            yield from re.findall(r"\b[a-z]+\.(\w+)", sub.value)
+
+
+def test_every_public_function_is_read_outside_the_tests():
+    # a function that only the tests call belongs in tests/oracles.py; its
+    # readers are the package (outside the function itself), README.md and
+    # perfbench
+    defined = {}
+    read = set(re.findall(r"\w+", README.read_text(encoding="utf-8")))
+    package = sorted((ROOT / "src" / "maxmintrees").glob("*.py"))
+    for path in package + sorted((ROOT / "perfbench").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(stmt, "name", None)
+            if path in package and isinstance(stmt, ast.FunctionDef) and own[0] != "_":
+                defined[own] = path.name
+            read |= set(_names(stmt, path in package)) - {own}
+    assert {name: module for name, module in defined.items() if name not in read} == {}
 
 
 def test_no_assert_in_the_package():

@@ -4,21 +4,26 @@ import random
 import pytest
 
 from maxmintrees.mindecomp import build_min_decomp
-from maxmintrees.perms import descent_count, extend
+from maxmintrees.perms import extend
 from maxmintrees.trees import (
     MaxminTree,
     build_max_weight_tree,
     decompose_blocks,
-    is_maxmin,
     subtree,
-    tree_descents,
-    weight_recursive,
     weight_via_descent_sums,
 )
 from maxmintrees.weights import weight_accelerated
-from sample_words import all_perms, shuffled, zigzag
-
-EXAMPLE_15 = (1, 12, 15, 9, 10, 5, 7, 11, 6, 4, 13, 3, 8, 2, 14)
+from oracles import (
+    ORDERS,
+    descent_count,
+    is_maxmin,
+    reference_blocks,
+    reference_trees,
+    tree_descents,
+    walk,
+    weight_recursive,
+)
+from sample_words import EXAMPLE_15, shuffled, zigzag
 
 
 # ---------------------------------------------------------------- oracles
@@ -66,40 +71,7 @@ def oracle_all_construction_trees(p):
         yield MaxminTree(n + 1, edges)
 
 
-def reference_blocks(seg):
-    """The left part of seg cut by repeated maxima, then the right part."""
-    i = seg.index(min(seg))
-    left, blocks = seg[:i], []
-    while left:
-        j = left.index(max(left)) + 1
-        blocks.append(left[:j])
-        left = left[j:]
-    if seg[i + 1 :]:
-        blocks.append(seg[i + 1 :])
-    return blocks
-
-
-def reference_trees(p):
-    """
-    (max-weight edges, min-decomposition parents) by recursion on letter
-    slices: each segment minimum joins the max and the min of every block.
-    """
-    edges, parent = set(), [0] * (len(p) + 2)
-    stack = [p + (len(p) + 1,)]  # an explicit stack: words nest 2000 deep
-    while stack:
-        seg = stack.pop()
-        m = min(seg)
-        for block in reference_blocks(seg):
-            edges.add((m, max(block)))
-            parent[min(block)] = m
-            if len(block) > 1:
-                stack.append(block)
-    return tuple(sorted(edges)), tuple(parent)
-
-
-def walk_words():
-    for n in range(1, 9):
-        yield from all_perms(n)
+def long_words():
     rng = random.Random(11)
     for _ in range(300):
         word = list(range(1, rng.randint(1, 400) + 1))
@@ -137,24 +109,10 @@ class TestDecompose:
         # values "3 2": the minimum ends the segment, so no block follows it
         assert decompose_blocks(ext, (1, 2)) == (2, [(1, 1)])
 
-    def test_block_max_at_right_everywhere(self):
-        # the invariant the construction relies on, checked explicitly
-        for n in range(1, 7):
-            for p in all_perms(n):
-                ext = extend(p)
-                stack = [(1, n + 1)]
-                while stack:
-                    lo, hi = stack.pop()
-                    if lo == hi:
-                        continue
-                    _, blocks = decompose_blocks(ext, (lo, hi))
-                    for a, b in blocks:
-                        assert ext[b] == max(ext[a : b + 1])
-                        stack.append((a, b))
-
     def test_every_segment_matches_repeated_max(self):
+        # every segment, not only the split's: quadratic per word, so S_7
         for n in range(1, 8):
-            for p in all_perms(n):
+            for p, *_ in walk(n):
                 ext = extend(p)
                 for lo in range(1, n + 2):
                     for hi in range(lo, n + 2):
@@ -189,39 +147,31 @@ class TestBuild:
         t = build_max_weight_tree((1, 2, 3, 4))
         assert t.edges == ((1, 5), (2, 5), (3, 5), (4, 5))
 
-    def test_always_maxmin_with_one_extra_descent(self):
-        for n in range(1, 8):
-            for p in all_perms(n):
-                t = build_max_weight_tree(p)
-                assert is_maxmin(t)
-                assert tree_descents(t) == descent_count(p) + 1
-
     def test_heaviest_among_construction_choices(self):
         # connecting each block at its maximum attains the maximum weight
+        # (the walk's "weight routes" check holds the built tree to it)
         for n in range(1, 6):
-            for p in all_perms(n):
-                built = build_max_weight_tree(p)
-                w = weight_recursive(built)
+            for word in walk(n):
                 alternatives = [
                     weight_recursive(t)
-                    for t in oracle_all_construction_trees(p)
+                    for t in oracle_all_construction_trees(word.p)
                     if is_maxmin(t)
                 ]
-                assert w == max(alternatives), p
+                assert word.weight == max(alternatives), word.p
 
     def test_both_trees_match_the_slice_recursion(self):
-        for p in walk_words():
+        # S_1..S_8 are the walk's "slice recursion" check
+        for p in long_words():
             edges, parent = reference_trees(p)
             assert build_max_weight_tree(p).edges == edges, p[:20]
             assert build_min_decomp(p) == parent, p[:20]
 
     def test_neighbors_ascend(self):
-        # is_maxmin reads the first and last neighbor as the extremes
-        words = [p for n in range(1, 8) for p in all_perms(n)] + [shuffled(500, 5)]
-        for p in words:
-            t = build_max_weight_tree(p)
-            assert all(list(ns) == sorted(ns) for ns in t.neighbors), p[:20]
-            assert MaxminTree(t.node_count, reversed(t.edges)).neighbors == t.neighbors
+        # is_maxmin reads the first and last neighbor as the extremes; S_1..S_8
+        # are the walk's "neighbors" check
+        t = build_max_weight_tree(shuffled(500, 5))
+        assert all(list(ns) == sorted(ns) for ns in t.neighbors)
+        assert MaxminTree(t.node_count, reversed(t.edges)).neighbors == t.neighbors
 
     def test_rejects_non_tree(self):
         for node_count in (0, -1):
@@ -338,22 +288,16 @@ class TestWeights:
         t = build_max_weight_tree((2, 1, 3))
         assert weight_via_descent_sums(t) == 0
 
-    def test_routes_agree_exhaustively(self):
-        for n in range(1, 8):
-            for p in all_perms(n):
-                t = build_max_weight_tree(p)
-                assert weight_recursive(t) == weight_via_descent_sums(t), p
-
     def test_recursion_fits_long_words(self):
         # components nest 1000 deep here: too deep for one call per component
         for p in [tuple(range(1, 1001)), zigzag(1000), shuffled(1000, 3)]:
             assert weight_recursive(build_max_weight_tree(p)) == weight_accelerated(p)
 
     def test_weight_bound(self):
-        for n in range(1, 8):
-            for p in all_perms(n):
-                d = descent_count(p)
-                assert weight_recursive(build_max_weight_tree(p)) <= d * (n - d - 1)
+        for n in ORDERS:
+            for word in walk(n):
+                d = word.descents
+                assert word.weight <= d * (n - d - 1), word.p
 
 
 # -------------------------------------------------------------- interfaces
