@@ -122,6 +122,7 @@ def _cases():
     outputs = ("text", "json", "csv")
     for n, q, output in product((-1, 0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 26, 1001), (0, 1), outputs):
         yield ["eulerian", str(n), *["--q"][:q], "--output", output], None
+    yield ["eulerian", "25", "--q", "--output", "json"], None  # the order limit, whole
     for d, terms, output in product((-1, 0, 1, 2, 3, 5), (None, -1, 0, 1, 3, 6), outputs):
         yield ["wd", str(d), *([] if terms is None else ["--terms", str(terms)]),
                "--output", output], None
