@@ -28,19 +28,23 @@ minimum decomposition tree has d+1 leaves, the d descent values and n+1,
 while weight + n is the sum, over its stem nodes, of the leaves under
 each (``mindecomp``).  Let a_m(x, q) count the words on m letters that
 end in their maximum by x^(leaves) q^(stem leaf sum); then the
-q-Eulerian polynomial E_n has [x^d q^w] E_n = [x^(d+1) q^(w+n)] a_(n+1).  One letter is one leaf:
-a_1 = x.  A longer word splits at its minimum into left . min . right.
-The right part is one block, and it holds the maximum.  The left part
-cuts into blocks that end at their own maxima, and every set of such
-words on disjoint letters is cut from exactly one left part, the one that
-lists them by decreasing maximum.  The minimum is a stem node with every
-leaf under it, so it turns each block's x^l into (xq)^l: a block of j
-letters counts as b_j = a_j(xq, q).  With e_k the count of sets of blocks
-on k letters, e_0 = 1, and the block that holds the largest of k+1
-letters has j+1 of them: e_(k+1) = sum_j C(k, j) b_(j+1) e_(k-j).  In a
-word of k+2 letters the minimum and the maximum are placed, and the other
-k letters go j to the set and k-j to the right block:
-a_(k+2) = sum_j C(k, j) e_j b_(k+1-j).
+q-Eulerian polynomial E_n has [x^d q^w] E_n = [x^(d+1) q^(w+n)] a_(n+1).
+One letter is one leaf: a_1 = x.  A longer word splits at its minimum
+into left . min . right.  The left part cuts into blocks that end at
+their own maxima, and every set of such words on disjoint letters is cut
+from exactly one left part, the one that lists them by decreasing
+maximum.  The right part ends in the word's maximum, so it is one more
+such block, the one that holds the maximum: a word on k+2 letters that
+ends in its maximum is its minimum placed over a set of blocks on the
+other k+1 letters, and each set gives one word.  The minimum is a stem
+node with every leaf under it, so it turns each block's x^l into
+(xq)^l: a block of j+1 letters counts as b_j = a_(j+1)(xq, q).  With e_k
+the count of sets of blocks on k letters below the minimum, e_0 = 1, and
+the block that holds the largest of k+1 letters has j+1 of them:
+e_(k+1) = sum_j C(k, j) b_j e_(k-j).  By the block argument
+a_(k+2) = e_(k+1), so one sequence carries the recurrence: b_0 = xq,
+b_j = e_j(xq, q) for j >= 1, and [x^d q^w] E_n = [x^(d+1) q^(w+n)] e_n,
+one product sum per order.
 
 One recurrence run to order n holds every order 1..n, and ``q_eulerian``
 caches them all, so a sweep that asks for its largest order first runs
@@ -51,10 +55,10 @@ calls: one lexicographic walk of S_n with one call of the weights kernel
 per permutation, which the tests hold the recurrence equal to through
 order 9.
 Every order above ``MAX_Q_ORDER`` is refused with ``LimitExceeded``: on
-2 cores, Python 3.11.7, the recurrence took 0.8-0.9 ms at order 9,
-1.0-1.7 s at order 25 and 6.0 s at order 30; in-process, the sweeps
-``verify bijection --n-max 25``, ``wd 1 --terms 24`` and
-``verify stabilization --d 1 --n-max 25`` took 1.6-1.8, 1.2-1.4 and 1.0 s.
+2 cores (os.cpu_count() = 2), Python 3.11.7, the recurrence took a
+median 0.28 ms at order 9, 0.43 s at order 25 and 2.0 s at order 30;
+in-process, the sweeps ``verify bijection --n-max 25``, ``wd 1 --terms 24``
+and ``verify stabilization --d 1 --n-max 25`` took 0.66, 0.42 and 0.41 s.
 """
 
 from __future__ import annotations
@@ -68,8 +72,9 @@ from types import MappingProxyType
 from .perms import abridged_int
 from .weights import descents_and_weight
 
-# the largest order of q_eulerian, wd_series and stabilization_values, where
-# the recurrence takes seconds (timings in the module docstring)
+# the largest order of q_eulerian, wd_series and stabilization_values; the
+# recurrence takes 0.43 s there and 2.0 s at order 30, on 2 cores with
+# Python 3.11.7 (timings in the module docstring)
 MAX_Q_ORDER = 25
 
 # the smallest order that starts a recurrence run; an order below it that
@@ -136,29 +141,30 @@ def _recurrence(n: int) -> list[dict[tuple[int, int], int]]:
     the minimum-decomposition recurrence of the module docstring, with
     polynomials in x and q as dicts (x-degree, q-degree) -> coefficient:
 
-        a_1 = x,  b_j = a_j(xq, q),  e_0 = 1,
-        e_(k+1) = sum_j C(k, j) b_(j+1) e_(k-j),
-        a_(k+2) = sum_j C(k, j) e_j b_(k+1-j),
-        [x^d q^w] E_n = [x^(d+1) q^(w+n)] a_(n+1).
+        e_0 = 1,  b_0 = xq,  b_j = e_j(xq, q),
+        e_(k+1) = sum_j C(k, j) b_j e_(k-j),
+        [x^d q^w] E_n = [x^(d+1) q^(w+n)] e_n.
 
-    a_j counts the words on j letters that end in their maximum by the
+    a_m counts the words on m letters that end in their maximum by the
     leaves (x) and the leaf sum over the stem nodes (q) of their minimum
-    decomposition, b_j counts such a word below a new minimum, and e_k
-    counts the sets of such words on k letters.  One run to order n passes
-    through a_2, ..., a_(n+1), so it returns every order up to n.
+    decomposition, and b_j = a_(j+1)(xq, q) counts such a word on j+1
+    letters below a new minimum.  e_k counts the sets of such words on k
+    letters below one new minimum: for k >= 1 the minimum and the set make
+    one word on k+1 letters, so e_k = a_(k+1), and a_1 = x gives b_0.  One
+    run to order n makes e_1, ..., e_n, one product sum each, so it
+    returns every order up to n.
 
     >>> _recurrence(3)[2] == {(0, 0): 1, (1, 1): 1, (1, 0): 3, (2, 0): 1}
     True
     """
-    b = [{}, {(1, 1): 1}]  # b_0 is never read
+    b = [{(1, 1): 1}]  # b_0 = a_1(xq, q)
     e = [{(0, 0): 1}]
     orders = []
     for k in range(n):
-        if k:
-            e.append(_products((comb(k - 1, j), b[j + 1], e[k - 1 - j]) for j in range(k)))
-        a = _products((comb(k, j), e[j], b[k + 1 - j]) for j in range(k + 1))
-        b.append({(x, q + x): c for (x, q), c in a.items()})
-        orders.append({(x - 1, q - k - 1): c for (x, q), c in a.items()})
+        e_next = _products((comb(k, j), b[j], e[k - j]) for j in range(k + 1))
+        e.append(e_next)
+        b.append({(x, q + x): c for (x, q), c in e_next.items()})
+        orders.append({(x - 1, q - k - 1): c for (x, q), c in e_next.items()})
     return orders
 
 

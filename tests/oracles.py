@@ -171,16 +171,22 @@ def block_segments(p: Sequence[int]) -> list[tuple[int, int]]:
     return sorted(segments)
 
 
-def subtree_rows(p: Sequence[int], t: MaxminTree) -> list[dict]:
+def all_subtrees(t: MaxminTree) -> list[frozenset[int]]:
+    """subtree(t, v) for every label v, indexed by label (0 holds the empty set)."""
+    return [frozenset()] + [subtree(t, v) for v in range(1, t.node_count + 1)]
+
+
+def subtree_rows(p: Sequence[int], subtrees: Sequence[frozenset[int]]) -> list[dict]:
     """range_details rows built from the tree definition: the positions of
-    subtree(t, sigma_i) for every non-descent i, t the max-weight tree of p."""
+    subtrees[sigma_i] for every non-descent i, where subtrees is
+    all_subtrees of the max-weight tree of p."""
     ext = extend(p)
     where = {v: k for k, v in enumerate(ext)}
     rows = []
     for i in range(1, len(p) + 1):
         if ext[i] > ext[i + 1]:
             continue
-        spots = sorted(where[v] for v in subtree(t, ext[i]))
+        spots = sorted(where[v] for v in subtrees[ext[i]])
         lo, hi = spots[0], spots[-1]
         assert hi - lo + 1 == len(spots), (p, i)  # a subtree fills a range
         rows.append({
@@ -276,7 +282,8 @@ def _word(p: tuple[int, ...]) -> Word:
     tips = leaves(parent)
     stem = frozenset(range(1, n + 2)) - tips
     d, w = descents_and_weight(p)
-    rows, tree_rows = range_details(p), subtree_rows(p, t)
+    subtrees = all_subtrees(t)  # once per label, for the range rows and the subtrees check
+    rows, tree_rows = range_details(p), subtree_rows(p, subtrees)
     ranges = [tuple(r["range"]) for r in rows]
     segments = block_segments(p)
     stem_kids = [sum(c in stem for c in kids[v]) for v in stem]
@@ -300,7 +307,7 @@ def _word(p: tuple[int, ...]) -> Word:
         "block maxima": all(ext[b] == max(ext[a : b + 1]) for a, b in segments),
         "parent tuple": type(parent) is tuple and parent[:2] == (0, 0)
         and all(1 <= parent[v] < v for v in range(2, n + 2)),
-        "subtrees": all(descendants(kids, v) | {v} == subtree(t, v) for v in range(1, n + 2)),
+        "subtrees": all(descendants(kids, v) | {v} == subtrees[v] for v in range(1, n + 2)),
         "leaves": tips == descent_values(p) | {n + 1},
         "moved leaf": all(
             weight_via_leaves(moved_up(parent, leaf)) == w - 1

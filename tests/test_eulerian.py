@@ -158,15 +158,23 @@ class TestRecurrence:
             assert poly == enumerated(n), n
 
     def test_orders_10_to_25(self):
-        # the largest order first: its one recurrence run caches the others
+        # the largest order first: its one recurrence run caches the others;
+        # in the region 2d >= n-1 the coefficient at weight (n-d-1)(d-1) is
+        # T(n-1, d), which the partition route counts with no shared code
         clear_cache()
+        pairs = 0
         try:
             for n in range(MAX_Q_ORDER, 9, -1):
                 poly = q_eulerian(n)
                 assert sum(poly.values()) == math.factorial(n), n
                 assert at_q_one(poly) == eulerian_polynomial(n), n
+                for d in range(1, n):
+                    if 2 * d >= n - 1:
+                        assert poly.get((d, (n - d - 1) * (d - 1)), 0) == t_nk(n - 1, d), (n, d)
+                        pairs += 1
         finally:
             clear_cache()
+        assert pairs == 144
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):

@@ -266,7 +266,9 @@ class TestSlices:
         assert peak / n < 64, f"{peak / n:.1f} bytes per letter"
 
 
-class TestDescents:
+class TestOracleDescentHelpers:
+    """descent_positions, descent_count and descent_values of tests/oracles.py."""
+
     def test_identity_has_none(self):
         assert descent_positions((1, 2, 3)) == ()
 
@@ -322,11 +324,10 @@ class TestExtend:
         assert len(images) == 120
 
 
-def test_single_permutation_ops_scale_to_a_million():
+def test_validate_and_extend_scale_to_a_million():
     n = 10**6
     p = tuple(range(1, n + 1))
-    assert descent_count(p) == 0
-    assert descent_positions(p) == ()
+    assert validate_permutation(p) == p
     ext = extend(p)
     assert len(ext) == n + 3
     assert ext[0] == n + 2 and ext[-2] == n + 1 and ext[-1] == 0

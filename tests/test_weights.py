@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from maxmintrees.perms import extend
 from maxmintrees.trees import build_max_weight_tree
 from maxmintrees.weights import descents_and_weight, range_details, weight_accelerated
-from oracles import descent_count, subtree_rows
+from oracles import all_subtrees, descent_count, subtree_rows
 from sample_words import shuffled, zigzag
 
 
@@ -115,4 +115,5 @@ class TestRangeDetails:
         # the increasing word is the one with the largest subtrees
         words += [tuple(range(1, n + 1)), tuple(range(n, 0, -1)), zigzag(n)]
         for p in words:
-            assert range_details(p) == subtree_rows(p, build_max_weight_tree(p)), p[:20]
+            subtrees = all_subtrees(build_max_weight_tree(p))
+            assert range_details(p) == subtree_rows(p, subtrees), p[:20]
