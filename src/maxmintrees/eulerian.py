@@ -56,25 +56,29 @@ per permutation, which the tests hold the recurrence equal to through
 order 9.
 Every order above ``MAX_Q_ORDER`` is refused with ``LimitExceeded``: on
 2 cores (os.cpu_count() = 2), Python 3.11.7, the recurrence took a
-median 0.28 ms at order 9, 0.43 s at order 25 and 2.0 s at order 30;
+median 0.13 ms at order 9, 0.05 s at order 25 and 0.21 s at order 30;
 in-process, the sweeps ``verify bijection --n-max 25``, ``wd 1 --terms 24``
-and ``verify stabilization --d 1 --n-max 25`` took 0.66, 0.42 and 0.41 s.
+and ``verify stabilization --d 1 --n-max 25`` took 0.33, 0.05 and 0.05 s.
+The limit no longer marks where the run grows slow; it stays because
+raising it turns every refusal above 25 into a result.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from collections.abc import Mapping
 from itertools import permutations as _permutations
-from math import comb
+from math import comb, factorial
 from types import MappingProxyType
 
 from .perms import abridged_int
 from .weights import descents_and_weight
 
 # the largest order of q_eulerian, wd_series and stabilization_values; the
-# recurrence takes 0.43 s there and 2.0 s at order 30, on 2 cores with
-# Python 3.11.7 (timings in the module docstring)
+# recurrence takes 0.05 s there and 0.21 s at order 30, on 2 cores with
+# Python 3.11.7 (the module docstring gives the timings and why the limit
+# stays)
 MAX_Q_ORDER = 25
 
 # the smallest order that starts a recurrence run; an order below it that
@@ -123,23 +127,11 @@ def eulerian_polynomial(n: int) -> list[int]:
     return row
 
 
-def _products(terms) -> dict[tuple[int, int], int]:
-    """Sum of c * f * g over the (c, f, g) terms, polynomials as in ``_recurrence``."""
-    out: dict[tuple[int, int], int] = {}
-    for c, f, g in terms:
-        for (x1, q1), c1 in f.items():
-            c1 *= c
-            for (x2, q2), c2 in g.items():
-                key = (x1 + x2, q1 + q2)
-                out[key] = out.get(key, 0) + c1 * c2
-    return out
-
-
 def _recurrence(n: int) -> list[dict[tuple[int, int], int]]:
     """
     The q-Eulerian polynomials of orders 1..n, each (d, w) -> count, from
-    the minimum-decomposition recurrence of the module docstring, with
-    polynomials in x and q as dicts (x-degree, q-degree) -> coefficient:
+    the minimum-decomposition recurrence of the module docstring, in
+    polynomials of x and q:
 
         e_0 = 1,  b_0 = xq,  b_j = e_j(xq, q),
         e_(k+1) = sum_j C(k, j) b_j e_(k-j),
@@ -154,17 +146,66 @@ def _recurrence(n: int) -> list[dict[tuple[int, int], int]]:
     run to order n makes e_1, ..., e_n, one product sum each, so it
     returns every order up to n.
 
+    Each e_k is a dict x-degree l -> one int that packs the q-coefficients
+    of x^l in slots of ``size`` bytes, slot w for q^w (Kronecker
+    substitution), so one int multiplication multiplies two x-slices.
+    ``size`` is the byte length of n!.  Up to 8 bytes it is rounded up to
+    1, 2, 4 or 8, so that ``memoryview.cast`` unpacks a slice; above that
+    each slot is read with ``int.from_bytes``, as 16-byte slots made
+    order 25 about 1.6 times slower.  No slot carries: every term of the
+    sum is nonnegative, so no coefficient of a product or of a partial
+    sum exceeds the coefficient of e_(k+1) that it adds to, and
+    e_(k+1)(1, 1) = (k+1)! <= n! < 256**size.  b_j needs no dict of its
+    own: its slice l is e_j's shifted up l slots.
+    The terms j and k-j share one product, as C(k, j) = C(k, k-j):
+    C(k, j) e_j[l1] e_(k-j)[l2] adds to x^(l1+l2) times q^l1 + q^l2, or
+    times q^l1 alone when j = k-j.  The terms j = 0, x q e_k, and j = k,
+    b_k, are shifts of e_k.
+
     >>> _recurrence(3)[2] == {(0, 0): 1, (1, 1): 1, (1, 0): 3, (2, 0): 1}
     True
     """
-    b = [{(1, 1): 1}]  # b_0 = a_1(xq, q)
-    e = [{(0, 0): 1}]
+    size = (factorial(n).bit_length() + 7) // 8
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()
+    fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(size)
+    bits = 8 * size
+    e = [{0: 1}]
     orders = []
     for k in range(n):
-        e_next = _products((comb(k, j), b[j], e[k - j]) for j in range(k + 1))
-        e.append(e_next)
-        b.append({(x, q + x): c for (x, q), c in e_next.items()})
-        orders.append({(x - 1, q - k - 1): c for (x, q), c in e_next.items()})
+        if k:
+            out = {l + 1: p << bits for l, p in e[k].items()}  # x q e_k
+            for l, p in e[k].items():  # b_k
+                out[l] = out.get(l, 0) + (p << bits * l)
+        else:
+            out = {1: 1 << bits}  # b_0 e_0 = xq
+        for j in range(1, k // 2 + 1):
+            c = comb(k, j)
+            for l1, p1 in e[j].items():
+                p1 *= c
+                for l2, p2 in e[k - j].items():
+                    p = p1 * p2
+                    p = (p << bits * l1) + (p << bits * l2) if 2 * j < k else p << bits * l1
+                    out[l1 + l2] = out.get(l1 + l2, 0) + p
+        e.append(out)
+        # x^(d+1) q^(w+k+1) in e_(k+1) is x^d q^w in E_(k+1); cast reads
+        # native byte order
+        order = {}
+        for l, p in out.items():
+            p >>= bits * (k + 1)
+            raw = p.to_bytes(-(-p.bit_length() // bits) * size, sys.byteorder)
+            if fmt:
+                counts = memoryview(raw).cast(fmt)
+            else:
+                counts = [
+                    int.from_bytes(raw[i:i + size], sys.byteorder)
+                    for i in range(0, len(raw), size)
+                ]
+            d = l - 1
+            for w, c in enumerate(counts):
+                if c:
+                    order[d, w] = c
+        orders.append(order)
     return orders
 
 

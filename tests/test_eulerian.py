@@ -176,6 +176,20 @@ class TestRecurrence:
             clear_cache()
         assert pairs == 144
 
+    @pytest.mark.parametrize("n", [5, 6, 8, 9, 12, 13, 20, 21, 25])
+    def test_top_order_at_each_slot_width(self, n):
+        # a run packs its coefficients in slots of 1, 2, 4, 8 bytes, or the
+        # byte length of n! from 9 bytes on: the width grows at orders 6,
+        # 9, 13 and 21
+        top = eulerian._recurrence(n)[-1]
+        assert at_q_one(top) == eulerian_polynomial(n)
+        assert sum(top.values()) == math.factorial(n)
+        assert 0 not in top.values()
+
+    def test_runs_on_different_slot_widths_agree(self):
+        assert eulerian._recurrence(21)[:13] == eulerian._recurrence(13)
+        assert eulerian._recurrence(9)[:8] == eulerian._recurrence(8)
+
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
         """The permutations passed to the enumeration's kernel, in order."""
