@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 
-from .eulerian import q_eulerian
+from .eulerian import near_maxwt
 from .partitions import t_nk
 from .perms import abridged_int
 
@@ -162,12 +162,13 @@ def stem_report(n: int, d: int) -> dict:
 def bijection_report(n: int, d: int) -> dict:
     """
     Per-(n, d) verification record: the number of permutations of length n
-    with d descents and weight (n-d-1)(d-1), read off ``q_eulerian``, the
-    stem total and T(n-1, d) from ``stem_report``.  That count, the
-    ``brute_count``, comes from the minimum-decomposition recurrence, which
-    has no stems and no partitions in it, so it stays independent of the
-    other two.  Only an order below 8 read before any recurrence run has
-    cached it, as in a sweep whose largest order is below 8, is enumerated.
+    with d descents and weight (n-d-1)(d-1), the stem total and T(n-1, d)
+    from ``stem_report``.  That count, the ``brute_count``, is read at
+    deficiency n-d-1 off ``near_maxwt``, the minimum-decomposition
+    recurrence cut by deficiency, at every n; it has no stems and no
+    partitions in it, so it stays independent of the other two, and it
+    enumerates nothing.  A sweep makes one cut run that covers every pair
+    first, and each report reads it from the cache.
     The record passes when that count equals the stem total and
     ``stem_report`` is ok: each stem's partition sums to n-1, has at least
     d parts and C(its part count, d) equals the stem's count; no two stems
@@ -178,7 +179,7 @@ def bijection_report(n: int, d: int) -> dict:
     """
     _check_descents(n, d)
     w = target_weight(n, d)
-    brute = q_eulerian(n).get((d, w), 0)
+    brute = near_maxwt(n, d, n - d - 1)[n - 1].get((d, w), 0)
     stems = stem_report(n, d)
     return {
         "n": n,

@@ -59,6 +59,7 @@ from .eulerian import (
     MAX_Q_ORDER,
     LimitExceeded,
     eulerian_polynomial,
+    near_maxwt,
     q_eulerian,
     stabilization_values,
     wd_series,
@@ -305,9 +306,9 @@ def _cmd_verify_bijection(args) -> int:
         _refuse_ignored(args, "verify bijection --n-max", "--n-max")
         if args.n_max < 2:
             raise ValueError(f"--n-max must be at least 2, got {abridged_int(args.n_max)}")
-        # the sweep's largest order first: its guard refuses n_max before any
-        # work, and the sweep's own call at that order hits the cache
-        q_eulerian(args.n_max)
+        # one cut run at deficiency (n_max-1)//2 holds the count of every
+        # pair, and its order limit refuses n_max before any work
+        near_maxwt(args.n_max, args.n_max - 1, (args.n_max - 1) // 2)
         pairs = [(n, d) for n in range(2, args.n_max + 1) for d in range(1, n)
                  if stable_region(n, d)]
     reports = [bijection_report(n, d) for n, d in pairs]
@@ -342,7 +343,9 @@ def _cmd_verify_stabilization(args) -> int:
         given = "default" if args.n_max is None else "given"
         raise ValueError(
             f"{what}, which needs --n-max {need} or more ({given} {abridged_int(n_max)})")
-    # the first k's call refuses a bad d or k and the order limit before any work
+    # the largest k first: its cut run serves every smaller k, and its call
+    # refuses a bad d or k and the order limit before any work
+    stabilization_values(args.d, ks[-1], n_max)
     checks = []
     for k in ks:
         vals = stabilization_values(args.d, k, n_max)

@@ -6,7 +6,10 @@ The Eulerian numbers come from the classical recurrence
 A(m, k) = (k+1) A(m-1, k) + (m-k) A(m-1, k-1).  The q-Eulerian polynomials
 come from a recurrence over the minimum decomposition (``_recurrence``),
 and from exhaustive enumeration of S_n only for an order below
-``_RECURRENCE_MIN_N`` that no recurrence run has cached yet.
+``_RECURRENCE_MIN_N`` that no recurrence run has cached yet.  Their
+coefficients near the largest weights come from one run of that
+recurrence cut by x-degree and deficiency (``near_maxwt``), at every
+order, with no enumeration.
 
 The q-Eulerian polynomial of order n counts the symmetric group S_n by
 (descents, weight): the coefficient of x^d q^w is the number of
@@ -16,9 +19,9 @@ renders it.  All arithmetic is exact integers.
 
 For fixed d, the coefficients at q-degree maxwt(n, d) - k stop depending
 on n once n reaches d + k + 1; ``stabilization_values`` lists them from
-that threshold on.  Collecting the stabilized values gives a power series
-W_d per d; ``wd_series`` returns its head a_0, a_1, ... as a plain tuple
-of integers, reading each through ``stabilization_values`` at its
+that threshold on, off a cut run.  Collecting the stabilized values gives
+a power series W_d per d; ``wd_series`` returns its head a_0, a_1, ... as
+a plain tuple of integers, reading each off ``q_eulerian`` at its
 threshold order.  The paper's theorem equates a_k with the partition
 count T(d+k, d) for k <= d, which ``bijection`` checks stem by stem.
 
@@ -53,14 +56,20 @@ it once and enumerates nothing.  Only an order below
 still enumerated, as the benchmark in perfbench/ counts those kernel
 calls: one lexicographic walk of S_n with one call of the weights kernel
 per permutation, which the tests hold the recurrence equal to through
-order 9.
-Every order above ``MAX_Q_ORDER`` is refused with ``LimitExceeded``: on
-2 cores (os.cpu_count() = 2), Python 3.11.7, the recurrence took a
-median 0.13 ms at order 9, 0.05 s at order 25 and 0.21 s at order 30;
+order 9.  Only ``eulerian N --q`` and ``wd`` reach that walk: the counts
+of ``verify bijection`` (``bijection_report``, at deficiency n-d-1) and
+of ``verify stabilization`` come from a cut run at every order, one per
+sweep, which ``near_maxwt`` caches beside the full polynomials and
+reuses for every later request that it covers.
+Every order above ``MAX_Q_ORDER`` is refused with ``LimitExceeded``, by
+``near_maxwt`` as by ``q_eulerian``: on 2 cores (os.cpu_count() = 2),
+Python 3.11.7, the full recurrence took a median 0.13 ms at order 9,
+0.04 s at order 25 and 0.21 s at order 30, and the cut run to order 25
+0.4 ms at x-degree 2 and deficiency 3 and 4 ms at deficiency 12;
 in-process, the sweeps ``verify bijection --n-max 25``, ``wd 1 --terms 24``
-and ``verify stabilization --d 1 --n-max 25`` took 0.33, 0.05 and 0.05 s.
-The limit no longer marks where the run grows slow; it stays because
-raising it turns every refusal above 25 into a result.
+and ``verify stabilization --d 1 --n-max 25`` took 0.21, 0.04 s and
+0.7 ms.  The limit no longer marks where the run grows slow; it stays
+because raising it turns every refusal above 25 into a result.
 """
 
 from __future__ import annotations
@@ -75,10 +84,10 @@ from types import MappingProxyType
 from .perms import abridged_int
 from .weights import descents_and_weight
 
-# the largest order of q_eulerian, wd_series and stabilization_values; the
-# recurrence takes 0.05 s there and 0.21 s at order 30, on 2 cores with
-# Python 3.11.7 (the module docstring gives the timings and why the limit
-# stays)
+# the largest order of q_eulerian, near_maxwt, wd_series and
+# stabilization_values; the full recurrence takes 0.04 s there and 0.21 s
+# at order 30, on 2 cores with Python 3.11.7 (the module docstring gives
+# the timings and why the limit stays)
 MAX_Q_ORDER = 25
 
 # the smallest order that starts a recurrence run; an order below it that
@@ -127,7 +136,9 @@ def eulerian_polynomial(n: int) -> list[int]:
     return row
 
 
-def _recurrence(n: int) -> list[dict[tuple[int, int], int]]:
+def _recurrence(
+    n: int, x_max: int | None = None, k_max: int | None = None
+) -> list[dict[tuple[int, int], int]]:
     """
     The q-Eulerian polynomials of orders 1..n, each (d, w) -> count, from
     the minimum-decomposition recurrence of the module docstring, in
@@ -162,7 +173,33 @@ def _recurrence(n: int) -> list[dict[tuple[int, int], int]]:
     times q^l1 alone when j = k-j.  The terms j = 0, x q e_k, and j = k,
     b_k, are shifts of e_k.
 
+    ``x_max`` and ``k_max`` cut the run: it keeps only the monomials of
+    x-degree at most ``x_max`` and of deficiency at most ``k_max``, and
+    every monomial it keeps is exact.  The largest q-degree at x^l is
+    l(k+1-l) in e_k, sets of blocks on k letters, and l(j+2-l) in b_j, a
+    block on j+1 letters; a monomial's deficiency is that bound minus its
+    q-degree.  At x^(d+1) of e_n the bound is maxwt(n, d) + n, so the
+    coefficient of x^d q^(maxwt(n, d) - k) in E_n has deficiency k.  In
+    the term b_j e_(k-j) of e_(k+1), the bound at x^(l1+l2) exceeds the
+    bounds of the factors' slices l1 and l2 by the gap
+
+        l1(k-j-l2) + l2(j+1-l1),
+
+    which is >= 0, as no factor's x-degree exceeds its letter count.  So
+    a product monomial's deficiency is its factors' sum plus the gap, and
+    its x-degree is their sum: a dropped monomial feeds only dropped ones.
+    A cut slice l of e_k keeps the q-degrees from
+    max(0, l(k+1-l) - k_max) up, slot 0 holding the lowest, and b_j's
+    slice l starts l higher.  A product term is shifted by the factors'
+    offsets plus its l1 or l2, minus the offset of its target slice; a
+    negative shift drops low slots, exactly, as no slot carries.  A
+    product whose two terms both have a gap above ``k_max`` is never
+    formed; the term j and k-j of a shared product has the gap
+    l2(j-l1) + l1(k-j+1-l2).  Without a cut every offset is 0.
+
     >>> _recurrence(3)[2] == {(0, 0): 1, (1, 1): 1, (1, 0): 3, (2, 0): 1}
+    True
+    >>> _recurrence(3, k_max=0)[2] == {(0, 0): 1, (1, 1): 1, (2, 0): 1}
     True
     """
     size = (factorial(n).bit_length() + 7) // 8
@@ -170,29 +207,79 @@ def _recurrence(n: int) -> list[dict[tuple[int, int], int]]:
         size = 1 << (size - 1).bit_length()
     fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(size)
     bits = 8 * size
+    cut = x_max is not None or k_max is not None
+    if cut:
+        top = n if x_max is None else x_max
+        most = n * n if k_max is None else k_max  # n*n is above every gap
+        # low[k][l]: the q-degree in slot 0 of e_k's slice l
+        low = [
+            [b - most if (b := l * (k + 1 - l)) > most else 0 for l in range(k + 1)]
+            for k in range(n + 1)
+        ]
+
+        def shift(p: int, s: int) -> int:
+            return p << bits * s if s >= 0 else p >> bits * -s
+
     e = [{0: 1}]
     orders = []
     for k in range(n):
-        if k:
-            out = {l + 1: p << bits for l, p in e[k].items()}  # x q e_k
-            for l, p in e[k].items():  # b_k
-                out[l] = out.get(l, 0) + (p << bits * l)
+        if not cut:
+            out = {l + 1: p << bits for l, p in e[k].items()}  # x q e_k, b_0 e_0 = xq
+            if k:
+                for l, p in e[k].items():  # b_k
+                    out[l] = out.get(l, 0) + (p << bits * l)
+            for j in range(1, k // 2 + 1):
+                c = comb(k, j)
+                pair = 2 * j < k
+                for l1, p1 in e[j].items():
+                    p1 *= c
+                    for l2, p2 in e[k - j].items():
+                        p = p1 * p2
+                        p = (p << bits * l1) + (p << bits * l2) if pair else p << bits * l1
+                        out[l1 + l2] = out.get(l1 + l2, 0) + p
         else:
-            out = {1: 1 << bits}  # b_0 e_0 = xq
-        for j in range(1, k // 2 + 1):
-            c = comb(k, j)
-            for l1, p1 in e[j].items():
-                p1 *= c
-                for l2, p2 in e[k - j].items():
-                    p = p1 * p2
-                    p = (p << bits * l1) + (p << bits * l2) if 2 * j < k else p << bits * l1
-                    out[l1 + l2] = out.get(l1 + l2, 0) + p
+            now, then = low[k], low[k + 1]
+            out = {
+                l + 1: shift(p, now[l] + 1 - then[l + 1])  # x q e_k, gap k-l
+                for l, p in e[k].items()
+                if l < top and k - l <= most
+            }
+            if k:
+                for l, p in e[k].items():  # b_k, gap 0
+                    out[l] = out.get(l, 0) + shift(p, now[l] + l - then[l])
+            for j in range(1, k // 2 + 1):
+                c = comb(k, j)
+                pair = 2 * j < k
+                for l1, p1 in e[j].items():
+                    p1 *= c
+                    for l2, p2 in e[k - j].items():
+                        l = l1 + l2
+                        first = l1 * (k - j - l2) + l2 * (j + 1 - l1) <= most
+                        second = pair and l2 * (j - l1) + l1 * (k - j + 1 - l2) <= most
+                        if l > top or not (first or second):
+                            continue
+                        s = low[j][l1] + low[k - j][l2] - then[l]
+                        p = p1 * p2
+                        # shift, inlined in the hottest loop
+                        if first:
+                            s1 = s + l1
+                            out[l] = out.get(l, 0) + (p << bits * s1 if s1 >= 0 else p >> -bits * s1)
+                        if second:
+                            s2 = s + l2
+                            out[l] = out.get(l, 0) + (p << bits * s2 if s2 >= 0 else p >> -bits * s2)
         e.append(out)
-        # x^(d+1) q^(w+k+1) in e_(k+1) is x^d q^w in E_(k+1); cast reads
-        # native byte order
+        # x^(d+1) q^(w+k+1) in e_(k+1) is x^d q^w in E_(k+1), so the slots
+        # below q^(k+1) are dropped; cast reads native byte order
         order = {}
+        drop = bits * (k + 1)
         for l, p in out.items():
-            p >>= bits * (k + 1)
+            w0 = 0  # the weight in slot 0
+            if not cut:
+                p >>= drop
+            elif then[l] > k + 1:
+                w0 = then[l] - k - 1
+            else:
+                p >>= drop - bits * then[l]
             raw = p.to_bytes(-(-p.bit_length() // bits) * size, sys.byteorder)
             if fmt:
                 counts = memoryview(raw).cast(fmt)
@@ -202,7 +289,7 @@ def _recurrence(n: int) -> list[dict[tuple[int, int], int]]:
                     for i in range(0, len(raw), size)
                 ]
             d = l - 1
-            for w, c in enumerate(counts):
+            for w, c in enumerate(counts, w0):
                 if c:
                     order[d, w] = c
         orders.append(order)
@@ -211,9 +298,23 @@ def _recurrence(n: int) -> list[dict[tuple[int, int], int]]:
 
 _Q_CACHE: dict[int, Mapping[tuple[int, int], int]] = {}
 
+# cut runs, (n, d_max, k_max) -> their orders 1..n, for near_maxwt
+_CUT_CACHE: dict[tuple[int, int, int], tuple[Mapping[tuple[int, int], int], ...]] = {}
+
 
 def clear_cache() -> None:
     _Q_CACHE.clear()
+    _CUT_CACHE.clear()
+
+
+def _check_order(n: int) -> None:
+    """Refuse an order above MAX_Q_ORDER, then one below 1."""
+    if n > MAX_Q_ORDER:
+        raise LimitExceeded(
+            f"n={abridged_int(n)} exceeds the q-Eulerian order limit {MAX_Q_ORDER}"
+        )
+    if n < 1:
+        raise ValueError(f"n must be positive, got {abridged_int(n)}")
 
 
 def q_eulerian(n: int) -> Mapping[tuple[int, int], int]:
@@ -226,12 +327,7 @@ def q_eulerian(n: int) -> Mapping[tuple[int, int], int]:
     >>> q_eulerian(3) == {(0, 0): 1, (1, 1): 1, (1, 0): 3, (2, 0): 1}
     True
     """
-    if n > MAX_Q_ORDER:
-        raise LimitExceeded(
-            f"n={abridged_int(n)} exceeds the q-Eulerian order limit {MAX_Q_ORDER}"
-        )
-    if n < 1:
-        raise ValueError(f"n must be positive, got {abridged_int(n)}")
+    _check_order(n)
     if n in _Q_CACHE:
         return _Q_CACHE[n]
     if n < _RECURRENCE_MIN_N:
@@ -244,10 +340,32 @@ def q_eulerian(n: int) -> Mapping[tuple[int, int], int]:
     return _Q_CACHE[n]
 
 
+def near_maxwt(n: int, d_max: int, k_max: int) -> tuple[Mapping[tuple[int, int], int], ...]:
+    """
+    The q-Eulerian polynomials of orders 1..n near their largest weights:
+    entry m-1 maps (d, w) -> count for order m, zero counts omitted, and
+    holds every d <= d_max and w >= maxwt(m, d) - k_max.  It comes from
+    one cut recurrence run, which enumerates nothing, and may hold more:
+    a cached run serves every call that it covers in n, d_max and k_max.
+    ``MAX_Q_ORDER`` applies, as to ``q_eulerian``.
+
+    >>> order_4 = near_maxwt(4, 1, 1)[3]
+    >>> order_4[1, maxwt(4, 1)], order_4[1, maxwt(4, 1) - 1]
+    (1, 3)
+    """
+    _check_order(n)
+    for (m, d, k), orders in _CUT_CACHE.items():
+        if m >= n and d >= d_max and k >= k_max:
+            return orders[:n]
+    orders = tuple(map(MappingProxyType, _recurrence(n, d_max + 1, k_max)))
+    _CUT_CACHE[n, d_max, k_max] = orders
+    return orders
+
+
 def stabilization_values(d: int, k: int, n_max: int) -> list[tuple[int, int]]:
     """
     (n, coefficient of x^d q^{maxwt(n,d)-k}) for n from the stabilization
-    threshold d+k+1 through n_max.
+    threshold d+k+1 through n_max, read off one ``near_maxwt`` run.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {abridged_int(d)}")
@@ -258,9 +376,9 @@ def stabilization_values(d: int, k: int, n_max: int) -> list[tuple[int, int]]:
         raise ValueError(
             f"n_max={abridged_int(n_max)} is below the threshold {abridged_int(threshold)}"
         )
-    q_eulerian(n_max)  # the order limit, and one recurrence run for the sweep
+    orders = near_maxwt(n_max, d, k)
     return [
-        (n, q_eulerian(n).get((d, maxwt(n, d) - k), 0))
+        (n, orders[n - 1].get((d, maxwt(n, d) - k), 0))
         for n in range(threshold, n_max + 1)
     ]
 
@@ -268,7 +386,8 @@ def stabilization_values(d: int, k: int, n_max: int) -> list[tuple[int, int]]:
 def wd_series(d: int, terms: int) -> tuple[int, ...]:
     """
     The first ``terms`` stabilized coefficients (a_0, ..., a_{terms-1}) for
-    descent count d, each read at its threshold order n = d+k+1.
+    descent count d, each read off ``q_eulerian`` at its threshold order
+    n = d+k+1.
 
     >>> wd_series(1, 6)
     (1, 3, 7, 15, 31, 63)
@@ -283,5 +402,6 @@ def wd_series(d: int, terms: int) -> tuple[int, ...]:
             f"need n={abridged_int(d + terms)}, above the limit {MAX_Q_ORDER}"
         )
     q_eulerian(d + terms)  # one recurrence run for every term's order
-    return tuple(stabilization_values(d, k, d + k + 1)[0][1] for k in range(terms))
-
+    return tuple(
+        q_eulerian(d + k + 1).get((d, maxwt(d + k + 1, d) - k), 0) for k in range(terms)
+    )

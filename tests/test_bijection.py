@@ -74,7 +74,7 @@ class TestVerifyBijection:
         def refuse(*args, **kwargs):
             raise AssertionError("enumerated outside the region")
 
-        monkeypatch.setattr(bijection, "q_eulerian", refuse)
+        monkeypatch.setattr(bijection, "near_maxwt", refuse)
         monkeypatch.setattr(bijection, "enumerate_stems", refuse)
         monkeypatch.setattr(bijection, "t_nk", refuse)
         for report in (bijection_report, stem_report):

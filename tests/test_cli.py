@@ -756,7 +756,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("enumerated outside the region")
 
-        monkeypatch.setattr(bijection, "q_eulerian", refuse)
+        monkeypatch.setattr(bijection, "near_maxwt", refuse)
         monkeypatch.setattr(bijection, "enumerate_stems", refuse)
         code, out, err = run(capsys, "verify", what, "--n", "4", "--d", "1")
         assert code == 2 and out == ""
@@ -897,9 +897,9 @@ def test_a_sweep_runs_the_recurrence_once(capsys, monkeypatch, argv):
     calls = []
     recurrence = eulerian._recurrence
 
-    def counting(n):
+    def counting(n, *cut):
         calls.append(n)
-        return recurrence(n)
+        return recurrence(n, *cut)
 
     monkeypatch.setattr(eulerian, "_recurrence", counting)
     eulerian.clear_cache()
@@ -915,13 +915,17 @@ def test_a_sweep_runs_the_recurrence_once(capsys, monkeypatch, argv):
     [(["eulerian", "7", "--q"], 5040),
      (["wd", "1", "--terms", "3"], 2 + 6 + 24),
      (["wd", "3", "--terms", "5"], 0),
+     (["verify", "bijection", "--n-max", "7"], 0),
      (["verify", "bijection", "--n-max", "8"], 0),
+     (["verify", "stabilization", "--d", "2", "--n-max", "7"], 0),
      (["verify", "stabilization", "--d", "2", "--n-max", "8"], 0)],
-    ids=["eulerian-7", "wd-1-3", "wd-3-5", "bijection-8", "stabilization-8"],
+    ids=["eulerian-7", "wd-1-3", "wd-3-5", "bijection-7", "bijection-8",
+         "stabilization-7", "stabilization-8"],
 )
 def test_kernel_calls_per_command(capsys, monkeypatch, argv, expected):
-    # S_n is enumerated only for an order below 8 asked for first; a sweep
-    # to order 8 or more reads every order off its one recurrence run
+    # eulerian --q and wd enumerate S_n only for an order below 8 asked for
+    # first, and a run to order 8 or more reads every order off one
+    # recurrence run; the verify sweeps read a cut run at every order
     calls = []
 
     def counting(p):

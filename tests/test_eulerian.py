@@ -10,6 +10,7 @@ from maxmintrees.eulerian import (
     clear_cache,
     eulerian_polynomial,
     maxwt,
+    near_maxwt,
     q_eulerian,
     stabilization_values,
     wd_series,
@@ -227,6 +228,99 @@ class TestRecurrence:
                 assert q_eulerian(first) is poly, first
         finally:
             clear_cache()
+
+
+class TestCutRecurrence:
+    """The recurrence cut by x-degree and deficiency, and its cached runs."""
+
+    def test_equals_the_uncut_run_on_every_kept_monomial(self):
+        # x^d q^w of E_n sits at x-degree d+1 and deficiency maxwt(n, d) - w
+        full = eulerian._recurrence(16)
+        for x_max in (2, 3, 4, 17):
+            for k_max in (0, 2, 5, 40):
+                cut = eulerian._recurrence(16, x_max, k_max)
+                for n, (whole, kept) in enumerate(zip(full, cut), 1):
+                    assert kept == {
+                        (d, w): c for (d, w), c in whole.items()
+                        if d + 1 <= x_max and maxwt(n, d) - w <= k_max
+                    }, (x_max, k_max, n)
+
+    def test_one_cut_alone(self):
+        full = eulerian._recurrence(12)
+        assert eulerian._recurrence(12, x_max=12) == full
+        assert eulerian._recurrence(12, k_max=12 * 12) == full
+        assert eulerian._recurrence(12, x_max=3)[-1] == {
+            (d, w): c for (d, w), c in full[-1].items() if d <= 2
+        }
+
+    def test_region_pairs_of_orders_10_to_25(self):
+        # the count that verify bijection reads, at deficiency n-d-1, off
+        # the sweep's one run to order 25
+        clear_cache()
+        pairs = 0
+        try:
+            orders = near_maxwt(MAX_Q_ORDER, MAX_Q_ORDER - 1, (MAX_Q_ORDER - 1) // 2)
+            for n in range(10, MAX_Q_ORDER + 1):
+                poly = q_eulerian(n)
+                for d in range(1, n):
+                    if 2 * d >= n - 1:
+                        key = d, (n - d - 1) * (d - 1)
+                        assert orders[n - 1][key] == poly[key] == t_nk(n - 1, d), (n, d)
+                        pairs += 1
+        finally:
+            clear_cache()
+        assert pairs == 144
+
+    def test_stabilization_values_equal_the_full_polynomials(self):
+        full = {n: q_eulerian(n) for n in range(MAX_Q_ORDER, 0, -1)}
+        for d in range(1, 5):
+            for k in range(4):
+                clear_cache()  # each (d, k) makes its own run
+                for n_max in range(MAX_Q_ORDER, d + k, -1):
+                    assert stabilization_values(d, k, n_max) == [
+                        (n, full[n].get((d, maxwt(n, d) - k), 0))
+                        for n in range(d + k + 1, n_max + 1)
+                    ], (d, k, n_max)
+        clear_cache()
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """The (n, x_max, k_max) of every recurrence run, in order."""
+        calls = []
+        recurrence = eulerian._recurrence
+
+        def counting(n, *cut):
+            calls.append((n, *cut))
+            return recurrence(n, *cut)
+
+        monkeypatch.setattr(eulerian, "_recurrence", counting)
+        clear_cache()
+        yield calls
+        clear_cache()
+
+    def test_a_cached_run_serves_what_it_covers(self, runs):
+        orders = near_maxwt(12, 5, 3)
+        assert len(orders) == 12
+        for request in [(12, 5, 3), (9, 5, 3), (12, 2, 3), (12, 5, 0), (3, 1, 1)]:
+            assert near_maxwt(*request) == orders[:request[0]], request
+        assert runs == [(12, 6, 3)]
+        # past the run in n, in d or in deficiency: a new run
+        for request in [(13, 5, 3), (12, 6, 3), (12, 5, 4)]:
+            near_maxwt(*request)
+        assert runs == [(12, 6, 3), (13, 6, 3), (12, 7, 3), (12, 6, 4)]
+
+    def test_clear_cache_drops_the_cut_runs(self, runs):
+        near_maxwt(10, 3, 2)
+        clear_cache()
+        near_maxwt(10, 3, 2)
+        assert runs == [(10, 4, 2), (10, 4, 2)]
+
+    def test_order_limit(self, runs):
+        with pytest.raises(LimitExceeded, match="^n=26 exceeds the q-Eulerian order limit 25$"):
+            near_maxwt(MAX_Q_ORDER + 1, 1, 0)
+        with pytest.raises(ValueError, match="^n must be positive, got 0$"):
+            near_maxwt(0, 1, 0)
+        assert runs == []
 
 
 class TestStabilization:
