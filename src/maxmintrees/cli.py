@@ -345,12 +345,12 @@ def _cmd_verify_stabilization(args) -> int:
             f"{what}, which needs --n-max {need} or more ({given} {abridged_int(n_max)})")
     # the largest k first: its cut run serves every smaller k, and its call
     # refuses a bad d or k and the order limit before any work
-    stabilization_values(args.d, ks[-1], n_max)
     checks = []
-    for k in ks:
+    for k in reversed(ks):
         vals = stabilization_values(args.d, k, n_max)
         stable = all(c == vals[0][1] for _, c in vals)
         checks.append({"d": args.d, "k": k, "values": vals, "stable": stable})
+    checks.reverse()
     return _verdict(args, {"checks": checks, "ok": all(c["stable"] for c in checks)}, lambda: [
         f"d={c['d']} k={c['k']}: {', '.join(f'n={n}:{v}' for n, v in c['values'])} -> "
         + ("stable" if c["stable"] else "NOT stable")

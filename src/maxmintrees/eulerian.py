@@ -195,7 +195,11 @@ def _recurrence(
     negative shift drops low slots, exactly, as no slot carries.  A
     product whose two terms both have a gap above ``k_max`` is never
     formed; the term j and k-j of a shared product has the gap
-    l2(j-l1) + l1(k-j+1-l2).  Without a cut every offset is 0.
+    l2(j-l1) + l1(k-j+1-l2).  Without a cut every offset is 0, and the
+    run keeps its own product loop and unpack: on 2 cores, Python 3.11.7,
+    running it through the cut's loop with no cut made it 1.4 times slower
+    at orders 8 and 9 (1.1 times with only the product loop shared) and
+    raised the median op time of perfbench's ``enumeration`` workload 12%.
 
     >>> _recurrence(3)[2] == {(0, 0): 1, (1, 1): 1, (1, 0): 3, (2, 0): 1}
     True

@@ -831,10 +831,10 @@ class TestVerify:
 
     def test_stabilization_checks_every_k_before_any_work(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("enumerated S_n before refusing a later k")
+            raise AssertionError("computed the polynomials before refusing a later k")
 
         # k = 0..3 at d = 6 ends at order 9, below the threshold 10 of k = 3
-        monkeypatch.setattr(eulerian, "q_eulerian", refuse)
+        monkeypatch.setattr(eulerian, "near_maxwt", refuse)
         code, out, err = run(capsys, "verify", "stabilization", "--d", "6")
         assert code == 2 and out == ""
         assert err == (
