@@ -96,7 +96,7 @@ def _dot(edges, kind: str) -> str:
 
 def _tree_json(edges, leaves=None) -> dict:
     """Nodes 1..n+1 and the sorted edges; a minimum decomposition adds its root and leaves."""
-    out = {"nodes": list(range(1, len(edges) + 2)), "edges": [list(e) for e in edges]}
+    out = {"nodes": list(range(1, len(edges) + 2)), "edges": edges}  # tuples encode as arrays
     if leaves is not None:
         out.update(root=1, leaves=sorted(leaves))
     return out

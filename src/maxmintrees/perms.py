@@ -17,19 +17,22 @@ extended tuple by k directly reads position k.
 
 ``parse_permutation`` reads a word's text in slices of about 64 Ki
 characters, each cut just after a separator, and turns every slice's
-tokens into labels before it reads the next; so a long word never holds
-all of its token strings at once, and its peak memory is about what the
-labels and the result tuple need.  Every error names the global 1-based
-position of the token or label at fault, and shows a token or label of
-more than 20 characters by its first 20 and its length.  A digit token
-with more digits than int() reads (sys.get_int_max_str_digits(), 4300 by
-default, leading zeros aside) is out of range, like any label above n.
+tokens into labels of the result tuple before it reads the next; so a
+long word never holds all of its token strings at once, and its peak
+memory is what the labels and the tuple need, about 38 bytes per letter.
+Every error names the global 1-based position of the token or label at
+fault, and shows a token or label of more than 20 characters by its first
+20 and its length.  A digit token with more digits than int() reads
+(sys.get_int_max_str_digits(), 4300 by default, leading zeros aside) is
+out of range, like any label above n.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from contextlib import suppress
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 Permutation = tuple[int, ...]
@@ -133,6 +136,11 @@ def parse_permutation(text: str) -> Permutation:
     # int() also reads 1_0, +1 and non-ASCII digits; in ASCII text without
     # '_' or '+' it reads exactly the tokens that match -?[0-9]+
     fast = text.isascii() and "_" not in text and "+" not in text
+    if fast:
+        # on any fault, the loop below reads the text again and names it
+        with suppress(ValueError):
+            labels = chain.from_iterable(map(int, t) for t in _token_slices(text))
+            return validate_permutation(labels)
     values: list[int] = []
     slices = _token_slices(text)
     for tokens in slices:

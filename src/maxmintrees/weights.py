@@ -24,31 +24,18 @@ goes.  Positions i..m-1 all hold values in that interval, so the walk
 stops exactly at max(M, L) and counts the range's descents without a
 prefix array (quadratic worst case, fast in practice on short words).
 ``weight_accelerated`` and ``range_details`` take every range from one
-left-to-right monotonic-stack pass, O(n) per word, that yields the ranges
-as it finds them rather than listing them, and count each range's
-descents from prefix sums.  The tests hold the two routes equal to each
-other, to ``trees.subtree`` and to the segments of the block split in
-``trees.decompose_blocks``.
+online pass over two monotonic stacks, O(n) per word, with no copy of the
+word and no prefix array: a stacked position carries its count of
+descents to its left and its link into the other stack, so a range's
+descents are known when it closes.  The tests hold the two routes equal
+to each other, to ``trees.subtree`` and to the block split's segments.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Iterator, Sequence
+from itertools import chain
 
-from .perms import Permutation, extend
-
-
-def _descent_prefix(ext: Sequence[int]) -> array:
-    """P[k] = number of descent positions in 1..k of the extended word."""
-    n1 = len(ext) - 2
-    P = array("i", bytes(4 * (n1 + 1)))
-    c = 0
-    for k in range(1, n1 + 1):
-        if ext[k] > ext[k + 1]:
-            c += 1
-        P[k] = c
-    return P
+from .perms import Permutation
 
 
 def descents_and_weight(p: Permutation) -> tuple[int, int]:
@@ -102,87 +89,92 @@ def descents_and_weight(p: Permutation) -> tuple[int, int]:
     return d, total - d
 
 
-def _subtree_ranges(ext: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+def _stack_pass(p: Permutation, rows: list | None = None) -> int:
     """
-    (i, lo, m) for every non-descent position i of the extended word, each
-    yielded as its next smaller value pops i: its subtree range is lo+1..m,
-    so it holds P[m] - P[lo] descents for the prefix counts P of
-    _descent_prefix.
+    The descents of every subtree range summed, in one left-to-right pass
+    over p and then the back sentinels n+1 and 0; with rows, each range also
+    appends sigma_i, sigma_lo, sigma_m and its descents to that flat list.
 
-    One left-to-right pass keeps two monotonic stacks.  The rising stack
-    holds positions of increasing values; a position i is popped by its
-    next smaller value j, and each entry carries the argmax of the positions
-    between it and the entry above it, so m is known when i is popped and
-    L is the entry left beneath it.  The falling stack gives every position
-    its nearest greater value on the left; m lies left of j, so M is known
-    by the time i is popped.
+    j pops i off the rising stack.  Its entries hold a value, the count c of
+    descents left of it, its link (its index on the falling stack), and the
+    value and link of the argmax between it and the entry beneath, so m is
+    known when i pops, and L lies beneath i.  The falling stack holds the
+    values that no greater value has followed, with their counts, and m and
+    M, the entry beneath m, are both still on it.  m and M are descents and
+    L is not, so P[m] = c_m + 1, P[M] = c_M + 1 and P[L] = c_L for P[k] the
+    descents in 1..k, and M > L exactly when c_M >= c_L.  The front sentinel
+    (P[0] = 0) and the bottom entry, the back sentinel 0, count c = -1.  The
+    top entry lives in locals: it is the previous position, a descent
+    exactly when it pops at once.
     """
-    # -1 indexes the back sentinel, whose value 0 lies below every other
-    # value; as a position it lies left of the front sentinel, so it loses
-    # every max(M, L)
-    none = -1
-    # above[k]: nearest position left of k with a greater value
-    above = array("i", bytes(4 * len(ext)))
-    rising = [none]
-    inner = [none]  # inner[s]: argmax strictly between rising[s] and rising[s + 1]
-    falling = [0]
-    for t in range(1, len(ext)):
-        v = ext[t]
-        seen = none  # argmax of the positions popped so far at t
-        while ext[rising[-1]] > v:
-            i = rising.pop()
-            m = inner.pop()
-            if ext[seen] > ext[m]:
-                m = seen
-            if m == none:  # nothing between i and t: i is a descent
-                seen = i
+    n = len(p)
+    rising = []  # five slots per entry below the top one
+    falling, counts = [n + 2], [-1]
+    c = total = 0
+    tv, tc, tk, tmv, tmk = 0, -1, 0, 0, 0  # the top entry; a value of 0 is no argmax
+    for v in chain(p, (n + 1, 0)):
+        if tv > v:
+            c += 1
+            if tmv > tv:
+                mv, mk = tmv, tmk
             else:
-                M = above[m]
-                L = rising[-1]
-                yield i, (M if M > L else L), m
-                seen = m
-        if ext[seen] > ext[inner[-1]]:
-            inner[-1] = seen
-        rising.append(t)
-        inner.append(none)
-        while ext[falling[-1]] < v:
+                mv, mk = tv, tk
+            while rising[-5] > v:
+                iv, _, _, amv, amk = rising[-5:]
+                del rising[-5:]
+                low = rising[-4]
+                high = counts[mk - 1]
+                d = counts[mk] + 1 - low if low > high else counts[mk] - high
+                total += d
+                if rows is not None:
+                    rows += (iv, rising[-5] if low > high else falling[mk - 1], mv, d)
+                if amv > mv:
+                    mv, mk = amv, amk
+        else:
+            rising += (tv, tc, tk, tmv, tmk)
+            mv = mk = 0
+        while falling[-1] < v:
             falling.pop()
-        above[t] = falling[-1]
-        falling.append(t)
+            counts.pop()
+        tk = len(falling)
+        falling.append(v)
+        counts.append(c)
+        tv, tc = v, c
+        tmv, tmk = mv, mk
+    return total
 
 
 def range_details(p: Permutation) -> list[dict]:
     """
     Per-non-descent breakdown of the range computation: position, value,
     subtree range and the number of descents inside it, in ascending
-    position.  One linear stack pass plus an O(n log n) sort of the rows.
+    position.  One linear stack pass; the rows it closes are then placed
+    by position.
 
     >>> [r["range"] for r in range_details((2, 1, 3))]
     [[1, 4], [3, 4]]
     """
-    ext = extend(p)
-    P = _descent_prefix(ext)
-    return [
-        {
-            "position": i,
-            "value": ext[i],
-            "range": [lo + 1, m],
-            "descents": P[m] - P[lo],
-        }
-        for i, lo, m in sorted(_subtree_ranges(ext))
-    ]
+    rows: list = []
+    _stack_pass(p, rows)
+    n = len(p)
+    where = [0] * (n + 3)  # the position of each value; n+2 sits at 0
+    for i, v in enumerate(chain(p, (n + 1,)), 1):
+        where[v] = i
+    out = [None] * (n + 1)
+    for v, lo, m, d in zip(*[iter(rows)] * 4):
+        i = where[v]
+        out[i] = {"position": i, "value": v, "range": [where[lo] + 1, where[m]], "descents": d}
+    return [row for row in out if row]
 
 
 def weight_accelerated(p: Permutation) -> int:
     """
-    Weight of p from the subtree ranges of _subtree_ranges, O(n) per call.
+    Weight of p from the subtree ranges of one stack pass, O(n) per call.
 
     >>> weight_accelerated((1, 3, 2))
     1
     """
-    ext = extend(p)
-    P = _descent_prefix(ext)
-    return sum(P[m] - P[lo] for _, lo, m in _subtree_ranges(ext)) - len(p)
+    return _stack_pass(p) - len(p)
 
 
 # perfbench/test_perfbench.py imports this name; ROADMAP item 1 deletes both

@@ -107,13 +107,13 @@ class TestWeight:
     @pytest.mark.parametrize("algo", ["fast", "range", "mindecomp"])
     def test_explain_runs_the_stack_pass_once(self, capsys, monkeypatch, algo):
         calls = []
-        ranges = weights._subtree_ranges
+        stack_pass = weights._stack_pass
 
-        def counted(ext):
-            calls.append(len(ext))
-            return ranges(ext)
+        def counted(p, rows=None):
+            calls.append(len(p))
+            return stack_pass(p, rows)
 
-        monkeypatch.setattr(weights, "_subtree_ranges", counted)
+        monkeypatch.setattr(weights, "_stack_pass", counted)
         for output in ("text", "json"):
             code, _, _ = run(
                 capsys, "weight", EXAMPLE_15_TEXT, "--algo", algo, "--explain", "--output", output

@@ -1,12 +1,15 @@
+import hashlib
 import random
+import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxmintrees.perms import extend
 from maxmintrees.trees import build_max_weight_tree
 from maxmintrees.weights import descents_and_weight, range_details, weight_accelerated
 from oracles import all_subtrees, descent_count, subtree_rows
-from sample_words import shuffled, zigzag
+from sample_words import shuffled, structured, zigzag
 
 
 def range_values(p, value):
@@ -63,6 +66,7 @@ class TestKernel:
         rng = random.Random(3)
         words = [shuffled(rng.randint(1, 400), seed) for seed in range(300)]
         words += [tuple(range(1, 2001)), tuple(range(2000, 0, -1)), zigzag(2000)]
+        words += [structured(shape, 2000, 1) for shape in ("inc", "dec", "zig")]
         for p in words:
             assert descents_and_weight(p) == ranged_descents_and_weight(p), p[:20]
 
@@ -87,6 +91,29 @@ class TestAgreement:
             w = descents_and_weight(p)[1]
             assert weight_accelerated(p) == w, p[:20]
         assert weight_accelerated(tuple(range(1, n + 1))) == 0
+
+    # the weight and a digest of the (position, value, range, descents) rows
+    # that the earlier pass, over the extended word with a prefix array of
+    # descent counts, gave on the structured words of 1e5 letters
+    STRUCTURED_1E5 = {
+        "inc": (15747049, "af5b84bdfa564ff2"),
+        "dec": (0, "629987ff3b46ba3a"),
+        "zig": (1242609294, "95c3ad7128de2352"),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(STRUCTURED_1E5))
+    def test_structured_words_keep_their_rows(self, shape):
+        n = 100_000
+        p = structured(shape, n, 1)
+        rows = range_details(p)
+        key = repr([(r["position"], r["value"], *r["range"], r["descents"]) for r in rows])
+        weight, digest = self.STRUCTURED_1E5[shape]
+        assert hashlib.sha256(key.encode()).hexdigest()[:16] == digest
+        assert weight_accelerated(p) == sum(r["descents"] for r in rows) - n == weight
+        # the scanning oracle is quadratic on the rising runs of inc and zig;
+        # test_long_scans_against_subtree_ranges holds it to them at 2000
+        if shape == "dec":
+            assert descents_and_weight(p) == (descent_count(p), weight)
 
     @settings(max_examples=60, deadline=None)
     @given(st.permutations(list(range(1, 26))))
@@ -117,3 +144,20 @@ class TestRangeDetails:
         for p in words:
             subtrees = all_subtrees(build_max_weight_tree(p))
             assert range_details(p) == subtree_rows(p, subtrees), p[:20]
+
+
+@pytest.mark.parametrize("shape, limit", [("random", 4), ("rising", 66), ("falling", 58)])
+def test_peak_memory_above_the_word(shape, limit):
+    # the pass copies nothing of the word and holds only its two stacks: a
+    # few entries on a random word, and one entry per letter on the rising
+    # stack of the rising word and on the falling stack of the falling one
+    n = 200_000
+    p = {"random": shuffled(n, 4), "rising": tuple(range(1, n + 1)),
+         "falling": tuple(range(n, 0, -1))}[shape]
+    tracemalloc.start()
+    try:
+        weight_accelerated(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < limit, f"{peak / n:.1f} bytes per letter"
