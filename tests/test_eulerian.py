@@ -177,6 +177,26 @@ class TestRecurrence:
             clear_cache()
         assert pairs == 144
 
+    def test_two_rows_hold_their_closed_forms_at_every_order(self):
+        # the low-weight end, which no other check reaches above order 9:
+        # [x^d q^0] E_n = S(n, d+1), the Stirling numbers of the second kind
+        # by their two-term recurrence, and [x^1 q^w] E_n = 2^(n-1-w) - 1
+        stirling = [[1]]
+        for n in range(1, MAX_Q_ORDER + 1):
+            row = stirling[-1] + [0]
+            stirling.append([0] + [k * row[k] + row[k - 1] for k in range(1, n + 1)])
+        clear_cache()
+        try:
+            for n in range(MAX_Q_ORDER, 0, -1):
+                poly = q_eulerian(n)
+                assert [poly.get((d, 0), 0) for d in range(n)] == stirling[n][1:], n
+                assert [poly.get((1, w), 0) for w in range(n - 1)] == [
+                    2 ** (n - 1 - w) - 1 for w in range(n - 1)
+                ], n
+        finally:
+            clear_cache()
+        assert stirling[4] == [0, 1, 7, 6, 1] and sum(stirling[8]) == 4140
+
     @pytest.mark.parametrize("n", [5, 6, 8, 9, 12, 13, 20, 21, 25])
     def test_top_order_at_each_slot_width(self, n):
         # a run packs its coefficients in slots of 1, 2, 4, 8 bytes, or the
