@@ -179,7 +179,7 @@ def bijection_report(n: int, d: int) -> dict:
     """
     _check_descents(n, d)
     w = target_weight(n, d)
-    brute = near_maxwt(n, d, n - d - 1)[n - 1].get((d, w), 0)
+    brute = near_maxwt(n, d, n - d - 1).get((d, w), 0)
     stems = stem_report(n, d)
     return {
         "n": n,

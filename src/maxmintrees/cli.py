@@ -220,12 +220,13 @@ def _cmd_weight(args) -> int:
 
 def _cmd_tree(args) -> int:
     p = _perm(args)
+    dot = args.format == "dot"
     if args.kind == "maxweight":
         edges, tips = build_max_weight_tree(p).edges, None
     else:
         parent = build_min_decomp(p)
-        edges, tips = [(parent[v], v) for v in range(2, len(parent))], leaves(parent)
-    dot = args.format == "dot"
+        edges = [(parent[v], v) for v in range(2, len(parent))]
+        tips = None if dot else leaves(parent)  # DOT draws no leaf list
     tree = {"dot": _dot(edges, args.kind)} if dot else _tree_json(edges, tips)
     _emit(args, {"perm": p, **tree}, lambda: tree["dot"] if dot else json.dumps(tree))
     return EXIT_OK
@@ -235,12 +236,14 @@ def _cmd_eulerian(args) -> int:
     if args.q:
         # x ascending, q descending: the one order of every rendering
         terms = sorted(q_eulerian(args.n).items(), key=lambda t: (t[0][0], -t[0][1]))
-        rows = [(x, q, c) for (x, q), c in terms]
-        payload: dict = {"n": args.n, "terms": [{"x": x, "q": q, "c": c} for x, q, c in rows]}
+        payload: dict = {"n": args.n}
+        if args.output == "json":  # the one format that prints a dict per term
+            payload["terms"] = [{"x": x, "q": q, "c": c} for (x, q), c in terms]
+        rows = ((x, q, c) for (x, q), c in terms)  # read by CSV alone
         header, text = ("x", "q", "c"), lambda: _format_bivariate(terms)
     else:
         coeffs = eulerian_polynomial(args.n)
-        rows = list(enumerate(coeffs))
+        rows = enumerate(coeffs)
         payload = {"n": args.n, "coefficients": coeffs}
         header, text = ("d", "count"), lambda: " ".join(map(str, coeffs))
     _emit(args, payload, text, lambda: _csv([header, *rows]))

@@ -49,34 +49,40 @@ a_(k+2) = e_(k+1), so one sequence carries the recurrence: b_0 = xq,
 b_j = e_j(xq, q) for j >= 1, and [x^d q^w] E_n = [x^(d+1) q^(w+n)] e_n,
 one product sum per order.
 
-One recurrence run to order n holds every order 1..n, and ``q_eulerian``
-caches them all, so a sweep that asks for its largest order first runs
-it once and enumerates nothing.  Only an order below
-``_RECURRENCE_MIN_N`` asked for first, before any run has cached it, is
-still enumerated, as the benchmark in perfbench/ counts those kernel
-calls: one lexicographic walk of S_n with one call of the weights kernel
-per permutation, which the tests hold the recurrence equal to through
-order 9.  Only ``eulerian N --q`` and ``wd`` reach that walk: the counts
-of ``verify bijection`` (``bijection_report``, at deficiency n-d-1) and
-of ``verify stabilization`` come from a cut run at every order, one per
-sweep, which ``near_maxwt`` caches beside the full polynomials and
-reuses for every later request that it covers.
+One recurrence run to order n holds every order 1..n.  One cache keeps
+every run, full or cut, by (n, x_max, k_max), and the first cached run
+that covers a request serves it: ``q_eulerian`` reads a full run, and
+``near_maxwt`` any run that keeps its x-degree and deficiency, a full
+run too.  A run unpacks an order into its read-only mapping when that
+order is first read and keeps it, so every caller of one order shares
+one mapping, and a sweep that asks for its largest order first makes
+one run and enumerates nothing.  Only an order below
+``_RECURRENCE_MIN_N`` asked for first, before any cached run covers it,
+is still enumerated, as the benchmark in perfbench/ counts those kernel
+calls: one lexicographic walk of S_n with one call of the weights
+kernel per permutation, which the tests hold the recurrence equal to
+through order 9.  The walked orders are the one other cache, and
+``clear_cache`` empties both.  Only ``eulerian N --q`` and ``wd`` reach
+that walk: the counts of ``verify bijection`` (``bijection_report``, at
+deficiency n-d-1) and of ``verify stabilization`` come from a cut run at
+every order, one per sweep.
 Every order above ``MAX_Q_ORDER`` is refused with ``LimitExceeded``, by
 ``near_maxwt`` as by ``q_eulerian``: on 2 cores (os.cpu_count() = 2),
-Python 3.11.7, the full recurrence took a median 0.13 ms at order 9,
-0.04 s at order 25 and 0.21 s at order 30, and the cut run to order 25
-0.4 ms at x-degree 2 and deficiency 3 and 4 ms at deficiency 12;
-in-process, the sweeps ``verify bijection --n-max 25``, ``wd 1 --terms 24``
-and ``verify stabilization --d 1 --n-max 25`` took 0.21, 0.04 s and
-0.7 ms.  The limit no longer marks where the run grows slow; it stays
-because raising it turns every refusal above 25 into a result.
+Python 3.11.7, a full run read at its top order took a median 0.18 ms
+at order 8, 0.26 ms at order 9, 0.06 s at order 25 and 0.19 s at order
+30, and a cut run to order 25 0.25 ms at x-degree 2 and deficiency 3
+and 2.1 ms at deficiency 12; in-process, the sweeps ``verify bijection
+--n-max 25``, ``wd 1 --terms 24`` and ``verify stabilization --d 1
+--n-max 25`` took 0.27, 0.05 s and 0.6 ms.  The limit no longer marks
+where the run grows slow; it stays because raising it turns every
+refusal above 25 into a result.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from itertools import permutations as _permutations
 from math import comb, factorial
 from types import MappingProxyType
@@ -85,13 +91,13 @@ from .perms import abridged_int
 from .weights import descents_and_weight
 
 # the largest order of q_eulerian, near_maxwt, wd_series and
-# stabilization_values; the full recurrence takes 0.04 s there and 0.21 s
-# at order 30, on 2 cores with Python 3.11.7 (the module docstring gives
-# the timings and why the limit stays)
+# stabilization_values; a full recurrence run takes 0.06 s there and
+# 0.19 s at order 30, on 2 cores with Python 3.11.7 (the module docstring
+# gives the timings and why the limit stays)
 MAX_Q_ORDER = 25
 
 # the smallest order that starts a recurrence run; an order below it that
-# no run has cached yet is enumerated, one kernel call per permutation
+# no cached run covers is enumerated, one kernel call per permutation
 _RECURRENCE_MIN_N = 8
 
 
@@ -136,13 +142,14 @@ def eulerian_polynomial(n: int) -> list[int]:
     return row
 
 
-def _recurrence(
-    n: int, x_max: int | None = None, k_max: int | None = None
-) -> list[dict[tuple[int, int], int]]:
+# a recurrence run's reader: order m -> its read-only mapping (d, w) -> count
+_Reader = Callable[[int], Mapping[tuple[int, int], int]]
+
+
+def _recurrence(n: int, x_max: int, k_max: int) -> _Reader:
     """
-    The q-Eulerian polynomials of orders 1..n, each (d, w) -> count, from
-    the minimum-decomposition recurrence of the module docstring, in
-    polynomials of x and q:
+    One run of the minimum-decomposition recurrence of the module
+    docstring to order n, in polynomials of x and q:
 
         e_0 = 1,  b_0 = xq,  b_j = e_j(xq, q),
         e_(k+1) = sum_j C(k, j) b_j e_(k-j),
@@ -154,8 +161,11 @@ def _recurrence(
     letters below a new minimum.  e_k counts the sets of such words on k
     letters below one new minimum: for k >= 1 the minimum and the set make
     one word on k+1 letters, so e_k = a_(k+1), and a_1 = x gives b_0.  One
-    run to order n makes e_1, ..., e_n, one product sum each, so it
-    returns every order up to n.
+    run to order n makes e_1, ..., e_n, one product sum each, so it holds
+    every order up to n.  It returns the reader of its orders: called with
+    m in 1..n, it unpacks the q-Eulerian polynomial of order m into a
+    read-only mapping (d, w) -> count on its first call and returns that
+    same mapping on every later one.
 
     Each e_k is a dict x-degree l -> one int that packs the q-coefficients
     of x^l in slots of ``size`` bytes, slot w for q^w (Kronecker
@@ -195,15 +205,19 @@ def _recurrence(
     negative shift drops low slots, exactly, as no slot carries.  A
     product whose two terms both have a gap above ``k_max`` is never
     formed; the term j and k-j of a shared product has the gap
-    l2(j-l1) + l1(k-j+1-l2).  Without a cut every offset is 0, and the
-    run keeps its own product loop and unpack: on 2 cores, Python 3.11.7,
-    running it through the cut's loop with no cut made it 1.4 times slower
-    at orders 8 and 9 (1.1 times with only the product loop shared) and
-    raised the median op time of perfbench's ``enumeration`` workload 12%.
+    l2(j-l1) + l1(k-j+1-l2).  The full run is the run cut at x-degree n
+    and deficiency n*n, which drop nothing: every offset is 0, and every
+    gap is below n*n.  So one product loop serves both, and a run
+    unpacks only the orders that are read: on 2 cores, Python 3.11.7,
+    alternated in one process against a separate uncut loop that
+    unpacked every order, a full run read at its top order took 0.97 to
+    1.06 times as long at orders 8 and 9, 0.96 to 1.01 times at 13 and
+    0.83 to 0.91 times at 25, while reading every order of it took 1.43
+    to 1.50 times as long at orders 8 and 9.
 
-    >>> _recurrence(3)[2] == {(0, 0): 1, (1, 1): 1, (1, 0): 3, (2, 0): 1}
+    >>> _recurrence(3, 3, 9)(3) == {(0, 0): 1, (1, 1): 1, (1, 0): 3, (2, 0): 1}
     True
-    >>> _recurrence(3, k_max=0)[2] == {(0, 0): 1, (1, 1): 1, (2, 0): 1}
+    >>> _recurrence(3, 3, 0)(3) == {(0, 0): 1, (1, 1): 1, (2, 0): 1}
     True
     """
     size = (factorial(n).bit_length() + 7) // 8
@@ -211,104 +225,114 @@ def _recurrence(
         size = 1 << (size - 1).bit_length()
     fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(size)
     bits = 8 * size
-    cut = x_max is not None or k_max is not None
-    if cut:
-        top = n if x_max is None else x_max
-        most = n * n if k_max is None else k_max  # n*n is above every gap
-        # low[k][l]: the q-degree in slot 0 of e_k's slice l
-        low = [
-            [b - most if (b := l * (k + 1 - l)) > most else 0 for l in range(k + 1)]
-            for k in range(n + 1)
-        ]
+    # low[k][l]: the q-degree in slot 0 of e_k's slice l
+    low = [
+        [b - k_max if (b := l * (k + 1 - l)) > k_max else 0 for l in range(k + 1)]
+        for k in range(n + 1)
+    ]
 
-        def shift(p: int, s: int) -> int:
-            return p << bits * s if s >= 0 else p >> bits * -s
+    def shift(p: int, s: int) -> int:
+        return p << bits * s if s >= 0 else p >> bits * -s
 
     e = [{0: 1}]
-    orders = []
     for k in range(n):
-        if not cut:
-            out = {l + 1: p << bits for l, p in e[k].items()}  # x q e_k, b_0 e_0 = xq
-            if k:
-                for l, p in e[k].items():  # b_k
-                    out[l] = out.get(l, 0) + (p << bits * l)
-            for j in range(1, k // 2 + 1):
-                c = comb(k, j)
-                pair = 2 * j < k
-                for l1, p1 in e[j].items():
-                    p1 *= c
-                    for l2, p2 in e[k - j].items():
-                        p = p1 * p2
-                        p = (p << bits * l1) + (p << bits * l2) if pair else p << bits * l1
-                        out[l1 + l2] = out.get(l1 + l2, 0) + p
-        else:
-            now, then = low[k], low[k + 1]
-            out = {
-                l + 1: shift(p, now[l] + 1 - then[l + 1])  # x q e_k, gap k-l
-                for l, p in e[k].items()
-                if l < top and k - l <= most
-            }
-            if k:
-                for l, p in e[k].items():  # b_k, gap 0
-                    out[l] = out.get(l, 0) + shift(p, now[l] + l - then[l])
-            for j in range(1, k // 2 + 1):
-                c = comb(k, j)
-                pair = 2 * j < k
-                for l1, p1 in e[j].items():
-                    p1 *= c
-                    for l2, p2 in e[k - j].items():
-                        l = l1 + l2
-                        first = l1 * (k - j - l2) + l2 * (j + 1 - l1) <= most
-                        second = pair and l2 * (j - l1) + l1 * (k - j + 1 - l2) <= most
-                        if l > top or not (first or second):
-                            continue
-                        s = low[j][l1] + low[k - j][l2] - then[l]
-                        p = p1 * p2
-                        # shift, inlined in the hottest loop
-                        if first:
-                            s1 = s + l1
-                            out[l] = out.get(l, 0) + (p << bits * s1 if s1 >= 0 else p >> -bits * s1)
-                        if second:
-                            s2 = s + l2
-                            out[l] = out.get(l, 0) + (p << bits * s2 if s2 >= 0 else p >> -bits * s2)
+        now, then = low[k], low[k + 1]
+        out = {
+            l + 1: shift(p, now[l] + 1 - then[l + 1])  # x q e_k, gap k-l
+            for l, p in e[k].items()
+            if l < x_max and k - l <= k_max
+        }
+        if k:
+            for l, p in e[k].items():  # b_k, gap 0
+                out[l] = out.get(l, 0) + shift(p, now[l] + l - then[l])
+        for j in range(1, k // 2 + 1):
+            c = comb(k, j)
+            pair = 2 * j < k
+            low_j, low_kj, tail = low[j], low[k - j], e[k - j].items()
+            for l1, p1 in e[j].items():
+                p1 *= c
+                s1 = low_j[l1] + l1
+                # the gaps of the terms j and k-j less k_max, g + l2 h: the
+                # docstring's gaps regrouped by l2; g2 = 1 drops the term k-j
+                # when it is the term j
+                g1, h1 = l1 * (k - j) - k_max, j + 1 - 2 * l1
+                g2, h2 = (l1 * (k - j + 1) - k_max, j - 2 * l1) if pair else (1, 0)
+                for l2, p2 in tail:
+                    l = l1 + l2
+                    first = g1 + l2 * h1 <= 0
+                    second = g2 + l2 * h2 <= 0
+                    if l > x_max or not (first or second):
+                        continue
+                    # shift, inlined in the hottest loop
+                    s = bits * (s1 + low_kj[l2] - then[l])
+                    p = p1 * p2
+                    t = 0
+                    if first:
+                        t = p << s if s >= 0 else p >> -s
+                    if second:
+                        s += bits * (l2 - l1)
+                        t += p << s if s >= 0 else p >> -s
+                    out[l] = out.get(l, 0) + t
         e.append(out)
-        # x^(d+1) q^(w+k+1) in e_(k+1) is x^d q^w in E_(k+1), so the slots
-        # below q^(k+1) are dropped; cast reads native byte order
-        order = {}
-        drop = bits * (k + 1)
-        for l, p in out.items():
-            w0 = 0  # the weight in slot 0
-            if not cut:
-                p >>= drop
-            elif then[l] > k + 1:
-                w0 = then[l] - k - 1
-            else:
-                p >>= drop - bits * then[l]
-            raw = p.to_bytes(-(-p.bit_length() // bits) * size, sys.byteorder)
-            if fmt:
-                counts = memoryview(raw).cast(fmt)
-            else:
-                counts = [
-                    int.from_bytes(raw[i:i + size], sys.byteorder)
-                    for i in range(0, len(raw), size)
-                ]
-            d = l - 1
-            for w, c in enumerate(counts, w0):
-                if c:
-                    order[d, w] = c
-        orders.append(order)
-    return orders
+
+    orders: dict[int, Mapping[tuple[int, int], int]] = {}
+
+    def order(m: int) -> Mapping[tuple[int, int], int]:
+        if m not in orders:
+            terms = {}
+            for l, p in e[m].items():
+                # x^(d+1) q^(w+m) in e_m is x^d q^w in E_m: the slots below
+                # q^m are dropped, or slot 0 is above it; cast reads native
+                # byte order
+                below = m - low[m][l]
+                p >>= bits * max(below, 0)
+                raw = p.to_bytes(-(-p.bit_length() // bits) * size, sys.byteorder)
+                if fmt:
+                    counts = memoryview(raw).cast(fmt)
+                else:
+                    counts = [
+                        int.from_bytes(raw[i:i + size], sys.byteorder)
+                        for i in range(0, len(raw), size)
+                    ]
+                for w, c in enumerate(counts, max(-below, 0)):
+                    if c:
+                        terms[l - 1, w] = c
+            orders[m] = MappingProxyType(terms)
+        return orders[m]
+
+    return order
 
 
-_Q_CACHE: dict[int, Mapping[tuple[int, int], int]] = {}
+# every recurrence run, full or cut, (n, x_max, k_max) -> the reader of its
+# orders; a run serves every order m <= n read at x_max or less and k_max
+# or less, and keeps each order it has unpacked
+_RUNS: dict[tuple[int, int, int], _Reader] = {}
 
-# cut runs, (n, d_max, k_max) -> their orders 1..n, for near_maxwt
-_CUT_CACHE: dict[tuple[int, int, int], tuple[Mapping[tuple[int, int], int], ...]] = {}
+# the orders below _RECURRENCE_MIN_N walked in S_n, n -> read-only mapping
+_WALKED: dict[int, Mapping[tuple[int, int], int]] = {}
 
 
 def clear_cache() -> None:
-    _Q_CACHE.clear()
-    _CUT_CACHE.clear()
+    _RUNS.clear()
+    _WALKED.clear()
+
+
+def _covering(n: int, x_max: int, k_max: int) -> _Reader | None:
+    """The reader of the first cached run that covers order n at x-degree
+    x_max and deficiency k_max, or None."""
+    for (m, x, k), run in _RUNS.items():
+        if m >= n and x >= x_max and k >= k_max:
+            return run
+    return None
+
+
+def _read(n: int, x_max: int, k_max: int) -> Mapping[tuple[int, int], int]:
+    """Order n off the first cached run that covers it, or off a new run to
+    n, which the cache keeps."""
+    run = _covering(n, x_max, k_max)
+    if run is None:
+        run = _RUNS[n, x_max, k_max] = _recurrence(n, x_max, k_max)
+    return run(n)
 
 
 def _check_order(n: int) -> None:
@@ -325,51 +349,45 @@ def q_eulerian(n: int) -> Mapping[tuple[int, int], int]:
     """
     The q-Eulerian polynomial of order n as a mapping (d, w) -> count of
     the permutations with d descents and weight w, zero counts omitted.
-    Results are cached per n, so every caller shares one read-only mapping;
-    one recurrence run caches every order 1..n that is not cached yet.
+    Results are cached per n, so every caller shares one read-only mapping:
+    one recurrence run serves every order 1..n, each unpacked when it is
+    first read.
 
     >>> q_eulerian(3) == {(0, 0): 1, (1, 1): 1, (1, 0): 3, (2, 0): 1}
     True
     """
     _check_order(n)
-    if n in _Q_CACHE:
-        return _Q_CACHE[n]
-    if n < _RECURRENCE_MIN_N:
+    if n in _WALKED:
+        return _WALKED[n]
+    if n < _RECURRENCE_MIN_N and _covering(n, n, n * n) is None:
         counts = Counter(map(descents_and_weight, _permutations(range(1, n + 1))))
-        _Q_CACHE[n] = MappingProxyType(dict(counts))
-    else:
-        # an order cached before keeps its mapping, which callers may hold
-        for m, terms in enumerate(_recurrence(n), 1):
-            _Q_CACHE.setdefault(m, MappingProxyType(terms))
-    return _Q_CACHE[n]
+        _WALKED[n] = MappingProxyType(dict(counts))
+        return _WALKED[n]
+    return _read(n, n, n * n)
 
 
-def near_maxwt(n: int, d_max: int, k_max: int) -> tuple[Mapping[tuple[int, int], int], ...]:
+def near_maxwt(n: int, d_max: int, k_max: int) -> Mapping[tuple[int, int], int]:
     """
-    The q-Eulerian polynomials of orders 1..n near their largest weights:
-    entry m-1 maps (d, w) -> count for order m, zero counts omitted, and
-    holds every d <= d_max and w >= maxwt(m, d) - k_max.  It comes from
-    one cut recurrence run, which enumerates nothing, and may hold more:
-    a cached run serves every call that it covers in n, d_max and k_max.
+    The q-Eulerian polynomial of order n near its largest weights: it maps
+    (d, w) -> count, zero counts omitted, and holds every d <= d_max and
+    w >= maxwt(n, d) - k_max.  It comes from a cut recurrence run, which
+    enumerates nothing, and may hold more: a cached run, full or cut,
+    serves every call that it covers in n, d_max and k_max, so a sweep
+    that asks for its largest order first makes one run.
     ``MAX_Q_ORDER`` applies, as to ``q_eulerian``.
 
-    >>> order_4 = near_maxwt(4, 1, 1)[3]
+    >>> order_4 = near_maxwt(4, 1, 1)
     >>> order_4[1, maxwt(4, 1)], order_4[1, maxwt(4, 1) - 1]
     (1, 3)
     """
     _check_order(n)
-    for (m, d, k), orders in _CUT_CACHE.items():
-        if m >= n and d >= d_max and k >= k_max:
-            return orders[:n]
-    orders = tuple(map(MappingProxyType, _recurrence(n, d_max + 1, k_max)))
-    _CUT_CACHE[n, d_max, k_max] = orders
-    return orders
+    return _read(n, d_max + 1, k_max)
 
 
 def stabilization_values(d: int, k: int, n_max: int) -> list[tuple[int, int]]:
     """
     (n, coefficient of x^d q^{maxwt(n,d)-k}) for n from the stabilization
-    threshold d+k+1 through n_max, read off one ``near_maxwt`` run.
+    threshold d+k+1 through n_max, each read off ``near_maxwt``.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {abridged_int(d)}")
@@ -380,9 +398,9 @@ def stabilization_values(d: int, k: int, n_max: int) -> list[tuple[int, int]]:
         raise ValueError(
             f"n_max={abridged_int(n_max)} is below the threshold {abridged_int(threshold)}"
         )
-    orders = near_maxwt(n_max, d, k)
+    near_maxwt(n_max, d, k)  # one cut run for every order of the sweep
     return [
-        (n, orders[n - 1].get((d, maxwt(n, d) - k), 0))
+        (n, near_maxwt(n, d, k).get((d, maxwt(n, d) - k), 0))
         for n in range(threshold, n_max + 1)
     ]
 

@@ -47,6 +47,12 @@ def enumerated(n):
     return dict(Counter(map(descents_and_weight, all_perms(n))))
 
 
+def run_orders(n, x_max=None, k_max=None):
+    """Orders 1..n of one recurrence run to n, full unless cut."""
+    run = eulerian._recurrence(n, n if x_max is None else x_max, n * n if k_max is None else k_max)
+    return [run(m) for m in range(1, n + 1)]
+
+
 class TestMaxwt:
     def test_no_descents(self):
         for n in range(1, 10):
@@ -152,11 +158,12 @@ class TestQEulerian:
 
 class TestRecurrence:
     def test_equals_the_enumeration(self):
-        # one run to order 9 holds every lower order
-        orders = eulerian._recurrence(9)
-        assert len(orders) == 9
-        for n, poly in enumerate(orders, 1):
-            assert poly == enumerated(n), n
+        # one run to order 9 holds every lower order, and no higher one
+        run = eulerian._recurrence(9, 9, 81)
+        for n in range(1, 10):
+            assert run(n) == enumerated(n), n
+        with pytest.raises(IndexError):
+            run(10)
 
     def test_orders_10_to_25(self):
         # the largest order first: its one recurrence run caches the others;
@@ -202,14 +209,14 @@ class TestRecurrence:
         # a run packs its coefficients in slots of 1, 2, 4, 8 bytes, or the
         # byte length of n! from 9 bytes on: the width grows at orders 6,
         # 9, 13 and 21
-        top = eulerian._recurrence(n)[-1]
+        top = eulerian._recurrence(n, n, n * n)(n)
         assert at_q_one(top) == eulerian_polynomial(n)
         assert sum(top.values()) == math.factorial(n)
         assert 0 not in top.values()
 
     def test_runs_on_different_slot_widths_agree(self):
-        assert eulerian._recurrence(21)[:13] == eulerian._recurrence(13)
-        assert eulerian._recurrence(9)[:8] == eulerian._recurrence(8)
+        assert run_orders(21)[:13] == run_orders(13)
+        assert run_orders(9)[:8] == run_orders(8)
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -255,10 +262,10 @@ class TestCutRecurrence:
 
     def test_equals_the_uncut_run_on_every_kept_monomial(self):
         # x^d q^w of E_n sits at x-degree d+1 and deficiency maxwt(n, d) - w
-        full = eulerian._recurrence(16)
+        full = run_orders(16)
         for x_max in (2, 3, 4, 17):
             for k_max in (0, 2, 5, 40):
-                cut = eulerian._recurrence(16, x_max, k_max)
+                cut = run_orders(16, x_max, k_max)
                 for n, (whole, kept) in enumerate(zip(full, cut), 1):
                     assert kept == {
                         (d, w): c for (d, w), c in whole.items()
@@ -266,10 +273,12 @@ class TestCutRecurrence:
                     }, (x_max, k_max, n)
 
     def test_one_cut_alone(self):
-        full = eulerian._recurrence(12)
-        assert eulerian._recurrence(12, x_max=12) == full
-        assert eulerian._recurrence(12, k_max=12 * 12) == full
-        assert eulerian._recurrence(12, x_max=3)[-1] == {
+        # the full run is the run cut at x-degree n and deficiency n*n: a
+        # cut above either bound drops nothing
+        full = run_orders(12)
+        assert run_orders(12, x_max=13) == full
+        assert run_orders(12, k_max=1000) == full
+        assert run_orders(12, x_max=3)[-1] == {
             (d, w): c for (d, w), c in full[-1].items() if d <= 2
         }
 
@@ -279,13 +288,14 @@ class TestCutRecurrence:
         clear_cache()
         pairs = 0
         try:
-            orders = near_maxwt(MAX_Q_ORDER, MAX_Q_ORDER - 1, (MAX_Q_ORDER - 1) // 2)
+            cut = MAX_Q_ORDER - 1, (MAX_Q_ORDER - 1) // 2
+            near_maxwt(MAX_Q_ORDER, *cut)
             for n in range(10, MAX_Q_ORDER + 1):
                 poly = q_eulerian(n)
                 for d in range(1, n):
                     if 2 * d >= n - 1:
                         key = d, (n - d - 1) * (d - 1)
-                        assert orders[n - 1][key] == poly[key] == t_nk(n - 1, d), (n, d)
+                        assert near_maxwt(n, *cut)[key] == poly[key] == t_nk(n - 1, d), (n, d)
                         pairs += 1
         finally:
             clear_cache()
@@ -319,10 +329,9 @@ class TestCutRecurrence:
         clear_cache()
 
     def test_a_cached_run_serves_what_it_covers(self, runs):
-        orders = near_maxwt(12, 5, 3)
-        assert len(orders) == 12
+        orders = [near_maxwt(m, 5, 3) for m in range(12, 0, -1)][::-1]
         for request in [(12, 5, 3), (9, 5, 3), (12, 2, 3), (12, 5, 0), (3, 1, 1)]:
-            assert near_maxwt(*request) == orders[:request[0]], request
+            assert near_maxwt(*request) is orders[request[0] - 1], request
         assert runs == [(12, 6, 3)]
         # past the run in n, in d or in deficiency: a new run
         for request in [(13, 5, 3), (12, 6, 3), (12, 5, 4)]:
@@ -334,6 +343,23 @@ class TestCutRecurrence:
         clear_cache()
         near_maxwt(10, 3, 2)
         assert runs == [(10, 4, 2), (10, 4, 2)]
+
+    def test_one_cache_serves_the_full_and_the_cut_reads(self, runs):
+        full = q_eulerian(12)
+        assert q_eulerian(12) is full
+        for d, k in [(1, 0), (5, 3), (11, 30)]:
+            near = near_maxwt(12, d, k)
+            assert near is full and near_maxwt(12, d, k) is near, (d, k)
+        for m in range(1, 12):
+            assert q_eulerian(m) is q_eulerian(m) is near_maxwt(m, 2, 4), m
+        assert runs == [(12, 12, 144)]
+        # a cut run does not serve the full polynomial
+        clear_cache()
+        assert near_maxwt(12, 5, 3) == {
+            (d, w): c for (d, w), c in full.items() if d <= 5 and maxwt(12, d) - w <= 3
+        }
+        assert q_eulerian(12) is not full and q_eulerian(12) == full
+        assert runs == [(12, 12, 144), (12, 6, 3), (12, 12, 144)]
 
     def test_order_limit(self, runs):
         with pytest.raises(LimitExceeded, match="^n=26 exceeds the q-Eulerian order limit 25$"):
@@ -400,6 +426,20 @@ class TestWdSeries:
         diffs = [wd_series(d, d + 2)[d + 1] - t_nk(2 * d + 1, d) for d in ds]
         assert diffs == [2 ** (d + 2) - 2 * d - 5 for d in ds]
         assert diffs == [1, 7, 21, 51, 113, 239, 493, 1003]
+        # the diagonals c = 1, 2, 3 past the theorem, c_c(d) = a_(d+c)(W_d)
+        # - T(2d+c, d), each read off a cut run at its threshold order
+        # 2d+c+1, up to the largest d that MAX_Q_ORDER admits
+        closed_forms = {
+            1: (range(1, 12), lambda d: 2 ** (d + 2) - 2 * d - 5),
+            2: (range(1, 12), lambda d: (d + 3) * 2 ** (d + 1) - (d + 1) * (3 * d + 10) // 2),
+            3: (range(2, 11),
+                lambda d: 2 ** (d - 1) * (d * d + 9 * d + 22) - d * (d * d + 6 * d + 14) // 3),
+        }
+        for c, (ds, closed_form) in closed_forms.items():
+            for d in ds:
+                n = 2 * d + c + 1
+                near = near_maxwt(n, d, d + c).get((d, maxwt(n, d) - d - c), 0)
+                assert near - t_nk(2 * d + c, d) == closed_form(d), (c, d)
 
     def test_single_term(self):
         for d in range(1, 6):
